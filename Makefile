@@ -22,13 +22,14 @@ race:
 	$(GO) test -race ./...
 
 # The concurrency equivalence suite: differential oracles for the
-# speculative parallel router, the incremental STA, the corner-batched
-# STA, and the wavefront-parallel placer, shuffled and repeated under
-# the race detector.
+# incremental STA, the corner-batched STA, RunMany and the Monte-Carlo
+# engine, shuffled and repeated under the race detector. Route and place
+# have no concurrent path (every flow stage runs serially), so their
+# suites run under plain `go test ./...` and `go test -race ./...` only.
 # -timeout: the flow suite alone runs ~8 min under -race on one core,
 # so count=2 overruns go test's 10m default.
 race-equiv:
-	$(GO) test -race -shuffle=on -count=2 -timeout 45m ./internal/route/ ./internal/sta/ ./internal/flow/ ./internal/vary/ ./internal/place/
+	$(GO) test -race -shuffle=on -count=2 -timeout 45m ./internal/sta/ ./internal/flow/ ./internal/vary/
 
 fuzz:
 	for pkg in verilog def lef liberty; do \

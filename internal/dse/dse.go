@@ -10,7 +10,7 @@
 // neighbourhood, typically issuing a small fraction of the brute-force
 // grid's model evaluations (see EXPERIMENTS.md).
 //
-// Determinism contract (the route/parallel.go discipline): candidate
+// Determinism contract (the exec.Map discipline): candidate
 // batches are generated single-threaded in canonical lattice order —
 // seeded random exploration included — evaluated on the exec worker pool
 // (results land at their input index), and committed to the archive

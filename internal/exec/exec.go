@@ -314,4 +314,3 @@ func GridWith[A, B, R any](st *Settings, as []A, bs []B, fn func(ctx context.Con
 		return fn(ctx, as[k/nb], bs[k%nb])
 	})
 }
-

@@ -32,15 +32,14 @@ func equivReport(results []*Result) []byte {
 	return b.Bytes()
 }
 
-// TestFlowEquivalenceGoldensAcrossWidths asserts the optimized
-// place/route/sta path produces byte-identical DEF and report output vs
-// the checked-in goldens at pool widths 1, 2, and 8. Run with -update to
-// rewrite the goldens (recorded at width 1).
-// TestFlowFullFeatureGoldensAcrossWidths is the same contract over the
-// full-featured flow — CTS (clock nets routed, hold on a real tree) and
-// logic folding (two placement tiers, CNFET re-mapping) — which the
-// reduced benchmark spec never exercises. DEF, numeric report, and raw
-// GDS bytes must be identical at pool widths 1, 2, and 8.
+// TestFlowFullFeatureGoldensAcrossWidths pins the full-featured flow —
+// CTS (clock nets routed, hold on a real tree) and logic folding (two
+// placement tiers, CNFET re-mapping), which the reduced benchmark spec
+// never exercises — to checked-in DEF, numeric-report and raw GDS bytes.
+// Run reads no pool width (every flow stage is serial), so one run
+// covers every width; RunMany's widths are pinned by
+// TestFlowEquivalenceGoldensAcrossWidths. Run with -update to rewrite
+// the goldens.
 func TestFlowFullFeatureGoldensAcrossWidths(t *testing.T) {
 	p := tech.Default130()
 	spec := benchSpecs()[0]
@@ -50,53 +49,54 @@ func TestFlowFullFeatureGoldensAcrossWidths(t *testing.T) {
 	repGolden := filepath.Join("testdata", "equiv_full_report.golden")
 	gdsGolden := filepath.Join("testdata", "equiv_full_gds.golden")
 
-	for _, width := range []int{1, 2, 8} {
-		res, err := Run(p, spec, exec.WithWorkers(width))
-		if err != nil {
-			t.Fatalf("width %d: %v", width, err)
-		}
-		var def, gds bytes.Buffer
-		if err := res.WriteDEF(&def); err != nil {
-			t.Fatalf("width %d: DEF export: %v", width, err)
-		}
-		if err := res.WriteGDS(&gds); err != nil {
-			t.Fatalf("width %d: GDS export: %v", width, err)
-		}
-		rep := equivReport([]*Result{res})
-		if res.CTS == nil {
-			t.Fatalf("width %d: CTS report missing", width)
-		}
+	res, err := Run(p, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var def, gds bytes.Buffer
+	if err := res.WriteDEF(&def); err != nil {
+		t.Fatalf("DEF export: %v", err)
+	}
+	if err := res.WriteGDS(&gds); err != nil {
+		t.Fatalf("GDS export: %v", err)
+	}
+	rep := equivReport([]*Result{res})
+	if res.CTS == nil {
+		t.Fatal("CTS report missing")
+	}
 
-		if *update && width == 1 {
-			if err := os.MkdirAll("testdata", 0o755); err != nil {
-				t.Fatal(err)
-			}
-			for _, g := range []struct {
-				path string
-				data []byte
-			}{{defGolden, def.Bytes()}, {repGolden, rep}, {gdsGolden, gds.Bytes()}} {
-				if err := os.WriteFile(g.path, g.data, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
 		}
 		for _, g := range []struct {
-			name string
 			path string
-			got  []byte
-		}{{"DEF", defGolden, def.Bytes()}, {"report", repGolden, rep}, {"GDS", gdsGolden, gds.Bytes()}} {
-			want, err := os.ReadFile(g.path)
-			if err != nil {
-				t.Fatalf("missing golden (regenerate with go test ./internal/flow -run FullFeature -update): %v", err)
+			data []byte
+		}{{defGolden, def.Bytes()}, {repGolden, rep}, {gdsGolden, gds.Bytes()}} {
+			if err := os.WriteFile(g.path, g.data, 0o644); err != nil {
+				t.Fatal(err)
 			}
-			if !bytes.Equal(g.got, want) {
-				t.Errorf("width %d: %s output differs from golden (%d vs %d bytes)",
-					width, g.name, len(g.got), len(want))
-			}
+		}
+	}
+	for _, g := range []struct {
+		name string
+		path string
+		got  []byte
+	}{{"DEF", defGolden, def.Bytes()}, {"report", repGolden, rep}, {"GDS", gdsGolden, gds.Bytes()}} {
+		want, err := os.ReadFile(g.path)
+		if err != nil {
+			t.Fatalf("missing golden (regenerate with go test ./internal/flow -run FullFeature -update): %v", err)
+		}
+		if !bytes.Equal(g.got, want) {
+			t.Errorf("%s output differs from golden (%d vs %d bytes)", g.name, len(g.got), len(want))
 		}
 	}
 }
 
+// TestFlowEquivalenceGoldensAcrossWidths asserts RunMany produces
+// byte-identical DEF and report output vs the checked-in goldens at pool
+// widths 1, 2, and 8. Run with -update to rewrite the goldens (recorded
+// at width 1).
 func TestFlowEquivalenceGoldensAcrossWidths(t *testing.T) {
 	p := tech.Default130()
 	specs := benchSpecs()[:2]

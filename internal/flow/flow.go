@@ -601,7 +601,7 @@ func runWith(ctx context.Context, st *exec.Settings, p *tech.PDK, spec SoCSpec) 
 		}
 		if err = fp.PackMacros3D(nl.MacroInstances()); err == nil {
 			for _, tier := range tiers {
-				if _, err = place.Global(fp, nl, tier, place.Options{Seed: spec.Seed, Workers: st.Workers}); err != nil {
+				if _, err = place.Global(fp, nl, tier, place.Options{Seed: spec.Seed}); err != nil {
 					break
 				}
 			}
@@ -658,22 +658,13 @@ func runWith(ctx context.Context, st *exec.Settings, p *tech.PDK, spec SoCSpec) 
 		tr.skip("cts")
 	}
 
-	// 4. Global routing: speculative parallel at the pool width, with
-	// ordered commits keeping the result byte-identical to a serial route.
+	// 4. Global routing.
 	endRoute := tr.start("route")
-	var rst route.Stats
-	routes, err := route.Route(fp, nl, route.Options{
-		IncludeClock: spec.RunCTS,
-		Workers:      st.Workers,
-		Stats:        &rst,
-	})
+	routes, err := route.Route(fp, nl, route.Options{IncludeClock: spec.RunCTS})
 	endRoute()
 	if err != nil {
 		return nil, fmt.Errorf("flow: route: %w", err)
 	}
-	st.Metrics.Counter("flow.route.nets.committed").Add(int64(rst.SpecCommitted))
-	st.Metrics.Counter("flow.route.nets.rerouted").Add(int64(rst.SpecRerouted))
-	st.Metrics.Counter("flow.route.batches").Add(int64(rst.Batches))
 	if err := checkCtx(ctx); err != nil {
 		return nil, err
 	}

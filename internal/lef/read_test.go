@@ -129,18 +129,18 @@ func TestReadMacrosRoundTrip(t *testing.T) {
 
 func TestReadErrors(t *testing.T) {
 	cases := []string{
-		"LAYER M1\nTYPE ROUTING ;\n",            // unterminated layer
-		"MACRO X\n",                             // unterminated macro
-		"MACRO X\n  PIN A\n",                    // unterminated pin
-		"PIN A\nEND A\n",                        // pin outside macro
-		"LAYER M1\n  PITCH zzz ;\nEND M1\n",     // bad number
-		"MACRO X\n  SIZE 1.0 2.0 ;\nEND X\n",    // malformed SIZE
-		"UNITS\n  DATABASE MICRONS nope ;\n",    // bad units
-		"LAYER M1\nLAYER M2\nEND M2\nEND M1\n",  // nested layer
-		"MACRO A\nMACRO B\nEND B\nEND A\n",      // nested macro
-		"MACRO A\n PIN X\n PIN Y\nEND A\n",      // nested pin
-		"LAYER M1\n  RESISTANCE RPERSQ x ;\n",   // bad resistance
-		"MACRO A\n  SIZE 1 BY nope ;\nEND A\n",  // bad size operand
+		"LAYER M1\nTYPE ROUTING ;\n",           // unterminated layer
+		"MACRO X\n",                            // unterminated macro
+		"MACRO X\n  PIN A\n",                   // unterminated pin
+		"PIN A\nEND A\n",                       // pin outside macro
+		"LAYER M1\n  PITCH zzz ;\nEND M1\n",    // bad number
+		"MACRO X\n  SIZE 1.0 2.0 ;\nEND X\n",   // malformed SIZE
+		"UNITS\n  DATABASE MICRONS nope ;\n",   // bad units
+		"LAYER M1\nLAYER M2\nEND M2\nEND M1\n", // nested layer
+		"MACRO A\nMACRO B\nEND B\nEND A\n",     // nested macro
+		"MACRO A\n PIN X\n PIN Y\nEND A\n",     // nested pin
+		"LAYER M1\n  RESISTANCE RPERSQ x ;\n",  // bad resistance
+		"MACRO A\n  SIZE 1 BY nope ;\nEND A\n", // bad size operand
 	}
 	for _, src := range cases {
 		if _, err := Read(strings.NewReader(src)); err == nil {

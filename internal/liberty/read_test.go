@@ -77,15 +77,15 @@ func TestReadRoundTrip(t *testing.T) {
 
 func TestReadErrors(t *testing.T) {
 	cases := []string{
-		"library (a) {\n",                                    // unterminated library
-		"library (a) {\n  cell (x) {\n}\n",                   // unterminated cell
-		"}\n",                                                // unbalanced close
-		"library (a) {\n  nom_voltage : volts;\n}\n",         // bad number
-		"library (a) {\n  library (b) {\n  }\n}\n",           // nested library
-		"cell (x) {\n  cell (y) {\n  }\n}\n",                 // nested cell
+		"library (a) {\n",                  // unterminated library
+		"library (a) {\n  cell (x) {\n}\n", // unterminated cell
+		"}\n",                              // unbalanced close
+		"library (a) {\n  nom_voltage : volts;\n}\n",          // bad number
+		"library (a) {\n  library (b) {\n  }\n}\n",            // nested library
+		"cell (x) {\n  cell (y) {\n  }\n}\n",                  // nested cell
 		"cell (x) {\n  pin (a) {\n    pin (b) {\n  }\n}\n}\n", // nested pin
-		"pin (a) {\n}\n",                                     // pin outside cell
-		"cell (x) {\n  area : wide;\n}\n",                    // bad area
+		"pin (a) {\n}\n",                  // pin outside cell
+		"cell (x) {\n  area : wide;\n}\n", // bad area
 		"cell (x) {\n  pin (a) {\n    capacitance : big;\n  }\n}\n", // bad cap
 	}
 	for _, src := range cases {

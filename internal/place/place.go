@@ -24,11 +24,6 @@ type Options struct {
 	Seed int64
 	// TargetDensity is the bin utilization ceiling (default 0.75).
 	TargetDensity float64
-	// Workers bounds the attraction sweep's wavefront parallelism
-	// (default 1 = serial). Results are bit-identical at any width —
-	// the level schedule reproduces the serial sweep's exact read set
-	// (see parallel.go) — so this is purely a wall-clock knob.
-	Workers int
 }
 
 func (o Options) withDefaults() Options {
@@ -81,15 +76,12 @@ func Global(f *floorplan.Floorplan, nl *netlist.Netlist, tier tech.Tier, opt Opt
 	}
 	blocked := f.DensityGrid(tier)
 
-	// The wavefront schedule is a pure function of the topology, so one
-	// build serves every iteration; nil means sweep serially.
-	wf := newWavefront(cells, len(nl.Instances), opt.Workers)
-
 	for it := 0; it < opt.Iterations; it++ {
 		// Attraction: move every cell toward the centroid of its connected
-		// pins, with a cooling factor.
+		// pins, with a cooling factor. The sweep is Gauss-Seidel: each move
+		// reads the live positions of the cells moved before it.
 		alpha := 0.8 * (1 - float64(it)/float64(opt.Iterations+1))
-		attract := func(c *netlist.Instance) {
+		for _, c := range cells {
 			sx, sy, n := int64(0), int64(0), 0
 			accum := func(other *netlist.Pin) {
 				if other.Inst == c {
@@ -113,19 +105,12 @@ func Global(f *floorplan.Floorplan, nl *netlist.Netlist, tier tech.Tier, opt Opt
 				}
 			}
 			if n == 0 {
-				return
+				continue
 			}
 			tx := float64(sx)/float64(n) - float64(c.Pos.X)
 			ty := float64(sy)/float64(n) - float64(c.Pos.Y)
 			c.Pos = geom.Pt(c.Pos.X+int64(alpha*tx), c.Pos.Y+int64(alpha*ty))
 			clampInto(c, die, p)
-		}
-		if wf != nil {
-			wf.run(attract)
-		} else {
-			for _, c := range cells {
-				attract(c)
-			}
 		}
 		// Density spreading: push cells out of over-full / blocked bins.
 		// Serial on purpose: its RNG draws are consumed in sorted-bin

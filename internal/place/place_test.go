@@ -238,3 +238,17 @@ func TestTwoTierPlacementLegalBothTiers(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkPlaceGlobal is the global-placement baseline on the 8×8
+// systolic fixture (≈6.3k movable cells). Tracked by
+// scripts/benchdiff.sh.
+func BenchmarkPlaceGlobal(b *testing.B) {
+	fx := newFixture(b, 8, 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Global(fx.fp, fx.nl, tech.TierSiCMOS, Options{Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

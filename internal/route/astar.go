@@ -113,31 +113,10 @@ const hWeight = 1.3
 // back to the full grid.
 const bboxMargin = 6
 
-// Edge families of the flat edge index space e = fam*nNodes + node:
-// horizontal track edges, vertical track edges, and via (up) edges.
-const (
-	famH = iota
-	famV
-	famUp
-)
-
-// edgeRead records one live usage word a speculative search observed:
-// the commit phase re-checks that the word still holds this value.
-type edgeRead struct {
-	e   int32
-	val int32
-}
-
-// searcher owns the per-goroutine routing state: the epoch-stamped A*
-// scratch, the open heap, and the sink-ordering scratch. In speculative
-// mode (parallel routing) it additionally carries a private usage
-// overlay — the net's own uncommitted path commits — and a read log of
-// every live usage word the search depended on, which is what lets the
-// ordered commit prove the speculative result identical to a serial
-// execution.
+// searcher owns the routing state of one Route call: the epoch-stamped
+// A* scratch, the open heap, and the sink-ordering scratch.
 type searcher struct {
-	g  *grid
-	nn int // nodes per edge family
+	g *grid
 
 	// A* scratch, reused across searches (epoch-stamped).
 	gScore   []float64
@@ -149,131 +128,6 @@ type searcher struct {
 	// sinkScratch is reused across routeNet calls so per-net sink
 	// ordering allocates nothing once grown.
 	sinkScratch []sinkRef
-
-	// Speculative mode. delta overlays the frozen live usage arrays with
-	// this net's own in-flight commits; readLog records each live word
-	// the first time the search reads it (logEp dedupes within a net).
-	spec    bool
-	delta   []int32
-	depoch  []uint32
-	dcur    uint32
-	logEp   []uint32
-	logCur  uint32
-	readLog []edgeRead
-}
-
-func newSearcher(g *grid, spec bool) *searcher {
-	s := &searcher{g: g, nn: g.nNodes(), spec: spec}
-	if spec {
-		s.delta = make([]int32, 3*s.nn)
-		s.depoch = make([]uint32, 3*s.nn)
-		s.logEp = make([]uint32, 3*s.nn)
-	}
-	return s
-}
-
-// beginNet opens a fresh speculative scope: an empty usage overlay and a
-// new read log owned by the net being routed.
-func (s *searcher) beginNet() {
-	s.readLog = nil
-	s.logCur++
-	if s.logCur == 0 { // wrapped: force full reset
-		for i := range s.logEp {
-			s.logEp[i] = 0
-		}
-		s.logCur = 1
-	}
-	s.dcur++
-	if s.dcur == 0 {
-		for i := range s.depoch {
-			s.depoch[i] = 0
-		}
-		s.dcur = 1
-	}
-}
-
-// specRead logs the live usage word for edge (fam, i) once per net and
-// returns it with this net's own overlay applied.
-func (s *searcher) specRead(fam, i int, live int32) int32 {
-	e := fam*s.nn + i
-	if s.logEp[e] != s.logCur {
-		s.logEp[e] = s.logCur
-		s.readLog = append(s.readLog, edgeRead{e: int32(e), val: live})
-	}
-	if s.depoch[e] == s.dcur {
-		live += s.delta[e]
-	}
-	return live
-}
-
-// rdH/rdV/rdUp return the usage value the search must observe for an
-// edge: the live value in serial mode; in speculative mode the frozen
-// live value (logged for commit-time validation) plus the overlay.
-func (s *searcher) rdH(i int) int32 {
-	u := s.g.useH[i]
-	if s.spec {
-		u = s.specRead(famH, i, u)
-	}
-	return u
-}
-
-func (s *searcher) rdV(i int) int32 {
-	u := s.g.useV[i]
-	if s.spec {
-		u = s.specRead(famV, i, u)
-	}
-	return u
-}
-
-func (s *searcher) rdUp(i int) int32 {
-	u := s.g.useUp[i]
-	if s.spec {
-		u = s.specRead(famUp, i, u)
-	}
-	return u
-}
-
-// overlayAdd accumulates a usage delta for edge (fam, i) in the private
-// overlay.
-func (s *searcher) overlayAdd(fam, i int, delta int32) {
-	e := fam*s.nn + i
-	if s.depoch[e] != s.dcur {
-		s.depoch[e] = s.dcur
-		s.delta[e] = 0
-	}
-	s.delta[e] += delta
-}
-
-// overlayPath mirrors grid.applyPath's usage walk into the overlay.
-func (s *searcher) overlayPath(path []int, delta int32) {
-	g := s.g
-	for i := 1; i < len(path); i++ {
-		a, b := path[i-1], path[i]
-		la, xya := g.split(a)
-		lb, xyb := g.split(b)
-		xa, ya := xya%g.nx, xya/g.nx
-		xb, yb := xyb%g.nx, xyb/g.nx
-		switch {
-		case la != lb:
-			lo := la
-			if lb < lo {
-				lo = lb
-			}
-			s.overlayAdd(famUp, g.idx(lo, xa, ya), delta)
-		case xa != xb:
-			lo := xa
-			if xb < lo {
-				lo = xb
-			}
-			s.overlayAdd(famH, g.idx(la, lo, ya), delta)
-		default:
-			lo := ya
-			if yb < lo {
-				lo = yb
-			}
-			s.overlayAdd(famV, g.idx(la, xa, lo), delta)
-		}
-	}
 }
 
 // astar finds the min-cost path from src to dst nodes; returns the node
@@ -290,7 +144,7 @@ func (s *searcher) astar(src, dst int) []int {
 // so each search touches only the nodes it visits.
 func (s *searcher) astarBounded(src, dst, margin int) []int {
 	g := s.g
-	nNodes := s.nn
+	nNodes := g.nNodes()
 	if len(s.gScore) != nNodes {
 		s.gScore = make([]float64, nNodes)
 		s.from = make([]int32, nNodes)
@@ -383,20 +237,20 @@ func (s *searcher) astarBounded(src, dst, margin int) []int {
 		if L.Dir == tech.DirHorizontal {
 			if x+1 < g.nx && x+1 <= x1 {
 				i := g.idx(l, x, y)
-				relax(g.idx(l, x+1, y), l, x+1, y, 1+congPenalty(s.rdH(i), g.capH[i], g.histH[i]))
+				relax(g.idx(l, x+1, y), l, x+1, y, 1+congPenalty(g.useH[i], g.capH[i], g.histH[i]))
 			}
 			if x > 0 && x-1 >= x0 {
 				i := g.idx(l, x-1, y)
-				relax(g.idx(l, x-1, y), l, x-1, y, 1+congPenalty(s.rdH(i), g.capH[i], g.histH[i]))
+				relax(g.idx(l, x-1, y), l, x-1, y, 1+congPenalty(g.useH[i], g.capH[i], g.histH[i]))
 			}
 		} else {
 			if y+1 < g.ny && y+1 <= y1 {
 				i := g.idx(l, x, y)
-				relax(g.idx(l, x, y+1), l, x, y+1, 1+congPenalty(s.rdV(i), g.capV[i], g.histV[i]))
+				relax(g.idx(l, x, y+1), l, x, y+1, 1+congPenalty(g.useV[i], g.capV[i], g.histV[i]))
 			}
 			if y > 0 && y-1 >= y0 {
 				i := g.idx(l, x, y-1)
-				relax(g.idx(l, x, y-1), l, x, y-1, 1+congPenalty(s.rdV(i), g.capV[i], g.histV[i]))
+				relax(g.idx(l, x, y-1), l, x, y-1, 1+congPenalty(g.useV[i], g.capV[i], g.histV[i]))
 			}
 		}
 		// Via moves. Zero-capacity cuts (ILVs consumed by an RRAM array
@@ -408,7 +262,7 @@ func (s *searcher) astarBounded(src, dst, margin int) []int {
 				if l == g.boundary {
 					c += ilvCost
 				}
-				relax(g.idx(l+1, x, y), l+1, x, y, c+congPenalty(s.rdUp(i), g.capUp[i], g.histUp[i]))
+				relax(g.idx(l+1, x, y), l+1, x, y, c+congPenalty(g.useUp[i], g.capUp[i], g.histUp[i]))
 			}
 		}
 		if l > 0 {
@@ -418,7 +272,7 @@ func (s *searcher) astarBounded(src, dst, margin int) []int {
 				if l-1 == g.boundary {
 					c += ilvCost
 				}
-				relax(g.idx(l-1, x, y), l-1, x, y, c+congPenalty(s.rdUp(i), g.capUp[i], g.histUp[i]))
+				relax(g.idx(l-1, x, y), l-1, x, y, c+congPenalty(g.useUp[i], g.capUp[i], g.histUp[i]))
 			}
 		}
 	}
@@ -477,11 +331,8 @@ func (g *grid) overflowCount(bumpHistory bool) int {
 	return n
 }
 
-// pathOverflows reports whether any edge of the path is over capacity,
-// reading usage through the searcher so a speculative check logs the
-// words its verdict depends on.
-func (s *searcher) pathOverflows(path []int) bool {
-	g := s.g
+// pathOverflows reports whether any edge of the path is over capacity.
+func (g *grid) pathOverflows(path []int) bool {
 	for i := 1; i < len(path); i++ {
 		a, b := path[i-1], path[i]
 		la, xya := g.split(a)
@@ -495,7 +346,7 @@ func (s *searcher) pathOverflows(path []int) bool {
 				lo = lb
 			}
 			i := g.idx(lo, xa, ya)
-			if s.rdUp(i) > g.capUp[i] {
+			if g.useUp[i] > g.capUp[i] {
 				return true
 			}
 		case xa != xb:
@@ -504,7 +355,7 @@ func (s *searcher) pathOverflows(path []int) bool {
 				lo = xb
 			}
 			i := g.idx(la, lo, ya)
-			if s.rdH(i) > g.capH[i] {
+			if g.useH[i] > g.capH[i] {
 				return true
 			}
 		default:
@@ -513,7 +364,7 @@ func (s *searcher) pathOverflows(path []int) bool {
 				lo = yb
 			}
 			i := g.idx(la, xa, lo)
-			if s.rdV(i) > g.capV[i] {
+			if g.useV[i] > g.capV[i] {
 				return true
 			}
 		}

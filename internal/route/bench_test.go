@@ -3,31 +3,14 @@ package route
 import "testing"
 
 // BenchmarkRouteNets measures the negotiated-congestion router — A*
-// search dominates — on a placed 2x2 systolic block. Workers is pinned
-// to 1 so the number stays the serial baseline regardless of the host's
-// core count. Tracked by scripts/benchdiff.sh for both ns/op and
-// allocs/op.
+// search dominates — on a placed 2x2 systolic block. Tracked by
+// scripts/benchdiff.sh for both ns/op and allocs/op.
 func BenchmarkRouteNets(b *testing.B) {
 	fx := placedFixture(b, 2, 2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Route(fx.fp, fx.nl, Options{Workers: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRouteNetsParallel measures the speculative route + ordered
-// commit path at a fixed pool width of 8 on the same fixture — the
-// byte-identical parallel counterpart to BenchmarkRouteNets. Tracked by
-// scripts/benchdiff.sh.
-func BenchmarkRouteNetsParallel(b *testing.B) {
-	fx := placedFixture(b, 2, 2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Route(fx.fp, fx.nl, Options{Workers: 8}); err != nil {
+		if _, err := Route(fx.fp, fx.nl, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

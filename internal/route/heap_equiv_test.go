@@ -260,7 +260,7 @@ func TestAstarPathEquivalenceRandomGrids(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		nx, ny := 5+rng.Intn(8), 5+rng.Intn(8)
 		g := randGrid(rng, nx, ny)
-		s := newSearcher(g, false)
+		s := &searcher{g: g}
 		nNodes := len(g.layers) * nx * ny
 		for trial := 0; trial < 40; trial++ {
 			src, dst := rng.Intn(nNodes), rng.Intn(nNodes)

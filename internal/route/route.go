@@ -8,7 +8,6 @@
 package route
 
 import (
-	"m3d/internal/exec"
 	"m3d/internal/floorplan"
 	"m3d/internal/geom"
 	"m3d/internal/netlist"
@@ -28,29 +27,6 @@ type Options struct {
 	// IncludeClock routes clock nets too — set after clock tree synthesis,
 	// when the clock is a real buffered network rather than an ideal net.
 	IncludeClock bool
-	// Workers is the routing pool width. 1 runs the plain serial router;
-	// values above 1 route nets speculatively in parallel and commit them
-	// in exact serial order, so the Result is byte-identical at every
-	// width. 0 (the zero value) selects exec.DefaultWorkers, which honors
-	// M3D_WORKERS.
-	Workers int
-	// Stats, when non-nil, receives the speculative router's work
-	// counters. They live outside Result on purpose: serial and parallel
-	// runs must produce deeply equal Results, and how the work was
-	// scheduled is not part of the routing answer.
-	Stats *Stats
-}
-
-// Stats counts how the speculative parallel router spent its work.
-type Stats struct {
-	// SpecCommitted is the number of speculative net results whose read
-	// logs validated and were committed as-is.
-	SpecCommitted int
-	// SpecRerouted is the number of validation conflicts that fell back
-	// to a serial re-route on the live grid.
-	SpecRerouted int
-	// Batches is the number of speculation barriers executed.
-	Batches int
 }
 
 func (o Options) withDefaults() Options {
@@ -62,9 +38,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxFanout <= 0 {
 		o.MaxFanout = 64
-	}
-	if o.Workers <= 0 {
-		o.Workers = exec.DefaultWorkers()
 	}
 	return o
 }
@@ -101,8 +74,7 @@ type Result struct {
 	FailedNets int
 	// RipupHistory records the over-capacity edge count observed at the
 	// start of each negotiation round; the final entry is 0 when the
-	// router converged before exhausting MaxRipupRounds. Serial and
-	// parallel runs produce identical histories.
+	// router converged before exhausting MaxRipupRounds.
 	RipupHistory []int
 	// WLByLayer is wirelength per routing layer.
 	WLByLayer []int64

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"m3d/internal/cell"
-	"m3d/internal/exec"
 	"m3d/internal/floorplan"
 	"m3d/internal/geom"
 	"m3d/internal/macro"
@@ -223,12 +222,8 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.GCellsX != 48 || o.MaxRipupRounds != 3 || o.MaxFanout != 64 {
 		t.Errorf("defaults wrong: %+v", o)
 	}
-	if o.Workers != exec.DefaultWorkers() {
-		t.Errorf("Workers default = %d, want exec.DefaultWorkers() = %d",
-			o.Workers, exec.DefaultWorkers())
-	}
-	o2 := Options{GCellsX: 10, MaxRipupRounds: 1, MaxFanout: 5, Workers: 7}.withDefaults()
-	if o2.GCellsX != 10 || o2.MaxRipupRounds != 1 || o2.MaxFanout != 5 || o2.Workers != 7 {
+	o2 := Options{GCellsX: 10, MaxRipupRounds: 1, MaxFanout: 5}.withDefaults()
+	if o2.GCellsX != 10 || o2.MaxRipupRounds != 1 || o2.MaxFanout != 5 {
 		t.Errorf("explicit options clobbered: %+v", o2)
 	}
 }

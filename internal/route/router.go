@@ -28,10 +28,7 @@ type sinkRef struct {
 // Route globally routes all signal nets of the placed netlist. Clock nets
 // and nets above the fanout threshold are idealized (skipped). The router
 // runs an initial pass plus negotiated rip-up-and-reroute rounds on
-// overflowing nets. With Options.Workers > 1 the rounds run as
-// speculative parallel batches whose results commit in serial work-list
-// order (see parallel.go); the Result is byte-identical to the serial
-// router's at every width.
+// overflowing nets, routing one net at a time in work-list order.
 func Route(f *floorplan.Floorplan, nl *netlist.Netlist, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
 	g := newGrid(f, opt)
@@ -60,23 +57,7 @@ func Route(f *floorplan.Floorplan, nl *netlist.Netlist, opt Options) (*Result, e
 		return work[i].hpwl < work[j].hpwl
 	})
 
-	if opt.Workers > 1 && len(work) > 1 {
-		if err := routeParallel(g, work, res, opt); err != nil {
-			return nil, err
-		}
-	} else {
-		routeSerial(g, work, res, opt)
-	}
-
-	finalize(g, f, work, res)
-	return res, nil
-}
-
-// routeSerial is the reference router: one searcher, nets in work-list
-// order, negotiated rip-up rounds. The parallel path is tested against
-// it as an oracle and must replay it exactly.
-func routeSerial(g *grid, work []*routedNet, res *Result, opt Options) {
-	s := newSearcher(g, false)
+	s := &searcher{g: g}
 	for _, rn := range work {
 		var failed int
 		rn.paths, failed = s.routeNet(rn.net, rn.paths[:0])
@@ -93,7 +74,7 @@ func routeSerial(g *grid, work []*routedNet, res *Result, opt Options) {
 		for _, rn := range work {
 			bad := false
 			for _, path := range rn.paths {
-				if s.pathOverflows(path) {
+				if g.pathOverflows(path) {
 					bad = true
 					break
 				}
@@ -109,13 +90,15 @@ func routeSerial(g *grid, work []*routedNet, res *Result, opt Options) {
 			res.FailedNets += failed
 		}
 	}
+
+	finalize(g, f, work, res)
+	return res, nil
 }
 
 // routeNet routes one net from scratch: star topology from the driver,
-// nearest sink first. Each found path is committed before the next sink
-// is routed — to the live grid in serial mode, to the searcher's private
-// overlay in speculative mode — and appended to dst, which is returned
-// along with the count of unroutable sinks.
+// nearest sink first. Each found path is committed to the grid before
+// the next sink is routed and appended to dst, which is returned along
+// with the count of unroutable sinks.
 func (s *searcher) routeNet(n *netlist.Net, dst [][]int) ([][]int, int) {
 	g := s.g
 	failed := 0
@@ -141,11 +124,7 @@ func (s *searcher) routeNet(n *netlist.Net, dst [][]int) ([][]int, int) {
 			failed++
 			continue
 		}
-		if s.spec {
-			s.overlayPath(path, +1)
-		} else {
-			g.commitPathUsage(path, +1)
-		}
+		g.commitPathUsage(path, +1)
 		dst = append(dst, path)
 	}
 	return dst, failed

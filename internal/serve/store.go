@@ -125,10 +125,11 @@ func (m *MemJobStore) DeleteJob(id string) error {
 
 // DirJobStore is the filesystem JobStore: one directory per job holding
 // job.json plus one stage.<name>.bin per checkpoint. Every write lands
-// via create-temp + rename, so a crash mid-write leaves either the old
-// entry or the new one — never a torn blob — which is what lets a
-// restarted server trust whatever checkpoints it finds. This is the
-// store cmd/m3dserve mounts with -jobstore.
+// via create-temp + fsync + rename + directory fsync, so a crash or a
+// power loss mid-write leaves either the old entry or the new one —
+// never a torn blob — which is what lets a restarted server trust
+// whatever checkpoints it finds. This is the store cmd/m3dserve mounts
+// with -jobstore.
 type DirJobStore struct {
 	dir string
 	mu  sync.Mutex // serializes temp-name generation per process
@@ -154,20 +155,57 @@ func (d *DirJobStore) jobDir(id string) (string, error) {
 	return filepath.Join(d.dir, id), nil
 }
 
-// write atomically persists one blob at path (temp file + rename).
+// write durably persists one blob at path: the temp file is fsynced
+// before the rename and the directory after it, so the new entry
+// survives power loss, not just a process crash.
 func (d *DirJobStore) write(path string, blob []byte) error {
 	d.mu.Lock()
 	d.seq++
 	tmp := fmt.Sprintf("%s.tmp%d", path, d.seq)
 	d.mu.Unlock()
-	if err := os.WriteFile(tmp, blob, 0o644); err != nil {
+	if err := writeSynced(tmp, blob); err != nil {
+		os.Remove(tmp)
 		return fmt.Errorf("serve: job store: %w", err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("serve: job store: %w", err)
 	}
+	if err := syncDir(filepath.Dir(path)); err != nil {
+		return fmt.Errorf("serve: job store: %w", err)
+	}
 	return nil
+}
+
+// writeSynced creates path with blob and fsyncs it before closing.
+func writeSynced(path string, blob []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(blob); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// syncDir fsyncs a directory, making the entries created or renamed in
+// it durable.
+func syncDir(dir string) error {
+	f, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // PutJob implements JobStore.
@@ -176,7 +214,14 @@ func (d *DirJobStore) PutJob(id string, record []byte) error {
 	if err != nil {
 		return err
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	switch err := os.Mkdir(dir, 0o755); {
+	case err == nil:
+		// A new job directory is an entry of the root: make it durable
+		// before anything is written inside it.
+		if err := syncDir(d.dir); err != nil {
+			return fmt.Errorf("serve: job store: %w", err)
+		}
+	case !os.IsExist(err):
 		return fmt.Errorf("serve: job store: %w", err)
 	}
 	return d.write(filepath.Join(dir, "job.json"), record)

@@ -1,20 +1,26 @@
 #!/bin/sh
 # benchdiff.sh — the performance-regression gate. Runs the tracked
 # benchmarks (exec cache hot paths, analytic sweep engine, serve HTTP
-# cached path, and the flow/route/sta perf-critical paths), writes the
-# results as bench/BENCH_<n>.json, and fails when any benchmark is more
-# than THRESHOLD_PCT slower — or allocates more than ALLOC_THRESHOLD_PCT
-# more objects per op — than the committed baseline bench/BENCH_0.json.
+# cached path, and the flow/route/place/sta perf-critical paths) and
+# fails when any benchmark is more than THRESHOLD_PCT slower — or
+# allocates more than ALLOC_THRESHOLD_PCT more objects per op — than the
+# committed baseline bench/BENCH_0.json.
 #
 #   ./scripts/benchdiff.sh                 # run + compare vs baseline
 #   THRESHOLD_PCT=40 ./scripts/benchdiff.sh
 #   BENCHTIME=1s COUNT=5 ./scripts/benchdiff.sh   # steadier numbers
 #
-# The first run on a machine without bench/BENCH_0.json records it and
-# exits 0 — commit that file to arm the gate. Each benchmark runs COUNT
-# times and the MINIMUM ns/op and allocs/op are kept (the min is the
-# least noisy estimator of the code's true cost under scheduler jitter;
-# see EXPERIMENTS.md "Benchmark regression gate"). Schema per entry:
+# The baseline records the host it was measured on (nproc, GOMAXPROCS,
+# CPU model, Go version). A baseline from a different host is refused:
+# the script prints both stamps and exits non-zero without comparing.
+# Re-record by deleting bench/BENCH_0.json and running the script — the
+# first run on a machine without a baseline writes it and exits 0;
+# commit that file to arm the gate. Every other run writes nothing into
+# the tree. Each benchmark runs COUNT times and the MINIMUM ns/op and
+# allocs/op are kept (the min is the least noisy estimator of the code's
+# true cost under scheduler jitter; see EXPERIMENTS.md "Benchmark
+# regression gate"). Schema:
+#   "host": {"nproc": <n>, "gomaxprocs": <n>, "cpu": "<model>", "go": "<version>"}
 #   "BenchmarkName": {"ns_per_op": <float>, "allocs_per_op": <float>}
 set -eu
 
@@ -31,14 +37,30 @@ BENCHDIR="bench"
 TRACKED="BenchmarkCacheChurnLRU BenchmarkCacheHitLRU BenchmarkCacheHitLRUParallel \
 BenchmarkCacheHitUnbounded BenchmarkSweepSerial BenchmarkSweepParallelCached \
 BenchmarkSweepCached BenchmarkRunFlowReduced BenchmarkRouteNets \
-BenchmarkRouteNetsParallel BenchmarkSTAFullTiming BenchmarkOptimizeDrivesIncremental \
-BenchmarkBatchCornerSTA BenchmarkMonteCarloSTA BenchmarkPlaceGlobal \
-BenchmarkPlaceGlobalParallel"
+BenchmarkSTAFullTiming BenchmarkOptimizeDrivesIncremental \
+BenchmarkBatchCornerSTA BenchmarkMonteCarloSTA BenchmarkPlaceGlobal"
 
-mkdir -p "$BENCHDIR"
-RAW="$(mktemp)"
-ONE="$(mktemp)"
-trap 'rm -f "$RAW" "$ONE"' EXIT
+BASE="$BENCHDIR/BENCH_0.json"
+TMP="$(mktemp -d)"
+trap 'rm -rf "$TMP"' EXIT
+RAW="$TMP/raw.txt"
+ONE="$TMP/one.txt"
+OUT="$TMP/BENCH.json"
+
+# HOST is this machine's stamp, in the baseline's JSON form. GOMAXPROCS
+# defaults to the CPUs the process may use, which nproc also reports.
+cpu="$(sed -n 's/^model name[[:space:]]*:[[:space:]]*//p' /proc/cpuinfo 2>/dev/null | head -n 1)"
+HOST="{\"nproc\": $(nproc), \"gomaxprocs\": ${GOMAXPROCS:-$(nproc)}, \"cpu\": \"${cpu:-unknown}\", \"go\": \"$(go env GOVERSION)\"}"
+if [ -e "$BASE" ]; then
+    BASE_HOST="$(sed -n 's/^[[:space:]]*"host":[[:space:]]*\({.*}\),\{0,1\}[[:space:]]*$/\1/p' "$BASE")"
+    if [ "$BASE_HOST" != "$HOST" ]; then
+        echo "benchdiff: FAIL: $BASE was recorded on another host; refusing to compare" >&2
+        echo "  baseline: ${BASE_HOST:-(no host stamp)}" >&2
+        echo "  this run: $HOST" >&2
+        echo "  re-record on this host: rm $BASE && $0" >&2
+        exit 1
+    fi
+fi
 
 # run_bench <label> <pattern> <benchtime> <package>: runs one benchmark
 # set and appends its output to RAW. The output goes through a temp file
@@ -61,10 +83,10 @@ run_bench "exec cache" 'BenchmarkCache' "$BENCHTIME" ./internal/exec/
 run_bench "analytic sweep" 'BenchmarkSweep(Serial|ParallelCached)$' "$BENCHTIME" ./internal/analytic/
 run_bench "serve cached path" 'BenchmarkSweepCached' "$BENCHTIME" ./internal/serve/
 run_bench "flow pipeline (reduced)" 'BenchmarkRunFlowReduced$' 1x ./internal/flow/
-run_bench "router (serial + parallel)" 'BenchmarkRouteNets(Parallel)?$' "$BENCHTIME" ./internal/route/
+run_bench "router" 'BenchmarkRouteNets$' "$BENCHTIME" ./internal/route/
 run_bench "sta full + incremental + batch" 'Benchmark(STAFullTiming|OptimizeDrivesIncremental|BatchCornerSTA)$' "$BENCHTIME" ./internal/sta/
 run_bench "variation mc sta" 'BenchmarkMonteCarloSTA$' "$BENCHTIME" ./internal/vary/
-run_bench "placer (serial + wavefront)" 'BenchmarkPlaceGlobal(Parallel)?$' "$BENCHTIME" ./internal/place/
+run_bench "placer" 'BenchmarkPlaceGlobal$' "$BENCHTIME" ./internal/place/
 
 # Every tracked benchmark must have produced at least one result line.
 for name in $TRACKED; do
@@ -75,14 +97,9 @@ for name in $TRACKED; do
 done
 
 # Fold the raw `go test -bench -benchmem` lines into one JSON object
-# mapping benchmark name -> {min ns/op, min allocs/op} across COUNT runs.
-next_n=0
-while [ -e "$BENCHDIR/BENCH_${next_n}.json" ]; do
-    next_n=$((next_n + 1))
-done
-OUT="$BENCHDIR/BENCH_${next_n}.json"
-
-awk '
+# mapping benchmark name -> {min ns/op, min allocs/op} across COUNT runs,
+# headed by the host stamp.
+awk -v host="$HOST" '
     # go test -bench lines:
     #   Name-<GOMAXPROCS>  iters  <ns> ns/op  <B> B/op  <allocs> allocs/op
     /^Benchmark/ {
@@ -106,7 +123,7 @@ awk '
             for (j = i - 1; j >= 0 && order[j] > k; j--) order[j+1] = order[j]
             order[j+1] = k
         }
-        printf "{\n"
+        printf "{\n  \"host\": %s,\n", host
         for (i = 0; i < n; i++) {
             name = order[i]
             al = (name in bestAl) ? bestAl[name] : 0
@@ -116,10 +133,10 @@ awk '
         printf "}\n"
     }
 ' "$RAW" > "$OUT"
-echo "wrote $OUT"
 
-BASE="$BENCHDIR/BENCH_0.json"
-if [ "$OUT" = "$BASE" ]; then
+if [ ! -e "$BASE" ]; then
+    mkdir -p "$BENCHDIR"
+    cp "$OUT" "$BASE"
     echo "recorded new baseline $BASE — commit it to arm the regression gate"
     exit 0
 fi

@@ -1,12 +1,22 @@
 #!/bin/sh
-# check.sh — the full pre-merge gate: vet, build, race-enabled tests, and a
-# short fuzz smoke over every text parser. Run from the repo root:
+# check.sh — the full pre-merge gate: gofmt, vet, build, race-enabled
+# tests, and a short fuzz smoke over every text parser. Steps that have a
+# Makefile target call it, so each package list lives in one place. Run
+# from the repo root:
 #
 #   ./scripts/check.sh            # everything (slowest part: -race tests)
 #   FUZZTIME=30s ./scripts/check.sh   # longer fuzz smoke
 set -eu
 
 FUZZTIME="${FUZZTIME:-10s}"
+
+echo "== gofmt =="
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+    echo "gofmt: these files need formatting:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 
 echo "== go vet =="
 go vet ./...
@@ -20,10 +30,7 @@ echo "== go test -race =="
 go test -race -timeout 30m ./...
 
 echo "== concurrency equivalence suite (race + shuffle) =="
-# The speculative parallel router and the incremental STA are pinned
-# against their serial/full oracles; -shuffle and -count=2 shake out
-# order dependence and stale-scratch bugs between repeated runs.
-go test -race -shuffle=on -count=2 -timeout 45m ./internal/route/ ./internal/sta/ ./internal/flow/ ./internal/vary/
+make race-equiv
 
 echo "== obs golden + trace schema =="
 go test ./internal/obs/ ./internal/report/ ./cmd/m3dreport/
@@ -64,21 +71,10 @@ echo "== invariant suite =="
 # Property-based guarantees of the Sec. III model (randomized seeded
 # draws), the paper's headline EDP band, and the inter-tier variation
 # sampler (yield monotonicity, quantile order, correlation collapse).
-go test -run 'TestInvariant' -count=1 ./internal/analytic/
-go test -run 'TestHeadline' -count=1 ./internal/core/
-go test -run 'TestInvariant' -count=1 ./internal/vary/
+make invariants
 
 echo "== fuzz smoke (${FUZZTIME}/target) =="
-for pkg in verilog def lef liberty; do
-    echo "-- internal/$pkg"
-    go test -fuzz=FuzzRead -fuzztime="$FUZZTIME" "./internal/$pkg/"
-done
-echo "-- internal/serve"
-go test -fuzz=FuzzSweepRequest -fuzztime="$FUZZTIME" ./internal/serve/
-go test -fuzz=FuzzBatchRequest -fuzztime="$FUZZTIME" ./internal/serve/
-go test -fuzz=FuzzDSERequest -fuzztime="$FUZZTIME" ./internal/serve/
-go test -fuzz=FuzzJobsRequest -fuzztime="$FUZZTIME" ./internal/serve/
-go test -fuzz=FuzzYieldRequest -fuzztime="$FUZZTIME" ./internal/serve/
+make fuzz FUZZTIME="$FUZZTIME"
 
 echo "== profile harness smoke =="
 # The `make profile` pipeline must keep producing parseable pprof
