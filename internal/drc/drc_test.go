@@ -178,3 +178,54 @@ func TestViolationString(t *testing.T) {
 		t.Errorf("String = %q", v.String())
 	}
 }
+
+// TestDanglingRouteReported routes a net whose CNFET-tier sink cannot be
+// reached — a CNFET blockage over the whole die leaves no ILV capacity —
+// and requires the router to mark the net failed, count it once, and the
+// audit to report it as one dangling route.
+func TestDanglingRouteReported(t *testing.T) {
+	const mm = int64(1_000_000)
+	p := tech.Default130()
+	siLib, err := cell.NewLibrary(p, tech.TierSiCMOS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cnLib, err := cell.NewLibrary(p, tech.TierCNFET)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nl := netlist.New("x")
+	drv := nl.AddCell("drv", siLib.MustPick(cell.Inv, 1))
+	si := nl.AddCell("si", siLib.MustPick(cell.Inv, 1))
+	cn := nl.AddCell("cn", cnLib.MustPick(cell.Inv, 1))
+	n := nl.AddNet("n", 0.1)
+	nl.MustPin(drv, "Y", true, 0, n)
+	nl.MustPin(si, "A", false, si.Cell.InputCapF, n)
+	nl.MustPin(cn, "A", false, cn.Cell.InputCapF, n)
+	drv.Pos, si.Pos, cn.Pos = geom.Pt(mm/4, mm/4), geom.Pt(mm/2, mm/4), geom.Pt(3*mm/4, 3*mm/4)
+	drv.Fixed, si.Fixed, cn.Fixed = true, true, true
+
+	die := geom.R(0, 0, mm, mm)
+	fp, err := floorplan.New(p, die)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp.AddBlockage(tech.TierCNFET, die)
+	routes, err := route.Route(fp, nl, route.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !routes.Routes[n].Failed {
+		t.Error("net with an unreachable sink not marked Failed")
+	}
+	if routes.FailedNets != 1 {
+		t.Errorf("FailedNets = %d, want 1", routes.FailedNets)
+	}
+	rep, err := Audit(fp, nl, routes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.ByKind()[KindDangling]; got != 1 {
+		t.Errorf("%d dangling-route violations, want 1", got)
+	}
+}

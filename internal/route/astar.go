@@ -114,7 +114,8 @@ const hWeight = 1.3
 const bboxMargin = 6
 
 // searcher owns the routing state of one Route call: the epoch-stamped
-// A* scratch, the open heap, and the sink-ordering scratch.
+// A* scratch, the open heap, the tree of the net being routed, and the
+// sink-ordering scratch.
 type searcher struct {
 	g *grid
 
@@ -125,13 +126,48 @@ type searcher struct {
 	curEpoch uint32
 	open     pq
 
+	// tree lists the nodes the net being routed has reached, other than
+	// its driver, in the order they joined; onTree stamps the driver and
+	// every tree node with treeEpoch. Both are reset per net by plantTree.
+	tree      []int
+	onTree    []uint32
+	treeEpoch uint32
+
 	// sinkScratch is reused across routeNet calls so per-net sink
 	// ordering allocates nothing once grown.
 	sinkScratch []sinkRef
 }
 
-// astar finds the min-cost path from src to dst nodes; returns the node
-// path (src..dst) or nil.
+// plantTree starts a new net's tree at the driver node src.
+func (s *searcher) plantTree(src int) {
+	if n := s.g.nNodes(); len(s.onTree) != n {
+		s.onTree = make([]uint32, n)
+	}
+	s.treeEpoch++
+	if s.treeEpoch == 0 { // wrapped: force full reset
+		clear(s.onTree)
+		s.treeEpoch = 1
+	}
+	s.tree = s.tree[:0]
+	s.onTree[src] = s.treeEpoch
+}
+
+// isOnTree reports whether node n is the driver or a node of the tree.
+func (s *searcher) isOnTree(n int) bool { return s.onTree[n] == s.treeEpoch }
+
+// growTree adds the nodes of a path that are not yet on the tree.
+func (s *searcher) growTree(path []int) {
+	for _, n := range path {
+		if !s.isOnTree(n) {
+			s.onTree[n] = s.treeEpoch
+			s.tree = append(s.tree, n)
+		}
+	}
+}
+
+// astar finds a low-cost path to dst from src or, when the net's tree has
+// grown beyond its driver, from any tree node; returns the node path
+// (tree node..dst) or nil.
 func (s *searcher) astar(src, dst int) []int {
 	if path := s.astarBounded(src, dst, bboxMargin); path != nil {
 		return path
@@ -140,8 +176,11 @@ func (s *searcher) astar(src, dst int) []int {
 }
 
 // astarBounded searches within a window of margin gcells around the
-// terminals. Scratch arrays are reused across calls with an epoch counter,
-// so each search touches only the nodes it visits.
+// terminals. The driver src and then every node of s.tree are seeded at
+// cost zero, so the path starts wherever joining the tree is cheapest;
+// with an empty tree it is the plain src-to-dst search. Scratch arrays are
+// reused across calls with an epoch counter, so each search touches only
+// the nodes it visits.
 func (s *searcher) astarBounded(src, dst, margin int) []int {
 	g := s.g
 	nNodes := g.nNodes()
@@ -190,28 +229,25 @@ func (s *searcher) astarBounded(src, dst, margin int) []int {
 	open := &s.open
 	open.push(pqItem{node: src, f: hAt(sl, sX, sY)})
 	gScore[src] = 0
+	for _, n := range s.tree {
+		touch(n)
+		gScore[n] = 0
+		l, xy := g.split(n)
+		open.push(pqItem{node: n, f: hAt(l, xy%g.nx, xy/g.nx)})
+	}
 
 	for len(*open) > 0 {
 		cur := open.pop()
 		if cur.node == dst {
-			// Reconstruct into an exact-size slice, filled in reverse.
-			steps, reached := 0, false
+			// Reconstruct into an exact-size slice, filled in reverse. Only
+			// the seeds keep from == -1, so the walk ends on the tree.
+			steps := 0
 			for n := dst; n != -1; n = int(from[n]) {
 				steps++
-				if n == src {
-					reached = true
-					break
-				}
-			}
-			if !reached {
-				return nil
 			}
 			path := make([]int, steps)
-			for n, i := dst, steps-1; ; n, i = int(from[n]), i-1 {
+			for n, i := dst, steps-1; n != -1; n, i = int(from[n]), i-1 {
 				path[i] = n
-				if n == src {
-					break
-				}
 			}
 			return path
 		}

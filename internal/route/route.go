@@ -1,10 +1,11 @@
 // Package route implements 3D global routing over the M3D metal stack: a
-// capacitated grid-cell (GCell) graph spanning the six routing layers, A*
-// maze routing per two-pin connection with congestion-aware costs, and
-// negotiated rip-up-and-reroute. Crossings between the lower metals (M1–M4,
-// below the RRAM/CNFET layers) and the upper metals (M5–M6) consume
-// inter-layer vias (ILVs), whose per-GCell capacity derives from the PDK's
-// ILV pitch — the resource the paper's Obs. 8 identifies as critical.
+// capacitated grid-cell (GCell) graph spanning the six routing layers,
+// congestion-aware A* maze routing that grows each net as a tree from its
+// driver, and negotiated rip-up-and-reroute. Crossings between the lower
+// metals (M1–M4, below the RRAM/CNFET layers) and the upper metals
+// (M5–M6) consume inter-layer vias (ILVs), whose per-GCell capacity
+// derives from the PDK's ILV pitch — the resource the paper's Obs. 8
+// identifies as critical.
 package route
 
 import (
@@ -56,7 +57,7 @@ type NetRoute struct {
 	WLdbu  int64 // total wire length
 	Vias   int   // intra-stack vias
 	ILVs   int   // vias crossing the lower/upper metal boundary
-	Failed bool
+	Failed bool  // the final routing left a sink unconnected
 }
 
 // Result is the full routing report.
@@ -70,7 +71,7 @@ type Result struct {
 	OverflowEdges int
 	// SkippedNets counts nets excluded (clock / high fanout).
 	SkippedNets int
-	// FailedNets counts nets with no path.
+	// FailedNets counts nets with at least one unconnected sink.
 	FailedNets int
 	// RipupHistory records the over-capacity edge count observed at the
 	// start of each negotiation round; the final entry is 0 when the

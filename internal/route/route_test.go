@@ -87,7 +87,17 @@ func TestRouteOverflowBoundedOnReasonableDesign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	totalEdges := 6 * 48 * 48
+	// Count the edges of the grid Route built for this floorplan: the
+	// planar track and via edges that have any capacity.
+	g := newGrid(fx.fp, Options{}.withDefaults())
+	totalEdges := 0
+	for i := range g.capH {
+		for _, c := range []int32{g.capH[i], g.capV[i], g.capUp[i]} {
+			if c > 0 {
+				totalEdges++
+			}
+		}
+	}
 	if res.OverflowEdges > totalEdges/20 {
 		t.Errorf("overflow on %d edges (>5%% of %d)", res.OverflowEdges, totalEdges)
 	}

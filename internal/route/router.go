@@ -13,6 +13,8 @@ import (
 type routedNet struct {
 	net   *netlist.Net
 	paths [][]int
+	// failed counts the sinks its latest routing left unconnected.
+	failed int
 	// hpwl is the net's HPWL at route time, precomputed once so the
 	// work-list ordering does not recompute it O(n log n) times.
 	hpwl int64
@@ -30,10 +32,16 @@ type sinkRef struct {
 // runs an initial pass plus negotiated rip-up-and-reroute rounds on
 // overflowing nets, routing one net at a time in work-list order.
 func Route(f *floorplan.Floorplan, nl *netlist.Netlist, opt Options) (*Result, error) {
+	res, _, err := routeWork(f, nl, opt)
+	return res, err
+}
+
+// routeWork is Route, also returning the routed work list.
+func routeWork(f *floorplan.Floorplan, nl *netlist.Netlist, opt Options) (*Result, []*routedNet, error) {
 	opt = opt.withDefaults()
 	g := newGrid(f, opt)
 	if g.boundary < 0 {
-		return nil, fmt.Errorf("route: stack has no lower-metal boundary")
+		return nil, nil, fmt.Errorf("route: stack has no lower-metal boundary")
 	}
 
 	res := &Result{
@@ -59,9 +67,7 @@ func Route(f *floorplan.Floorplan, nl *netlist.Netlist, opt Options) (*Result, e
 
 	s := &searcher{g: g}
 	for _, rn := range work {
-		var failed int
-		rn.paths, failed = s.routeNet(rn.net, rn.paths[:0])
-		res.FailedNets += failed
+		rn.paths, rn.failed = s.routeNet(rn.net, rn.paths[:0])
 	}
 
 	// Negotiated rip-up and reroute.
@@ -85,20 +91,20 @@ func Route(f *floorplan.Floorplan, nl *netlist.Netlist, opt Options) (*Result, e
 			for _, path := range rn.paths {
 				g.commitPathUsage(path, -1)
 			}
-			var failed int
-			rn.paths, failed = s.routeNet(rn.net, rn.paths[:0])
-			res.FailedNets += failed
+			rn.paths, rn.failed = s.routeNet(rn.net, rn.paths[:0])
 		}
 	}
 
 	finalize(g, f, work, res)
-	return res, nil
+	return res, work, nil
 }
 
-// routeNet routes one net from scratch: star topology from the driver,
-// nearest sink first. Each found path is committed to the grid before
-// the next sink is routed and appended to dst, which is returned along
-// with the count of unroutable sinks.
+// routeNet routes one net from scratch by growing a tree from the driver,
+// nearest sink first: the first sink is searched from the driver, every
+// later one from the whole tree so far, and a sink already on the tree
+// needs no path. Each found path is committed to the grid before the next
+// sink is routed and appended to dst, which is returned along with the
+// count of unroutable sinks.
 func (s *searcher) routeNet(n *netlist.Net, dst [][]int) ([][]int, int) {
 	g := s.g
 	failed := 0
@@ -113,10 +119,11 @@ func (s *searcher) routeNet(n *netlist.Net, dst [][]int) ([][]int, int) {
 		return sinks[i].dist < sinks[j].dist
 	})
 	s.sinkScratch = sinks
+	s.plantTree(src)
 	for _, sr := range sinks {
 		sx, sy := g.cellOf(sr.pin.Loc())
 		d := g.idx(g.pinLayer(sr.pin.Inst), sx, sy)
-		if d == src {
+		if s.isOnTree(d) {
 			continue
 		}
 		path := s.astar(src, d)
@@ -125,6 +132,7 @@ func (s *searcher) routeNet(n *netlist.Net, dst [][]int) ([][]int, int) {
 			continue
 		}
 		g.commitPathUsage(path, +1)
+		s.growTree(path)
 		dst = append(dst, path)
 	}
 	return dst, failed
@@ -133,7 +141,7 @@ func (s *searcher) routeNet(n *netlist.Net, dst [][]int) ([][]int, int) {
 // finalize converts the committed paths into the Result's accounting.
 func finalize(g *grid, f *floorplan.Floorplan, work []*routedNet, res *Result) {
 	for _, rn := range work {
-		nr := &NetRoute{Net: rn.net}
+		nr := &NetRoute{Net: rn.net, Failed: rn.failed > 0}
 		for _, path := range rn.paths {
 			segs, wl, vias, ilvs := g.describe(path)
 			nr.Segs = append(nr.Segs, segs...)
@@ -141,9 +149,8 @@ func finalize(g *grid, f *floorplan.Floorplan, work []*routedNet, res *Result) {
 			nr.Vias += vias
 			nr.ILVs += ilvs
 		}
-		if len(rn.paths) == 0 && len(rn.net.Sinks) > 0 {
-			// All connections were same-gcell (zero length) or failed.
-			nr.Failed = false
+		if nr.Failed {
+			res.FailedNets++
 		}
 		res.Routes[rn.net] = nr
 		res.TotalWLdbu += nr.WLdbu

@@ -29,6 +29,11 @@ echo "== go test -race =="
 # close enough to go test's 10m default to flake on slow machines.
 go test -race -timeout 30m ./...
 
+echo "== benchmark harness (m3dbench) vet + tests =="
+# m3dbench is its own module (replace m3d => ../), so ./... above does
+# not reach it.
+(cd m3dbench && go vet ./... && go test ./...)
+
 echo "== concurrency equivalence suite (race + shuffle) =="
 make race-equiv
 
