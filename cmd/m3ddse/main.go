@@ -10,10 +10,9 @@
 //	               printing the Pareto frontier over speedup, EDP
 //	               benefit, thermal headroom and footprint.
 //
-// Invoking m3ddse with bare flags (no subcommand) keeps working as a
-// deprecated alias for "m3ddse sweep". Evaluations run concurrently on
-// the exec worker pool (-workers; results are deterministic at any
-// width).
+// Without a subcommand m3ddse prints its usage and exits 2. Evaluations
+// run concurrently on the exec worker pool (-workers; results are
+// deterministic at any width).
 package main
 
 import (
@@ -47,15 +46,8 @@ func main() {
 		runSweep(args[1:])
 	case len(args) > 0 && args[0] == "pareto":
 		runPareto(args[1:])
-	case len(args) > 0 && (args[0] == "help" || args[0] == "-h" || args[0] == "--help"):
-		usage()
 	default:
-		// Deprecated spelling: bare flags select the sweep subcommand.
-		if len(args) > 0 {
-			fmt.Fprintln(os.Stderr,
-				"m3ddse: bare flags are deprecated; spell this 'm3ddse sweep ...' (see 'm3ddse help')")
-		}
-		runSweep(args)
+		usage()
 	}
 }
 

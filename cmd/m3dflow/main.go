@@ -2,12 +2,14 @@
 // the 2D baseline and one or more iso-footprint M3D accelerator variants
 // (comma-separated -cs list, fanned out in parallel through flow.RunMany)
 // and prints the post-route comparison (the paper's Fig. 2). Optionally
-// writes the GDS layouts.
+// writes the GDS layouts, the M3D netlist and the M3D placement DEF from
+// the finished runs.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strconv"
@@ -52,43 +54,12 @@ func main() {
 		Seed:           *seed,
 	}
 
-	// Export sinks are functional options on the run calls (the old
-	// SoCSpec writer fields are deprecated); the M3D sinks attach to the
-	// first (primary) variant of the batch.
-	var opts2d []exec.Option
-	var optsM3D []exec.Option
-	create := func(path string) *os.File {
-		f, err := os.Create(path)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return f
-	}
-	if *gdsPrefix != "" {
-		f2d := create(*gdsPrefix + "_2d.gds")
-		defer f2d.Close()
-		opts2d = append(opts2d, flow.WithGDS(f2d))
-		f3d := create(*gdsPrefix + "_m3d.gds")
-		defer f3d.Close()
-		optsM3D = append(optsM3D, flow.WithSinksAt(0, flow.Sinks{GDS: f3d}))
-	}
-	if *vPath != "" {
-		f := create(*vPath)
-		defer f.Close()
-		optsM3D = append(optsM3D, flow.WithSinksAt(0, flow.Sinks{Verilog: f}))
-	}
-	if *defPath != "" {
-		f := create(*defPath)
-		defer f.Close()
-		optsM3D = append(optsM3D, flow.WithSinksAt(0, flow.Sinks{DEF: f}))
-	}
-
 	log.Printf("running 2D baseline flow (%dx%d PEs, %d MB RRAM)...", *side, *side, *rramMB)
 	spec2 := spec
 	spec2.Style = macro.Style2D
 	spec2.NumCS = 1
 	spec2.Banks = 1
-	twoD, err := flow.Run(p, spec2, append(opts2d, obsOpts...)...)
+	twoD, err := flow.Run(p, spec2, obsOpts...)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -103,13 +74,24 @@ func main() {
 		s.Die = twoD.Die
 		specs[i] = s
 	}
-	runOpts := append([]exec.Option{exec.WithWorkers(*workers)}, optsM3D...)
-	runOpts = append(runOpts, obsOpts...)
-	variants, err := flow.RunMany(p, specs, runOpts...)
+	variants, err := flow.RunMany(p, specs, append([]exec.Option{exec.WithWorkers(*workers)}, obsOpts...)...)
 	if err != nil {
 		log.Fatal(err)
 	}
 	m3d := variants[0]
+
+	// Exports come from the retained designs: the 2D baseline and the
+	// first (primary) M3D variant.
+	if *gdsPrefix != "" {
+		export(*gdsPrefix+"_2d.gds", twoD.WriteGDS)
+		export(*gdsPrefix+"_m3d.gds", m3d.WriteGDS)
+	}
+	if *vPath != "" {
+		export(*vPath, m3d.WriteVerilog)
+	}
+	if *defPath != "" {
+		export(*defPath, m3d.WriteDEF)
+	}
 
 	headers := []string{"Metric", "2D baseline"}
 	for _, cs := range csCounts {
@@ -144,6 +126,20 @@ func main() {
 	}
 	fmt.Printf("\nFreed Si under arrays: %s (the space the M3D architecture fills with %d parallel CSs)\n",
 		report.MM2(m3d.Area.FreeSiNM2-twoD.Area.FreeSiNM2), numCS)
+}
+
+// export writes one export of a flow result to a new file at path.
+func export(path string, write func(io.Writer) error) {
+	f, err := os.Create(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := write(f); err != nil {
+		log.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		log.Fatal(err)
+	}
 }
 
 // parseCSList parses the comma-separated -cs flag.

@@ -47,23 +47,29 @@ func main() {
 	fmt.Printf("  freed Si: %.1f%% of the die;  upper-tier power: %.2f%%;  peak density ratio: %.3f\n",
 		100*cmp.FreedSiFrac, 100*cmp.UpperTierPowerFrac, cmp.PeakDensityRatio)
 
-	// Write the M3D layout as GDS.
-	f, err := os.Create("m3d_casestudy.gds")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
+	// Write the M3D layout as GDS, from the retained design of a run.
 	spec := m3d.SoCSpec{
 		Style: m3d.Style3D, NumCS: 2, Banks: 2,
 		ArrayRows: 2, ArrayCols: 2,
 		RRAMCapBits: 2 << 20, GlobalSRAMBits: 64 << 10,
-		Die: cmp.TwoD.Die, WriteGDS: f, Seed: 1,
+		Die: cmp.TwoD.Die, Seed: 1,
 	}
-	if _, err := m3d.RunFlow(pdk, spec); err != nil {
+	res, err := m3d.RunFlow(pdk, spec)
+	if err != nil {
+		log.Fatal(err)
+	}
+	f, err := os.Create("m3d_casestudy.gds")
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := res.WriteGDS(f); err != nil {
 		log.Fatal(err)
 	}
 	st, err := f.Stat()
 	if err != nil {
+		log.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nwrote m3d_casestudy.gds (%d bytes)\n", st.Size())

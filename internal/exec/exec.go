@@ -141,7 +141,7 @@ func WithLabel(name string) Option {
 
 // WithValue attaches a caller-defined key/value to the settings; layered
 // packages use this to extend the shared option surface (e.g. flow's
-// export-sink options) without exec knowing their types.
+// thermal sign-off) without exec knowing their types.
 func WithValue(key, val any) Option {
 	return func(s *Settings) { s.SetValue(key, val) }
 }
@@ -185,8 +185,8 @@ func Map[T, R any](items []T, fn func(ctx context.Context, idx int, item T) (R, 
 }
 
 // MapWith is Map with pre-resolved settings; layered packages that need
-// the settings themselves (memo counters, sink options) resolve once and
-// share.
+// the settings themselves (memo counters, caller-defined values) resolve
+// once and share.
 func MapWith[T, R any](st *Settings, items []T, fn func(ctx context.Context, idx int, item T) (R, error)) ([]R, error) {
 	n := len(items)
 	results := make([]R, n)

@@ -2,7 +2,7 @@
 // over the in-repo EDA substrate: synthesis (structural elaboration),
 // floorplanning with style-dependent RRAM macro blockages, placement,
 // 3D global routing, post-route drive optimization, static timing, power
-// analysis, and GDS export. Running the flow twice — once with 2D-style
+// analysis, and sign-off. Running the flow twice — once with 2D-style
 // banks (Si access FETs) and once with M3D-style banks on the same die —
 // reproduces the paper's Sec. II physical-design case study.
 //
@@ -10,12 +10,14 @@
 // points; Run/RunMany are thin wrappers over context.Background(). All
 // of them accept the shared exec.Option surface (m3d.Option):
 // WithWorkers, WithContext, WithTracer, WithMetrics, plus this package's
-// export-sink options (WithGDS, WithVerilog, WithDEF, WithSinksAt).
+// WithThermalCheck. A run returns a Result that retains the design
+// database; the interchange exports (GDS, Verilog, DEF) are written from
+// it with Result.WriteGDS/WriteVerilog/WriteDEF.
 // When a tracer is attached, every run emits one "flow.<stage>" span per
-// stage — synth, floorplan, place, cts, route, sta, power, gds (skipped
-// stages carry skipped="true") — under a "flow.run" root span; a metrics
-// registry additionally collects per-stage wall-time histograms
-// ("flow.stage.seconds.<stage>").
+// stage — synth, floorplan, place, cts, route, sta, power, signoff
+// (skipped stages carry skipped="true") — under a "flow.run" root span;
+// a metrics registry additionally collects per-stage wall-time
+// histograms ("flow.stage.seconds.<stage>").
 //
 // Error contract: invalid specs fail with an error matching
 // errs.ErrBadSpec; cancellation surfaces as errs.ErrCanceled (also
@@ -75,22 +77,6 @@ type SoCSpec struct {
 	// Die forces the footprint (pass the 2D result's die to the M3D run
 	// for an iso-footprint comparison). Empty = size automatically.
 	Die geom.Rect
-	// WriteGDS streams the final layout to this writer when non-nil.
-	//
-	// Deprecated: pass WithGDS (or WithSinks/WithSinksAt) to the run call
-	// instead; writer fields make the spec impure and are only kept as a
-	// compatibility shim. They are stripped before the spec is used as a
-	// memo key.
-	WriteGDS io.Writer
-	// WriteVerilog streams the synthesized structural netlist when
-	// non-nil.
-	//
-	// Deprecated: pass WithVerilog to the run call instead.
-	WriteVerilog io.Writer
-	// WriteDEF streams the final placement when non-nil.
-	//
-	// Deprecated: pass WithDEF to the run call instead.
-	WriteDEF io.Writer
 	// FoldLogic enables the refs [3-4]-style M3D folding flow: logic cells
 	// are min-cut partitioned between the Si and CNFET tiers (CNFET cells
 	// re-mapped to the weaker BEOL library) and the footprint shrinks to
@@ -139,13 +125,6 @@ func (s SoCSpec) withDefaults() SoCSpec {
 	return s
 }
 
-// pure returns the spec with the deprecated writer fields stripped — the
-// memoizable value identity of the design.
-func (s SoCSpec) pure() SoCSpec {
-	s.WriteGDS, s.WriteVerilog, s.WriteDEF = nil, nil, nil
-	return s
-}
-
 // Validate checks the spec (after default filling). Violations return an
 // error matching errs.ErrBadSpec.
 func (s SoCSpec) Validate() error {
@@ -174,107 +153,7 @@ func (s SoCSpec) Validate() error {
 	return nil
 }
 
-// Sinks bundles the flow's export writers. Nil writers skip the export.
-type Sinks struct {
-	GDS, Verilog, DEF io.Writer
-}
-
-func (s Sinks) empty() bool { return s.GDS == nil && s.Verilog == nil && s.DEF == nil }
-
-// merge overlays over on s: non-nil writers in over win.
-func (s Sinks) merge(over Sinks) Sinks {
-	if over.GDS != nil {
-		s.GDS = over.GDS
-	}
-	if over.Verilog != nil {
-		s.Verilog = over.Verilog
-	}
-	if over.DEF != nil {
-		s.DEF = over.DEF
-	}
-	return s
-}
-
-func teeWriter(a, b io.Writer) io.Writer {
-	switch {
-	case a == nil:
-		return b
-	case b == nil:
-		return a
-	default:
-		return io.MultiWriter(a, b)
-	}
-}
-
-// tee combines two sink sets so each export reaches both writers — used
-// where a spec's deprecated writer fields meet the option sinks, so
-// neither silently loses the export.
-func (s Sinks) tee(o Sinks) Sinks {
-	return Sinks{
-		GDS:     teeWriter(s.GDS, o.GDS),
-		Verilog: teeWriter(s.Verilog, o.Verilog),
-		DEF:     teeWriter(s.DEF, o.DEF),
-	}
-}
-
-type sinksKey struct{}
-
-type sinksAtKey struct{}
-
 type thermalKey struct{}
-
-func sinksOf(st *exec.Settings) Sinks {
-	s, _ := st.Value(sinksKey{}).(Sinks)
-	return s
-}
-
-func mutateSinks(st *exec.Settings, f func(*Sinks)) {
-	s, _ := st.Value(sinksKey{}).(Sinks)
-	f(&s)
-	st.SetValue(sinksKey{}, s)
-}
-
-// WithSinks attaches export writers to a Run/RunContext call (in
-// RunMany it applies to spec index 0).
-func WithSinks(s Sinks) exec.Option {
-	return func(st *exec.Settings) {
-		mutateSinks(st, func(dst *Sinks) { *dst = dst.merge(s) })
-	}
-}
-
-// WithGDS streams the final layout of the run (RunMany: of spec 0) to w.
-func WithGDS(w io.Writer) exec.Option {
-	return func(st *exec.Settings) { mutateSinks(st, func(s *Sinks) { s.GDS = w }) }
-}
-
-// WithVerilog streams the synthesized structural netlist to w.
-func WithVerilog(w io.Writer) exec.Option {
-	return func(st *exec.Settings) { mutateSinks(st, func(s *Sinks) { s.Verilog = w }) }
-}
-
-// WithDEF streams the final placement DEF to w.
-func WithDEF(w io.Writer) exec.Option {
-	return func(st *exec.Settings) { mutateSinks(st, func(s *Sinks) { s.DEF = w }) }
-}
-
-// WithSinksAt attaches export writers to the i-th spec of a
-// RunMany/RunManyContext call. Because specs stay pure values, the run
-// itself is still memoized; only the exports are per-index side effects.
-func WithSinksAt(i int, s Sinks) exec.Option {
-	return func(st *exec.Settings) {
-		m, _ := st.Value(sinksAtKey{}).(map[int]Sinks)
-		if m == nil {
-			m = make(map[int]Sinks)
-			st.SetValue(sinksAtKey{}, m)
-		}
-		m[i] = m[i].merge(s)
-	}
-}
-
-func sinksAt(st *exec.Settings) map[int]Sinks {
-	m, _ := st.Value(sinksAtKey{}).(map[int]Sinks)
-	return m
-}
 
 // WithThermalCheck adds an Eq. 17 thermal sign-off after power analysis:
 // the run fails with an error matching errs.ErrThermalLimit when the
@@ -297,10 +176,8 @@ type AreaReport struct {
 }
 
 // Result is the flow output for one SoC. It retains the design database
-// (netlist, routes, PDK), so exports can be replayed any time via
-// WriteGDS/WriteVerilog/WriteDEF — which is how RunMany shares one
-// memoized Result among duplicate specs while still filling every
-// caller's sinks.
+// (netlist, routes, PDK), so every export is written from it, any number
+// of times, with WriteGDS/WriteVerilog/WriteDEF.
 type Result struct {
 	Spec SoCSpec
 	Die  geom.Rect
@@ -329,7 +206,7 @@ type Result struct {
 	Power *power.Breakdown
 	Area  AreaReport
 
-	// Design database handles for export replay (read-only after the run).
+	// Design database handles for the exports (read-only after the run).
 	pdk    *tech.PDK
 	nl     *netlist.Netlist
 	routes *route.Result
@@ -381,26 +258,6 @@ func (r *Result) WriteGDS(w io.Writer) error {
 	}
 	if err := lib.Encode(w); err != nil {
 		return fmt.Errorf("flow: gds encode: %w", err)
-	}
-	return nil
-}
-
-// export writes every non-nil sink.
-func (r *Result) export(s Sinks) error {
-	if s.Verilog != nil {
-		if err := r.WriteVerilog(s.Verilog); err != nil {
-			return err
-		}
-	}
-	if s.DEF != nil {
-		if err := r.WriteDEF(s.DEF); err != nil {
-			return err
-		}
-	}
-	if s.GDS != nil {
-		if err := r.WriteGDS(s.GDS); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -483,13 +340,9 @@ func RunContext(ctx context.Context, p *tech.PDK, spec SoCSpec, opts ...exec.Opt
 	return runWith(st.Ctx, st, p, spec)
 }
 
-// runWith is the flow body. Sinks come from the settings (options)
-// merged over the spec's deprecated writer fields; the spec used for all
-// computation is pure.
+// runWith is the flow body.
 func runWith(ctx context.Context, st *exec.Settings, p *tech.PDK, spec SoCSpec) (*Result, error) {
 	spec = spec.withDefaults()
-	sinks := Sinks{GDS: spec.WriteGDS, Verilog: spec.WriteVerilog, DEF: spec.WriteDEF}.tee(sinksOf(st))
-	spec = spec.pure()
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -775,18 +628,6 @@ func runWith(ctx context.Context, st *exec.Settings, p *tech.PDK, spec SoCSpec) 
 	}
 	res.Audit = audit
 	res.IRDrop = ir
-
-	// 8. Interchange exports.
-	if sinks.empty() {
-		tr.skip("gds")
-	} else {
-		endGDS := tr.start("gds")
-		err := res.export(sinks)
-		endGDS()
-		if err != nil {
-			return nil, err
-		}
-	}
 	return res, nil
 }
 
@@ -794,12 +635,10 @@ func runWith(ctx context.Context, st *exec.Settings, p *tech.PDK, spec SoCSpec) 
 // baseline (1 CS, 2D-style banks) sized automatically, then the M3D design
 // (numCS CSs, M3D-style banks, numCS× banks) on the identical die —
 // iso-footprint, iso-on-chip-memory-capacity by construction. Options
-// (context, tracer, metrics) apply to both runs; export sinks are not
-// forwarded.
+// (context, tracer, metrics) apply to both runs.
 func CaseStudy(p *tech.PDK, scale SoCSpec, numCS int, opts ...exec.Option) (twoD, m3d *Result, err error) {
 	st := exec.Resolve(opts...)
-	st.SetValue(sinksKey{}, Sinks{}) // sinks are per-run, not per-pair
-	scale = scale.withDefaults().pure()
+	scale = scale.withDefaults()
 
 	spec2 := scale
 	spec2.Style = macro.Style2D

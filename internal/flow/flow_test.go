@@ -104,10 +104,12 @@ func TestGDSExportValid(t *testing.T) {
 	p := tech.Default130()
 	spec := smallSpec()
 	spec.Style = macro.Style3D
-	var buf bytes.Buffer
-	spec.WriteGDS = &buf
 	res, err := Run(p, spec)
 	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := res.WriteGDS(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() == 0 {
@@ -280,11 +282,15 @@ func TestFlowInterchangeExports(t *testing.T) {
 	p := tech.Default130()
 	spec := smallSpec()
 	spec.Style = macro.Style2D
-	var v, d bytes.Buffer
-	spec.WriteVerilog = &v
-	spec.WriteDEF = &d
 	res, err := Run(p, spec)
 	if err != nil {
+		t.Fatal(err)
+	}
+	var v, d bytes.Buffer
+	if err := res.WriteVerilog(&v); err != nil {
+		t.Fatal(err)
+	}
+	if err := res.WriteDEF(&d); err != nil {
 		t.Fatal(err)
 	}
 	if v.Len() == 0 || d.Len() == 0 {

@@ -19,11 +19,8 @@ import (
 //
 // Identical specs are evaluated once behind a single-flight memo cache
 // and share one *Result; the registry's flow.memo.hits / flow.memo.misses
-// counters account for the cache. Export sinks — WithSinksAt(i, ...)
-// options or the deprecated writer fields on the specs — no longer
-// defeat the cache: specs are memoized by their pure value, and the
-// requested exports are replayed from the shared results afterwards
-// (deterministically, in spec order).
+// counters account for the cache. Exports are written from the returned
+// results (Result.WriteGDS/WriteVerilog/WriteDEF).
 func RunMany(p *tech.PDK, specs []SoCSpec, opts ...exec.Option) ([]*Result, error) {
 	return runMany(exec.Resolve(opts...), p, specs)
 }
@@ -39,39 +36,11 @@ func runMany(st *exec.Settings, p *tech.PDK, specs []SoCSpec) ([]*Result, error)
 	cache := &exec.Cache[SoCSpec, *Result]{}
 	hits := st.Metrics.Counter("flow.memo.hits")
 	misses := st.Metrics.Counter("flow.memo.misses")
-	// Capture the batch's sink options, then strip them from the compute
-	// settings (the values map is shared by the shallow copy): the
-	// memoized runs are pure, exports are replayed below. WithSinks (no
-	// index) addresses the primary variant, spec 0.
-	single := sinksOf(st)
-	perIdx := sinksAt(st)
-	inner := *st
-	inner.Label = "flow.runmany"
-	inner.SetValue(sinksKey{}, Sinks{})
-	results, err := exec.MapWith(&inner, specs, func(ctx context.Context, _ int, spec SoCSpec) (*Result, error) {
-		key := spec.withDefaults().pure()
+	st.Label = "flow.runmany"
+	return exec.MapWith(st, specs, func(ctx context.Context, _ int, spec SoCSpec) (*Result, error) {
+		key := spec.withDefaults()
 		return cache.DoMetered(key, hits, misses, func() (*Result, error) {
-			return runWith(ctx, &inner, p, key)
+			return runWith(ctx, st, p, key)
 		})
 	})
-	if err != nil {
-		return nil, err
-	}
-	for i, res := range results {
-		sinks := Sinks{
-			GDS:     specs[i].WriteGDS,
-			Verilog: specs[i].WriteVerilog,
-			DEF:     specs[i].WriteDEF,
-		}.tee(perIdx[i])
-		if i == 0 {
-			sinks = sinks.tee(single)
-		}
-		if sinks.empty() {
-			continue
-		}
-		if err := res.export(sinks); err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
 }

@@ -1,7 +1,6 @@
 package flow
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 
@@ -78,33 +77,6 @@ func TestRunManyDedupesIdenticalSpecs(t *testing.T) {
 	}
 	if results[0] != results[1] {
 		t.Error("identical specs were evaluated separately (cache miss)")
-	}
-}
-
-// TestRunManyWriterSpecsShareCache: export sinks no longer defeat the
-// memo — identical specs share one evaluation even when each requests a
-// writer (deprecated field or WithSinksAt), and every sink is replayed
-// from the shared result with identical bytes.
-func TestRunManyWriterSpecsShareCache(t *testing.T) {
-	p := tech.Default130()
-	spec := runManySpecs()[0]
-	var v1, v2, v3 bytes.Buffer
-	a, b := spec, spec
-	a.WriteVerilog = &v1 // deprecated field path
-	b.WriteVerilog = &v2
-	results, err := RunMany(p, []SoCSpec{a, b},
-		exec.WithWorkers(1), WithSinksAt(1, Sinks{Verilog: &v3}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[0] != results[1] {
-		t.Error("identical writer specs were evaluated separately (cache miss)")
-	}
-	if v1.Len() == 0 {
-		t.Fatal("writer sink 0 not filled")
-	}
-	if !bytes.Equal(v1.Bytes(), v2.Bytes()) || !bytes.Equal(v1.Bytes(), v3.Bytes()) {
-		t.Errorf("replayed exports diverged: %d, %d, %d bytes", v1.Len(), v2.Len(), v3.Len())
 	}
 }
 

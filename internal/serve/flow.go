@@ -115,46 +115,54 @@ func (s *Server) handleFlow(ctx context.Context, w http.ResponseWriter, r *http.
 	return writeJSON(w, http.StatusOK, resp)
 }
 
-// flowCached validates one decoded request and evaluates it through the
-// coalescing cache; /v1/flow bodies and /v1/batch flow items share this
-// path.
+// flowCached validates one decoded request and answers it from the
+// response memo; /v1/flow bodies, /v1/batch flow items and DSE
+// promotions share this path. On a miss the key's fleet owner answers,
+// or the local design evaluator builds the design.
 func (s *Server) flowCached(ctx context.Context, req *FlowRequest) (*FlowResponse, error) {
+	if err := req.validate(); err != nil {
+		return nil, err
+	}
+	key := req.key()
+	return coalesce(ctx, &s.flows, key, s.reg.Counter("serve.memo.hits"), s.reg.Counter("serve.memo.misses"),
+		func() (*FlowResponse, error) {
+			// Fleet sharding: forward to the key's owner, local fallback on
+			// failure (see peers.go).
+			if out, handled, err := peerFetch[FlowResponse](ctx, s.peers, "/v1/flow", key, peerBody(key, "flow:")); handled {
+				return out, err
+			}
+			res, err := s.design(ctx, req)
+			if err != nil {
+				return nil, err
+			}
+			return flowResponseOf(res), nil
+		})
+}
+
+// design builds (or recalls) the retained design database of one
+// validated flow request. It is the server's only flow run: the flow
+// response memo, /v1/yield and the flow job's eval stage all derive from
+// the Result it returns. The database is not wire-serializable, so it
+// never forwards to peers, and the cache keeps at most maxDesigns of
+// them.
+func (s *Server) design(ctx context.Context, req *FlowRequest) (*flow.Result, error) {
 	spec, err := req.spec()
 	if err != nil {
 		return nil, err
 	}
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	hits := s.reg.Counter("serve.memo.hits")
-	misses := s.reg.Counter("serve.memo.misses")
-	key := req.key()
-	cached, err := s.flows.DoMetered(key, hits, misses, func() (*FlowResponse, error) {
-		if s.evalStarted != nil {
-			s.evalStarted()
-		}
-		if s.evalBlock != nil {
-			s.evalBlock(ctx)
-		}
-		// Fleet sharding: forward to the key's owner, local fallback on
-		// failure (see peers.go).
-		if out, handled, err := peerFetch[FlowResponse](ctx, s.peers, "/v1/flow", key, peerBody(key, "flow:")); handled {
-			return out, err
-		}
-		s.reg.Counter("serve.flow.evals").Add(1)
-		opts := s.evalOptions(ctx)
-		if req.ThermalCheck {
-			opts = append(opts, flow.WithThermalCheck(req.MaxTempRiseK))
-		}
-		res, err := flow.RunContext(ctx, s.pdk, spec, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return flowResponseOf(res), nil
-	})
-	if err != nil {
-		s.flows.Forget(key)
-		return nil, err
-	}
-	return cached, nil
+	return coalesce(ctx, &s.designs, req.key(), s.reg.Counter("serve.design.hits"), s.reg.Counter("serve.design.misses"),
+		func() (*flow.Result, error) {
+			if s.evalStarted != nil {
+				s.evalStarted()
+			}
+			if s.evalBlock != nil {
+				s.evalBlock(ctx)
+			}
+			s.reg.Counter("serve.flow.evals").Add(1)
+			opts := s.evalOptions(ctx)
+			if req.ThermalCheck {
+				opts = append(opts, flow.WithThermalCheck(req.MaxTempRiseK))
+			}
+			return flow.RunContext(ctx, s.pdk, spec, opts...)
+		})
 }

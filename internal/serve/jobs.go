@@ -685,19 +685,6 @@ func (t *jobTier) cancelJob(j *job) {
 
 // ---- stage planning ----
 
-// jobEvalOptions are the exec options job stages evaluate under: the
-// job's own context (no request deadline — jobs are the long-running
-// tier), the server's pool width, the job's span tracker, and the
-// server registry.
-func jobEvalOptions(ctx context.Context, s *Server, tr obs.Tracer) []exec.Option {
-	return []exec.Option{
-		exec.WithContext(ctx),
-		exec.WithWorkers(s.workers),
-		exec.WithTracer(tr),
-		exec.WithMetrics(s.reg),
-	}
-}
-
 // planStages derives the checkpoint sequence of one request. The plan is
 // a pure function of the request, so a restarted server re-derives the
 // identical sequence and resumes from the store's completed prefix.
@@ -742,19 +729,12 @@ func planFlowStages(s *Server, fr *FlowRequest) []jobStage {
 			return json.Marshal(fr)
 		}},
 		{name: "eval", run: func(ctx context.Context, _ map[string][]byte) ([]byte, error) {
-			spec, err := fr.spec()
+			res, err := s.design(ctx, fr)
 			if err != nil {
 				return nil, err
 			}
-			opts := jobEvalOptions(ctx, s, jobTracer(ctx, s))
-			if fr.ThermalCheck {
-				opts = append(opts, flow.WithThermalCheck(fr.MaxTempRiseK))
-			}
 			var def bytes.Buffer
-			opts = append(opts, flow.WithDEF(&def))
-			s.reg.Counter("serve.flow.evals").Add(1)
-			res, err := flow.RunContext(ctx, s.pdk, spec, opts...)
-			if err != nil {
+			if err := res.WriteDEF(&def); err != nil {
 				return nil, err
 			}
 			resp := flowResponseOf(res)
@@ -902,7 +882,6 @@ func planSweepStages(s *Server, req *SweepRequest, chunks int) []jobStage {
 func planDSEStages(s *Server, req *DSERequest) []jobStage {
 	return []jobStage{
 		{name: "explore", run: func(ctx context.Context, _ map[string][]byte) ([]byte, error) {
-			tr := jobTracer(ctx, s)
 			opt := dse.Options{
 				MaxEvals:       req.MaxEvals,
 				Seed:           req.Seed,
@@ -915,7 +894,7 @@ func planDSEStages(s *Server, req *DSERequest) []jobStage {
 				if u.Done {
 					final = u
 				}
-			}, jobEvalOptions(ctx, s, tr)...)
+			}, s.evalOptions(ctx)...)
 			if err != nil {
 				return nil, err
 			}

@@ -3,9 +3,11 @@
 // (POST /v1/sweep), the RTL-to-GDS flow (POST /v1/flow), heterogeneous
 // batches of both with per-item isolation and streamed results
 // (POST /v1/batch), the adaptive Pareto design-space explorer with
-// streamed frontier updates (POST /v1/dse), a liveness probe
-// (GET /healthz), and the metrics registry (GET /metrics, the sorted
-// text dump of obs.Registry.WriteText). cmd/m3dserve is the binary.
+// streamed frontier updates (POST /v1/dse), Monte-Carlo timing yield
+// over a built design (POST /v1/yield), async checkpointed jobs
+// (/v1/jobs), a liveness probe (GET /healthz), and the metrics registry
+// (GET /metrics, the sorted text dump of obs.Registry.WriteText).
+// cmd/m3dserve is the binary.
 //
 // Request path (DESIGN.md §9-10): admission → coalesce → pool → response.
 //
@@ -14,14 +16,21 @@
 //     429 Too Many Requests and a Retry-After header (errs.ErrOverloaded).
 //     A batch occupies exactly one admission slot for all its items.
 //   - Coalescing: identical in-flight requests (canonical JSON key) are
-//     deduplicated through the single-flight exec.Cache — concurrent
-//     duplicates share one evaluation, counted by the serve.memo.hits /
-//     serve.memo.misses registry counters. Failed evaluations are
-//     forgotten so a canceled request never poisons its key. With
-//     Config.CacheCap (or M3D_CACHE_CAP) set, the caches are bounded
-//     size-aware LRUs: memory stays flat under sustained varied traffic
-//     at the price of re-evaluating evicted keys (cache.entries gauge,
-//     cache.evictions counter).
+//     deduplicated through the single-flight exec.Cache by one helper,
+//     coalesce — concurrent duplicates share one evaluation, counted by
+//     the serve.memo.hits / serve.memo.misses registry counters. Failed
+//     evaluations are forgotten so a canceled request never poisons its
+//     key, and a caller that only inherited another caller's
+//     cancellation evaluates again under its own context. With
+//     Config.CacheCap (or M3D_CACHE_CAP) set, the response caches are
+//     bounded size-aware LRUs: memory stays flat under sustained varied
+//     traffic at the price of re-evaluating evicted keys (cache.entries
+//     gauge, cache.evictions counter).
+//   - One design evaluator: every flow run goes through Server.design,
+//     which single-flights a retained flow.Result (serve.design.hits /
+//     serve.design.misses, serve.flow.evals per real run). The flow
+//     response memo, /v1/yield and the flow job's DEF artifact all derive
+//     from that one Result; the design cache keeps maxDesigns of them.
 //   - Pool: evaluations run on the exec worker pool at the server's
 //     configured width, under a per-request context deadline
 //     (Config.RequestTimeout) derived from the client's context — client
@@ -59,6 +68,14 @@ import (
 // maxBodyBytes bounds request bodies; larger bodies fail with 400.
 const maxBodyBytes = 1 << 20
 
+// maxDesigns bounds the design cache, independent of Config.CacheCap. A
+// retained design of the reduced 2×2 spec holds ~1.7 MB of heap and
+// every /v1/flow miss builds one, so a stream of cold flows would
+// otherwise keep every dead design alive. Each /v1/yield caller in this
+// repository times one design, which a single slot keeps warm; the price
+// is that a yield on a design evicted by a newer build re-runs its flow.
+const maxDesigns = 1
+
 // Config configures a Server. The zero value is usable: default PDK,
 // default pool width, 64 in-flight requests with an equal waiting queue,
 // a 30 s request deadline, no tracer, and a fresh metrics registry.
@@ -79,12 +96,13 @@ type Config struct {
 	// the client's context: 0 selects 30 s, negative disables the
 	// deadline.
 	RequestTimeout time.Duration
-	// CacheCap bounds each coalescing cache (sweep and flow responses,
+	// CacheCap bounds each response cache (sweep and flow responses,
 	// shared with /v1/batch items) at this many memoized responses,
 	// evicting least-recently-used entries beyond it; the caches feed the
 	// registry's cache.entries gauge and cache.evictions counter. 0 reads
 	// the M3D_CACHE_CAP environment variable (unset = unbounded);
-	// negative forces unbounded.
+	// negative forces unbounded. The design cache is not affected: it
+	// always keeps maxDesigns retained designs.
 	CacheCap int
 	// Tracer receives one span per request and the evaluation's inner
 	// spans; nil disables tracing.
@@ -144,8 +162,8 @@ type Server struct {
 	sweeps    exec.Cache[string, *SweepResponse]
 	flows     exec.Cache[string, *FlowResponse]
 	dsePoints dse.PointCache
-	// designs retains full flow.Result databases (netlist + routes) for
-	// endpoints that re-analyze a built design (/v1/yield).
+	// designs retains full flow.Result databases (netlist + routes), the
+	// output of Server.design; bounded at maxDesigns.
 	designs exec.Cache[string, *flow.Result]
 
 	jobs  *jobTier
@@ -204,10 +222,8 @@ func New(cfg Config) *Server {
 		// Points are far smaller than responses; let the point memo hold a
 		// multiple of the response budget before evicting.
 		s.dsePoints.Bound(cacheCap*64, nil)
-		// Design databases are far larger than responses; keep only a
-		// handful before evicting.
-		s.designs.Bound(cacheCap, nil)
 	}
+	s.designs.Bound(maxDesigns, nil)
 	s.sweeps.Instrument(s.reg)
 	s.flows.Instrument(s.reg)
 	s.dsePoints.Instrument(s.reg)
@@ -405,14 +421,38 @@ func (s *Server) handleMetrics(_ context.Context, w http.ResponseWriter, _ *http
 	return s.reg.WriteText(w)
 }
 
-// evalOptions are the exec options every evaluation runs under: the
-// request context (deadline + client cancellation), the server's pool
-// width, and its observability sinks.
+// evalOptions are the exec options every evaluation runs under: ctx (the
+// request deadline and client cancellation, or a job's own context), the
+// server's pool width and registry, and the tracer jobTracer picks — the
+// job's span tracker inside a job, the server tracer otherwise.
 func (s *Server) evalOptions(ctx context.Context) []exec.Option {
 	return []exec.Option{
 		exec.WithContext(ctx),
 		exec.WithWorkers(s.workers),
-		exec.WithTracer(s.tracer),
+		exec.WithTracer(jobTracer(ctx, s)),
 		exec.WithMetrics(s.reg),
+	}
+}
+
+// coalesce evaluates key through the single-flight cache c: concurrent
+// callers of one key share one run of eval (hits and misses count them),
+// and a failed evaluation is forgotten so it never poisons the key. A
+// caller that joined another caller's evaluation and inherited its
+// cancellation (408) while its own ctx is still live evaluates again
+// instead of failing with someone else's error.
+func coalesce[V any](ctx context.Context, c *exec.Cache[string, V], key string, hits, misses *obs.Counter, eval func() (V, error)) (V, error) {
+	for {
+		ran := false
+		v, err := c.DoMetered(key, hits, misses, func() (V, error) {
+			ran = true
+			return eval()
+		})
+		if err == nil {
+			return v, nil
+		}
+		c.Forget(key)
+		if ran || ctx.Err() != nil || statusOf(err) != http.StatusRequestTimeout {
+			return v, err
+		}
 	}
 }

@@ -188,32 +188,24 @@ func (s *Server) sweepCached(ctx context.Context, req *SweepRequest) (*SweepResp
 	if err := req.validate(); err != nil {
 		return nil, err
 	}
-	hits := s.reg.Counter("serve.memo.hits")
-	misses := s.reg.Counter("serve.memo.misses")
 	key := req.key()
-	resp, err := s.sweeps.DoMetered(key, hits, misses, func() (*SweepResponse, error) {
-		if s.evalStarted != nil {
-			s.evalStarted()
-		}
-		if s.evalBlock != nil {
-			s.evalBlock(ctx)
-		}
-		// On a fleet, the key's owner evaluates; everyone else forwards
-		// (inside the compute fn, so concurrent identical requests still
-		// coalesce into one forward) and falls back to local on failure.
-		if out, handled, err := peerFetch[SweepResponse](ctx, s.peers, "/v1/sweep", key, peerBody(key, "sweep:")); handled {
-			return out, err
-		}
-		s.reg.Counter("serve.sweep.evals").Add(1)
-		return s.evalSweep(ctx, req)
-	})
-	if err != nil {
-		// Do not poison the key: a canceled or shed evaluation must not
-		// fail every later identical request.
-		s.sweeps.Forget(key)
-		return nil, err
-	}
-	return resp, nil
+	return coalesce(ctx, &s.sweeps, key, s.reg.Counter("serve.memo.hits"), s.reg.Counter("serve.memo.misses"),
+		func() (*SweepResponse, error) {
+			if s.evalStarted != nil {
+				s.evalStarted()
+			}
+			if s.evalBlock != nil {
+				s.evalBlock(ctx)
+			}
+			// On a fleet, the key's owner evaluates; everyone else forwards
+			// (inside the compute fn, so concurrent identical requests still
+			// coalesce into one forward) and falls back to local on failure.
+			if out, handled, err := peerFetch[SweepResponse](ctx, s.peers, "/v1/sweep", key, peerBody(key, "sweep:")); handled {
+				return out, err
+			}
+			s.reg.Counter("serve.sweep.evals").Add(1)
+			return s.evalSweep(ctx, req)
+		})
 }
 
 // caseStudyMachine returns the Fig. 8 reference machine: the case-study

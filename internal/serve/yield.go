@@ -5,7 +5,6 @@ import (
 	"net/http"
 
 	"m3d/internal/exec"
-	"m3d/internal/flow"
 	"m3d/internal/tech"
 	"m3d/internal/vary"
 )
@@ -127,38 +126,6 @@ type YieldUpdate struct {
 	Error            string            `json:"error,omitempty"`
 }
 
-// designCached builds (or recalls) the retained design database for one
-// flow request. It is a separate cache from the response-shaped flow
-// memo: /v1/yield needs the netlist and routes to re-time, which
-// FlowResponse deliberately does not carry. Design results never
-// forward to peers — the database is not wire-serializable.
-func (s *Server) designCached(ctx context.Context, req *FlowRequest) (*flow.Result, error) {
-	spec, err := req.spec()
-	if err != nil {
-		return nil, err
-	}
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	hits := s.reg.Counter("serve.design.hits")
-	misses := s.reg.Counter("serve.design.misses")
-	key := "design:" + req.key()
-	res, err := s.designs.DoMetered(key, hits, misses, func() (*flow.Result, error) {
-		if s.evalStarted != nil {
-			s.evalStarted()
-		}
-		if s.evalBlock != nil {
-			s.evalBlock(ctx)
-		}
-		return flow.RunContext(ctx, s.pdk, spec, s.evalOptions(ctx)...)
-	})
-	if err != nil {
-		s.designs.Forget(key)
-		return nil, err
-	}
-	return res, nil
-}
-
 // handleYield is POST /v1/yield: Monte-Carlo timing yield over one
 // design, streamed as a chunked JSON array of per-batch refinements
 // (shared arrayStream framing with /v1/dse). The flow runs (or is
@@ -171,7 +138,7 @@ func (s *Server) handleYield(ctx context.Context, w http.ResponseWriter, r *http
 	}
 	s.reg.Counter("serve.yield.requests").Add(1)
 
-	res, err := s.designCached(ctx, &req.Flow)
+	res, err := s.design(ctx, &req.Flow)
 	if err != nil {
 		return err
 	}

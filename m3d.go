@@ -201,8 +201,11 @@ const (
 )
 
 // RunFlow executes the RTL-to-GDS flow for one SoC spec. Options control
-// pool width, cancellation, observability and export sinks (WithWorkers,
-// WithContext, WithTracer, WithMetrics, WithGDS, WithThermalCheck, ...).
+// pool width, cancellation, observability and the thermal sign-off
+// (WithWorkers, WithContext, WithTracer, WithMetrics, WithThermalCheck).
+// The returned result retains the design database: write the GDS,
+// Verilog and DEF from it with its WriteGDS, WriteVerilog and WriteDEF
+// methods.
 func RunFlow(p *PDK, spec SoCSpec, opts ...Option) (*FlowResult, error) {
 	return flow.Run(p, spec, opts...)
 }
@@ -220,12 +223,8 @@ func RunFlowContext(ctx context.Context, p *PDK, spec SoCSpec, opts ...Option) (
 // same Option set.
 type (
 	// Option configures one run: pool width, cancellation, tracing,
-	// metrics, export sinks.
+	// metrics, the thermal sign-off.
 	Option = exec.Option
-	// ExecOption is the former name of Option.
-	//
-	// Deprecated: use Option.
-	ExecOption = exec.Option
 )
 
 var (
@@ -242,27 +241,9 @@ var (
 	DefaultWorkers = exec.DefaultWorkers
 )
 
-// Export sinks (replacing the deprecated SoCSpec writer fields).
-type (
-	// Sinks bundles the optional GDS/Verilog/DEF export writers of a run.
-	Sinks = flow.Sinks
-)
-
-var (
-	// WithGDS streams the run's GDSII to w.
-	WithGDS = flow.WithGDS
-	// WithVerilog streams the run's structural Verilog to w.
-	WithVerilog = flow.WithVerilog
-	// WithDEF streams the run's placement DEF to w.
-	WithDEF = flow.WithDEF
-	// WithSinks attaches a full sink bundle (primary variant).
-	WithSinks = flow.WithSinks
-	// WithSinksAt attaches a sink bundle to batch spec i (RunFlowMany).
-	WithSinksAt = flow.WithSinksAt
-	// WithThermalCheck enables the Eq. 17 thermal sign-off stage
-	// (maxRiseK ≤ 0 uses the PDK budget); failures match ErrThermalLimit.
-	WithThermalCheck = flow.WithThermalCheck
-)
+// WithThermalCheck enables the Eq. 17 thermal sign-off stage (maxRiseK ≤
+// 0 uses the PDK budget); failures match ErrThermalLimit.
+var WithThermalCheck = flow.WithThermalCheck
 
 // Observability (spans + metrics; see DESIGN.md §8 for the taxonomy).
 type (
@@ -299,15 +280,13 @@ var (
 
 // SweepBandwidthCS evaluates the Fig. 8 (CS count × bandwidth) grid on
 // the worker pool with deterministic, serial-identical ordering.
-func SweepBandwidthCS(p Params, w Load, csCounts []int, bwScales []float64, opts ...ExecOption) ([]SweepPoint, error) {
+func SweepBandwidthCS(p Params, w Load, csCounts []int, bwScales []float64, opts ...Option) ([]SweepPoint, error) {
 	return analytic.SweepBandwidthCS(p, w, csCounts, bwScales, opts...)
 }
 
 // RunFlowMany executes the RTL-to-GDS flow for every spec on the worker
 // pool, returning results in spec order. Identical specs are evaluated
-// once and share a *FlowResult regardless of export sinks: specs are
-// memoized by pure value and exports (WithSinksAt) are replayed from the
-// shared results afterwards.
+// once and share a *FlowResult; write exports from the results.
 func RunFlowMany(p *PDK, specs []SoCSpec, opts ...Option) ([]*FlowResult, error) {
 	return flow.RunMany(p, specs, opts...)
 }

@@ -40,13 +40,22 @@ make race-equiv
 echo "== obs golden + trace schema =="
 go test ./internal/obs/ ./internal/report/ ./cmd/m3dreport/
 
-echo "== m3dflow trace smoke =="
-# A real (small) flow batch with tracing on: must exit 0 and emit a
-# parseable JSONL trace (one object per line, span + metrics events).
-TRACE_TMP="$(mktemp)"
-go run ./cmd/m3dflow -side 2 -cs 2,4 -trace "$TRACE_TMP" >/dev/null
-go run ./scripts/tracecheck "$TRACE_TMP"
-rm -f "$TRACE_TMP"
+echo "== m3dflow trace + export smoke =="
+# A real (small) flow batch with tracing and every export on: must exit
+# 0, emit a parseable JSONL trace (one object per line, span + metrics
+# events), and write a non-empty file for each export the flags ask
+# for (-gds writes the 2D and the M3D layout, -verilog, -def).
+SMOKE_TMP="$(mktemp -d)"
+go run ./cmd/m3dflow -side 2 -cs 2,4 -trace "$SMOKE_TMP/trace.jsonl" \
+    -gds "$SMOKE_TMP/out" -verilog "$SMOKE_TMP/out.v" -def "$SMOKE_TMP/out.def" >/dev/null
+go run ./scripts/tracecheck "$SMOKE_TMP/trace.jsonl"
+for f in out_2d.gds out_m3d.gds out.v out.def; do
+    if [ ! -s "$SMOKE_TMP/$f" ]; then
+        echo "m3dflow export smoke: $f is missing or empty" >&2
+        exit 1
+    fi
+done
+rm -rf "$SMOKE_TMP"
 
 echo "== serve smoke =="
 # Boot cmd/m3dserve on an ephemeral port, replay the sweep_default
