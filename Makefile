@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check vet build test race race-equiv fuzz bench benchdiff invariants report serve serve-smoke dse-smoke jobs-smoke yield-smoke profile profile-yield profilecheck
+.PHONY: check vet build test race race-equiv fuzz bench obsbench benchdiff invariants report serve serve-smoke dse-smoke jobs-smoke yield-smoke profile profile-yield profilecheck
 
 check:
 	FUZZTIME=$(FUZZTIME) ./scripts/check.sh
@@ -18,8 +18,10 @@ build:
 test:
 	$(GO) test ./...
 
+# -timeout: the flow suite runs ~8 min under -race on a single core,
+# close enough to go test's 10m default to flake on slow machines.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 30m ./...
 
 # The concurrency equivalence suite: differential oracles for the
 # incremental STA, the corner-batched STA, RunMany and the Monte-Carlo

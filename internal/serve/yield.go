@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"net/http"
+	"sort"
 
 	"m3d/internal/exec"
 	"m3d/internal/tech"
@@ -159,10 +160,10 @@ func (s *Server) handleYield(ctx context.Context, w http.ResponseWriter, r *http
 	est := exec.Resolve(s.evalOptions(ctx)...)
 	est.Label = "vary.sample"
 	total, batch := req.samples(), req.batch()
-	// Draw every corner once up front: batches then read the cached
-	// prefix instead of re-seeding a generator per corner per batch.
-	eng.Prime(total)
-	crit := make([]float64, 0, total)
+	// sorted holds every critical path timed so far in ascending order:
+	// each batch is sorted and merged in, so an element's curve and band
+	// cost a merge plus binary searches, not a sort of the whole prefix.
+	sorted := make([]float64, 0, total)
 	var st *arrayStream
 	for lo := 0; lo < total; lo += batch {
 		hi := lo + batch
@@ -178,14 +179,15 @@ func (s *Server) handleYield(ctx context.Context, w http.ResponseWriter, r *http
 			st.close()
 			return nil
 		}
-		crit = append(crit, part...)
+		sort.Float64s(part)
+		sorted = vary.MergeSorted(sorted, part)
 		if st == nil {
 			st = newArrayStream(w)
 			if !st.ok() {
 				return nil
 			}
 		}
-		st.emit(s.yieldUpdate(eng, crit, periods, false))
+		st.emit(s.yieldUpdate(eng, sorted, periods, false))
 	}
 	if st == nil {
 		st = newArrayStream(w)
@@ -193,19 +195,20 @@ func (s *Server) handleYield(ctx context.Context, w http.ResponseWriter, r *http
 			return nil
 		}
 	}
-	st.emit(s.yieldUpdate(eng, crit, periods, true))
+	st.emit(s.yieldUpdate(eng, sorted, periods, true))
 	st.close()
 	return nil
 }
 
-// yieldUpdate assembles one refinement element over the samples so far.
-func (s *Server) yieldUpdate(eng *vary.Engine, crit []float64, periods []float64, done bool) YieldUpdate {
+// yieldUpdate assembles one refinement element over the samples so far,
+// given in ascending order.
+func (s *Server) yieldUpdate(eng *vary.Engine, sorted []float64, periods []float64, done bool) YieldUpdate {
 	return YieldUpdate{
-		Samples:          len(crit),
+		Samples:          len(sorted),
 		NominalCritPathS: eng.Nominal().CriticalPathS,
 		NominalFmaxHz:    eng.Nominal().FmaxHz,
-		Curve:            vary.Curve(crit, periods),
-		CritQuantiles:    vary.QuantilesOf(crit),
+		Curve:            vary.CurveSorted(sorted, periods),
+		CritQuantiles:    vary.QuantilesSorted(sorted),
 		Done:             done,
 	}
 }

@@ -95,7 +95,10 @@ func TestYieldStream(t *testing.T) {
 // TestYieldByteIdentical proves identical requests stream byte-identical
 // replies at every pool width and across cache warmth: corners are
 // sample-indexed, batch boundaries are request-fixed, and the design
-// cache cannot alter re-timed values.
+// cache cannot alter re-timed values. The first stream is also pinned
+// absolutely by yield_stream.golden.json (replayed over real HTTP by
+// scripts/yieldsmoke), so a changed corner draw sequence fails here even
+// though every width would still agree with every other.
 func TestYieldByteIdentical(t *testing.T) {
 	var first []byte
 	for _, w := range widths {
@@ -114,6 +117,7 @@ func TestYieldByteIdentical(t *testing.T) {
 		}
 		if first == nil {
 			first = cold
+			checkGolden(t, "yield_stream.golden.json", first)
 			continue
 		}
 		if !bytes.Equal(first, cold) {

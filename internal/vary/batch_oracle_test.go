@@ -16,7 +16,10 @@ import (
 // the pre-batching implementation it replaced: one sta.Timer per corner
 // with SetTierDelayScale, bit-for-bit. Widths 1/2/8 cover the serial
 // zero-alloc path and the slab fan-out; sample counts 1/7/100 cover a
-// sub-slab batch, a ragged tail, and multiple full slabs.
+// sub-slab batch, a ragged tail, and multiple full slabs. Each width
+// runs a cold engine and one whose sampler is primed to 50 corners, so
+// the [0, 100) window has a slab, [32, 64), that mixes cached corners
+// with corners drawn inside the slab.
 func TestEngineMatchesPerCornerTimer(t *testing.T) {
 	p, nl := chainNetlist(t, 16)
 	v := tech.DefaultVariation()
@@ -39,20 +42,23 @@ func TestEngineMatchesPerCornerTimer(t *testing.T) {
 	}
 
 	for _, width := range []int{1, 2, 8} {
-		e, err := vary.NewEngine(p, nl, nil, v, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := exec.Resolve(exec.WithWorkers(width))
-		for _, n := range []int{1, 7, 100} {
-			got, err := e.CriticalPaths(st, 0, n)
+		for _, primed := range []int{0, 50} {
+			e, err := vary.NewEngine(p, nl, nil, v, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := range got {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("width %d n %d sample %d: %.17g vs per-corner oracle %.17g",
-						width, n, i, got[i], want[i])
+			e.Sampler().Prime(primed)
+			st := exec.Resolve(exec.WithWorkers(width))
+			for _, n := range []int{1, 7, 100} {
+				got, err := e.CriticalPaths(st, 0, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range got {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("width %d primed %d n %d sample %d: %.17g vs per-corner oracle %.17g",
+							width, primed, n, i, got[i], want[i])
+					}
 				}
 			}
 		}

@@ -15,7 +15,9 @@
 // are drawn by a seeded, sample-indexed generator — Corner(i) is a pure
 // function of (Variation, seed, i) — so a fan-out over the worker pool
 // (exec.MapWith) returns deep-equal results at any pool width, the same
-// determinism contract internal/dse relies on.
+// determinism contract internal/dse relies on. The yield engine draws
+// each corner inside the slab task that times it, so the draws share the
+// pool with the batched STA instead of running serially up front.
 package vary
 
 import (
@@ -53,9 +55,11 @@ type Corner struct {
 // Because each draw is a pure function of (Variation, seed, i), corners
 // may be cached: Prime(n) precomputes the first n corners once, after
 // which Corner(i) is a slice read. Reseeding the per-draw RNG dominates
-// the cost of a cold draw (~2k generator-warmup steps), so priming is
-// what lets the yield engine and the DSE's per-point EDP bands reuse the
-// same corner stream thousands of times for free.
+// the cost of a cold draw (~2k generator-warmup steps), so priming pays
+// off for callers that re-read the same stream thousands of times — the
+// DSE's per-point EDP bands and m3ddse -variation. The yield engine
+// reads each corner once and does not prime: its slab tasks draw
+// uncached corners on their own reused generator (see corner).
 type Sampler struct {
 	v    tech.Variation
 	seed uint64
@@ -109,11 +113,22 @@ func clampScale(s float64) float64 {
 // exactly zero, so every tier sees the identical z0 (the single-corner
 // limit); at σ=0 every scale is exactly 1.0 (0·z == 0 in IEEE-754), so
 // the corner collapses bit-for-bit onto nominal timing.
-func (s *Sampler) Corner(i int) Corner {
+func (s *Sampler) Corner(i int) Corner { return s.corner(nil, i) }
+
+// corner returns corner i from the cache when the cache covers i, and
+// otherwise draws it: on rng reseeded with cornerSeed(i), or on a fresh
+// generator when rng is nil. A reseeded generator yields the same stream
+// as a fresh one, so the cache and both draw routes give bit-identical
+// corners; a caller that owns rng draws without allocating.
+func (s *Sampler) corner(rng *rand.Rand, i int) Corner {
 	if c := s.primed.Load(); c != nil && i >= 0 && i < len(*c) {
 		return (*c)[i]
 	}
-	return s.drawCorner(rand.New(rand.NewSource(s.cornerSeed(i))), i)
+	if rng == nil {
+		return s.drawCorner(rand.New(rand.NewSource(s.cornerSeed(i))), i)
+	}
+	rng.Seed(s.cornerSeed(i))
+	return s.drawCorner(rng, i)
 }
 
 // cornerSeed derives the i-th draw's RNG seed from the sampler seed.
@@ -124,8 +139,9 @@ func (s *Sampler) cornerSeed(i int) int64 {
 // drawCorner consumes the fixed four-deviate sequence from rng (already
 // seeded with cornerSeed(i)) and builds the corner. Seeding a reused
 // *rand.Rand via Seed(cornerSeed(i)) produces the identical stream to a
-// fresh rand.New(rand.NewSource(...)), which is what lets Prime batch
-// draws without an allocation per corner — or a bit of divergence.
+// fresh rand.New(rand.NewSource(...)), which is what lets Prime and the
+// yield engine's slab tasks draw without an allocation per corner — or
+// a bit of divergence.
 func (s *Sampler) drawCorner(rng *rand.Rand, i int) Corner {
 	z0 := rng.NormFloat64()
 	rho := s.v.TierCorr
@@ -145,10 +161,13 @@ func (s *Sampler) drawCorner(rng *rand.Rand, i int) Corner {
 // Prime extends the corner cache to cover indices [0, n). It is safe to
 // call concurrently with Corner readers (the cache is published
 // atomically and only ever grows) and is idempotent: re-priming a
-// covered prefix is a single atomic load. Callers that know their
-// sample count — the yield engine, serve's streaming handler, the DSE's
-// per-point EDP bands — prime once and turn every later draw into a
-// slice read.
+// covered prefix is a single atomic load. The draws run serially on the
+// calling goroutine, so Prime is for callers that re-read the stream:
+// the DSE's per-point EDP bands and m3ddse -variation prime their sample
+// count once and turn thousands of later reads into slice reads. A
+// single pass such as a yield run is cheaper unprimed, because the
+// engine then draws each corner on the pool, inside the slab that
+// times it.
 func (s *Sampler) Prime(n int) {
 	if n > MaxSamples {
 		n = MaxSamples
@@ -168,17 +187,9 @@ func (s *Sampler) Prime(n int) {
 	if len(have) >= n {
 		return
 	}
-	out := have
-	if cap(out) < n {
-		// Doubling growth keeps a batch-at-a-time caller (serve streams
-		// corners in request-sized windows) at amortized O(n) copying.
-		newCap := n
-		if newCap < 2*cap(out) {
-			newCap = 2 * cap(out)
-		}
-		out = make([]Corner, len(have), newCap)
-		copy(out, have)
-	}
+	// Callers prime their whole sample count once, so the cache is
+	// sized to exactly n.
+	out := append(make([]Corner, 0, n), have...)
 	rng := rand.New(rand.NewSource(1))
 	for i := len(out); i < n; i++ {
 		rng.Seed(s.cornerSeed(i))
@@ -198,16 +209,44 @@ type Quantiles struct {
 // QuantilesOf computes nearest-rank p5/p50/p95 over xs (which it does
 // not modify). By construction P5 ≤ P50 ≤ P95. Empty input yields zeros.
 func QuantilesOf(xs []float64) Quantiles {
-	if len(xs) == 0 {
-		return Quantiles{}
-	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
+	return QuantilesSorted(sorted)
+}
+
+// QuantilesSorted is QuantilesOf over an already ascending slice: three
+// index reads, no copy and no sort.
+func QuantilesSorted(sorted []float64) Quantiles {
+	if len(sorted) == 0 {
+		return Quantiles{}
+	}
 	return Quantiles{
 		P5:  nearestRank(sorted, 0.05),
 		P50: nearestRank(sorted, 0.50),
 		P95: nearestRank(sorted, 0.95),
 	}
+}
+
+// MergeSorted merges the ascending slice batch into the ascending slice
+// sorted and returns the ascending result. It appends to sorted, so it
+// reuses sorted's backing array when that has room, and merges from the
+// back in O(len(sorted)+len(batch)) without a second buffer. A streamed
+// run that merges each sorted batch in keeps its whole sample prefix
+// ordered for QuantilesSorted and CurveSorted, instead of copying and
+// sorting the prefix once per refinement.
+func MergeSorted(sorted, batch []float64) []float64 {
+	i := len(sorted) - 1
+	out := append(sorted, batch...)
+	for j, k := len(batch)-1, len(out)-1; j >= 0; k-- {
+		if i >= 0 && out[i] > batch[j] {
+			out[k] = out[i]
+			i--
+		} else {
+			out[k] = batch[j]
+			j--
+		}
+	}
+	return out
 }
 
 // nearestRank returns the nearest-rank p-quantile of an ascending slice.

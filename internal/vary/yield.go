@@ -3,6 +3,8 @@ package vary
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"sort"
 	"sync"
 
 	"m3d/internal/errs"
@@ -81,12 +83,14 @@ const analyzePeriodS = 1.0
 // at any width and across any caller-side window split.
 const batchCorners = 32
 
-// batchScratch is one worker's reusable timing state: a corner-batched
+// batchScratch is one worker's reusable slab state: a corner-batched
 // timer (with its own WireModel RC cache over the shared read-only
-// netlist and routes) plus the slab's corner-scale staging slice.
+// netlist and routes), the slab's corner-scale staging slice, and the
+// generator the slab reseeds to draw each uncached corner.
 type batchScratch struct {
 	bt     *sta.BatchTimer
 	scales [][tech.NumTiers]float64
+	rng    *rand.Rand
 }
 
 // Engine runs Monte-Carlo timing yield over one placed-and-routed
@@ -131,12 +135,6 @@ func (e *Engine) Nominal() *sta.Report { return e.nominal }
 // Sampler returns the engine's corner sampler.
 func (e *Engine) Sampler() *Sampler { return e.sampler }
 
-// Prime precomputes the first n process corners (see Sampler.Prime).
-// Callers that stream one run as many CriticalPaths windows — the serve
-// yield handler — prime the full sample count up front so the cache
-// grows once instead of once per window.
-func (e *Engine) Prime(n int) { e.sampler.Prime(n) }
-
 // get pops a scratch off the free list, building one on a cold stack.
 func (e *Engine) get() (*batchScratch, error) {
 	e.mu.Lock()
@@ -151,7 +149,11 @@ func (e *Engine) get() (*batchScratch, error) {
 	if err != nil {
 		return nil, fmt.Errorf("vary: batch timer: %w", err)
 	}
-	return &batchScratch{bt: bt, scales: make([][tech.NumTiers]float64, 0, batchCorners)}, nil
+	return &batchScratch{
+		bt:     bt,
+		scales: make([][tech.NumTiers]float64, 0, batchCorners),
+		rng:    rand.New(rand.NewSource(1)),
+	}, nil
 }
 
 func (e *Engine) put(sc *batchScratch) {
@@ -161,12 +163,15 @@ func (e *Engine) put(sc *batchScratch) {
 }
 
 // runSlab prices corners [slabLo, slabHi) with one batched graph walk,
-// writing critical paths into out (len slabHi-slabLo).
+// writing critical paths into out (len slabHi-slabLo). Each corner comes
+// from the sampler's cache when the cache covers it and is otherwise
+// drawn here, on the scratch's generator, so the draws run on whichever
+// worker times the slab.
 func (e *Engine) runSlab(sc *batchScratch, slabLo, slabHi int, out []float64,
 	samples *obs.Counter, hist *obs.Histogram) error {
 	sc.scales = sc.scales[:0]
 	for i := slabLo; i < slabHi; i++ {
-		sc.scales = append(sc.scales, e.sampler.Corner(i).TierScale)
+		sc.scales = append(sc.scales, e.sampler.corner(sc.rng, i).TierScale)
 	}
 	if err := sc.bt.AnalyzeBatch(sc.scales, out); err != nil {
 		return fmt.Errorf("vary: samples [%d, %d): %w", slabLo, slabHi, err)
@@ -179,7 +184,7 @@ func (e *Engine) runSlab(sc *batchScratch, slabLo, slabHi int, out []float64,
 }
 
 // CriticalPaths times the sample window [lo, hi): each sample index i
-// draws Corner(i) and prices it through the corner-batched STA kernel,
+// draws Corner(i) inside its slab and prices it through the corner-batched STA kernel,
 // returning the per-sample critical paths in index order. Because
 // corners are index-addressed, slab cuts are index-aligned, and results
 // land at their input index, the returned slice is deep-equal at any
@@ -200,8 +205,9 @@ func (e *Engine) CriticalPaths(st *exec.Settings, lo, hi int) ([]float64, error)
 // CriticalPathsInto is CriticalPaths writing into caller-owned storage:
 // dst must have length hi-lo and receives dst[i-lo] = critical path of
 // corner i. With st.Workers == 1 the steady-state path allocates
-// nothing — no fan-out machinery, one reused scratch, cached corners —
-// which is what BenchmarkMonteCarloSTA pins.
+// nothing — no fan-out machinery, one reused scratch whose generator
+// draws every uncached corner — which is what
+// TestCriticalPathsZeroSteadyStateAllocs pins.
 func (e *Engine) CriticalPathsInto(st *exec.Settings, lo, hi int, dst []float64) error {
 	if lo < 0 || hi < lo {
 		return fmt.Errorf("vary: bad sample window [%d, %d): %w", lo, hi, errs.ErrBadSpec)
@@ -216,7 +222,6 @@ func (e *Engine) CriticalPathsInto(st *exec.Settings, lo, hi int, dst []float64)
 	if hi == lo {
 		return nil
 	}
-	e.sampler.Prime(hi)
 	samples := st.Metrics.Counter("vary.samples")
 	hist := st.Metrics.Histogram("vary.critpath.seconds", critPathBounds...)
 
@@ -277,6 +282,23 @@ func Curve(critPathS []float64, periods []float64) []YieldPoint {
 		y := 0.0
 		if len(critPathS) > 0 {
 			y = float64(met) / float64(len(critPathS))
+		}
+		out[i] = YieldPoint{PeriodS: T, Yield: y}
+	}
+	return out
+}
+
+// CurveSorted is Curve over an ascending slice: each period's count of
+// corners with c ≤ T is the index of the first corner that misses T,
+// found by binary search, so a curve costs O(len(periods)·log n) instead
+// of a scan per period.
+func CurveSorted(sorted []float64, periods []float64) []YieldPoint {
+	out := make([]YieldPoint, len(periods))
+	for i, T := range periods {
+		y := 0.0
+		if len(sorted) > 0 {
+			met := sort.Search(len(sorted), func(k int) bool { return !(sorted[k] <= T) })
+			y = float64(met) / float64(len(sorted))
 		}
 		out[i] = YieldPoint{PeriodS: T, Yield: y}
 	}

@@ -25,9 +25,7 @@ echo "== go build =="
 go build ./...
 
 echo "== go test -race =="
-# -timeout: the flow suite runs ~8 min under -race on a single core,
-# close enough to go test's 10m default to flake on slow machines.
-go test -race -timeout 30m ./...
+make race
 
 echo "== benchmark harness (m3dbench) vet + tests =="
 # m3dbench is its own module (replace m3d => ../), so ./... above does
@@ -77,8 +75,9 @@ echo "== dse smoke =="
 echo "== yield smoke =="
 # Boot cmd/m3dserve once more and stream one pinned /v1/yield
 # Monte-Carlo run: sample counts must strictly increase, quantile
-# bands stay ordered, yield curves stay monotone in period, and the
-# server must drain gracefully.
+# bands stay ordered, yield curves stay monotone in period, the body
+# must match yield_stream.golden.json, and the server must drain
+# gracefully.
 ./scripts/yieldsmoke.sh
 
 echo "== invariant suite =="

@@ -9,6 +9,12 @@
 // that repeats the converged sample total. Then SIGTERMs the server
 // and insists on a clean drain.
 //
+// In its default mode (96 corners, batch 32) the request is the serve
+// suite's pinned stream, and the body must also equal
+// internal/serve/testdata/yield_stream.golden.json byte for byte, the
+// way servesmoke replays sweep_default.golden.json: the compiled server
+// must reproduce the absolute corner stream, not only a well-formed one.
+//
 // Run from the repo root (check.sh does):
 //
 //	go run ./scripts/yieldsmoke
@@ -45,6 +51,14 @@ const (
 	drainDeadline = 20 * time.Second
 )
 
+// goldenSamples and goldenBatch are the run shape of the serve suite's
+// pinned stream, whose reply is checked in as goldenPath.
+const (
+	goldenSamples = 96
+	goldenBatch   = 32
+	goldenPath    = "internal/serve/testdata/yield_stream.golden.json"
+)
+
 // yieldBody mirrors the serve suite's pinned stream request: a small
 // M3D design timed under samples corners refined in batches of batch
 // (the defaults give three refinement elements plus the final done
@@ -68,8 +82,8 @@ type update struct {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("yieldsmoke: ")
-	samples := flag.Int("samples", 96, "Monte-Carlo corners to stream")
-	batch := flag.Int("batch", 32, "per-update refinement batch")
+	samples := flag.Int("samples", goldenSamples, "Monte-Carlo corners to stream")
+	batch := flag.Int("batch", goldenBatch, "per-update refinement batch (the defaults replay the checked-in golden stream)")
 	budget := flag.Duration("budget", 0, "fail when the yield request exceeds this wall clock (0 = no gate)")
 	flag.Parse()
 	if *samples < 1 || *batch < 1 || *batch > *samples || *samples%*batch != 0 {
@@ -139,6 +153,16 @@ func run(samples, batch int, budget time.Duration) error {
 	}
 	if err := checkStream(body, samples, batch); err != nil {
 		return fmt.Errorf("/v1/yield stream: %w\nbody:\n%s", err, body)
+	}
+	if samples == goldenSamples && batch == goldenBatch {
+		golden, err := os.ReadFile(filepath.FromSlash(goldenPath))
+		if err != nil {
+			return fmt.Errorf("read golden (run from repo root): %w", err)
+		}
+		if !bytes.Equal(body, golden) {
+			return fmt.Errorf("/v1/yield stream drifted from %s\ngot:\n%s", goldenPath, body)
+		}
+		log.Printf("stream matches %s", goldenPath)
 	}
 	// The wall-clock budget covers the whole request — flow build,
 	// samples/batch batched-STA refinements, streaming — so a kernel
