@@ -24,10 +24,10 @@ race:
 	$(GO) test -race -timeout 30m ./...
 
 # The concurrency equivalence suite: differential oracles for the
-# incremental STA, the corner-batched STA, RunMany and the Monte-Carlo
-# engine, shuffled and repeated under the race detector. Route and place
-# have no concurrent path (every flow stage runs serially), so their
-# suites run under plain `go test ./...` and `go test -race ./...` only.
+# corner-batched STA, RunMany and the Monte-Carlo engine, shuffled and
+# repeated under the race detector. Route and place have no concurrent
+# path (every flow stage runs serially), so their suites run under plain
+# `go test ./...` and `go test -race ./...` only.
 # -timeout: the flow suite alone runs ~8 min under -race on one core,
 # so count=2 overruns go test's 10m default.
 race-equiv:
@@ -95,18 +95,19 @@ serve-smoke:
 
 # End-to-end /v1/dse streaming gate (part of `make check`).
 dse-smoke:
-	./scripts/dsesmoke.sh
+	$(GO) run ./scripts/dsesmoke
 
 # End-to-end async job tier gate: submit, poll, SIGTERM mid-job, resume
 # from the on-disk checkpoints byte-identically (part of `make check`).
 jobs-smoke:
-	./scripts/jobsmoke.sh
+	$(GO) run ./scripts/jobsmoke
 
 # End-to-end /v1/yield streaming gate: one pinned Monte-Carlo timing
-# yield run over real HTTP with refinement invariants checked (part of
-# `make check`).
+# yield run over real HTTP with refinement invariants checked, then a
+# 4096-corner run under a wall-clock budget (part of `make check`).
 yield-smoke:
-	./scripts/yieldsmoke.sh
+	$(GO) run ./scripts/yieldsmoke
+	$(GO) run ./scripts/yieldsmoke -samples 4096 -batch 1024 -budget 30s
 
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSweep' -benchtime 2s ./internal/analytic/

@@ -169,7 +169,7 @@ var sweepCache exec.Cache[sweepKey, SweepPoint]
 
 func init() {
 	if cap := exec.CacheCapFromEnv(); cap > 0 {
-		sweepCache.Bound(cap, nil)
+		sweepCache.Bound(cap)
 	}
 }
 

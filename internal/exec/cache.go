@@ -8,17 +8,17 @@ import (
 	"m3d/internal/obs"
 )
 
-// CacheCapEnv is the environment variable that sets the entry budget of
+// CacheCapEnv is the environment variable that sets the entry capacity of
 // the process-wide memo caches (the analytic sweep cache, the serve
 // coalescing caches) for deployments that opt into bounded memory. Unset,
 // empty, or non-positive leaves them unbounded (the seed behaviour).
 const CacheCapEnv = "M3D_CACHE_CAP"
 
-// CacheCapFromEnv returns the M3D_CACHE_CAP budget, or 0 when the
+// CacheCapFromEnv returns the M3D_CACHE_CAP capacity, or 0 when the
 // variable is unset or not a positive integer (meaning: stay unbounded).
-func CacheCapFromEnv() int64 {
+func CacheCapFromEnv() int {
 	if s := os.Getenv(CacheCapEnv); s != "" {
-		if n, err := strconv.ParseInt(s, 10, 64); err == nil && n > 0 {
+		if n, err := strconv.Atoi(s); err == nil && n > 0 {
 			return n
 		}
 	}
@@ -31,16 +31,15 @@ func CacheCapFromEnv() int64 {
 // stored value and error. The zero value is ready to use and unbounded.
 // Results must be treated as shared/immutable by callers.
 //
-// A Cache can opt into a size-aware LRU eviction policy with Bound: each
-// completed entry carries a cost (1 by default, or a caller-supplied
-// function of the value) and the least-recently-used completed entries
-// are evicted once the total cost exceeds the budget. In-flight
-// computations are charged a provisional cost of 1 and are never evicted
-// — evicting them would admit a second concurrent computation of the
-// same key, breaking the single-flight contract — so the entry count can
-// transiently exceed the budget only while more than the budget's worth
-// of distinct keys are computing simultaneously. Do/DoMetered callers
-// always receive the value they waited for, evicted or not.
+// A Cache can opt into an LRU eviction policy with Bound: the
+// least-recently-used completed entries are evicted once the entry count
+// exceeds the capacity. In-flight computations count as entries but are
+// never evicted — evicting them would admit a second concurrent
+// computation of the same key, breaking the single-flight contract — so
+// the entry count can transiently exceed the capacity only while more
+// than the capacity's worth of distinct keys are computing
+// simultaneously. Do/DoMetered callers always receive the value they
+// waited for, evicted or not.
 //
 // Instrument attaches the policy's accounting to an obs.Registry
 // (cache.evictions counter, cache.entries gauge). Both Bound and
@@ -50,14 +49,11 @@ type Cache[K comparable, V any] struct {
 	mu sync.Mutex
 	m  map[K]*cacheEntry[K, V]
 
-	// LRU policy (zero = unbounded). head is the most recently used
-	// completed entry; tail the least. total counts provisional +
-	// completed costs.
-	maxCost int64
-	costFn  func(V) int64
-	head    *cacheEntry[K, V]
-	tail    *cacheEntry[K, V]
-	total   int64
+	// LRU policy (capacity ≤ 0 = unbounded). head is the most recently used
+	// completed entry; tail the least.
+	capacity int
+	head     *cacheEntry[K, V]
+	tail     *cacheEntry[K, V]
 
 	// Accounting sinks (nil-safe, see obs).
 	evictions *obs.Counter
@@ -71,34 +67,25 @@ type cacheEntry[K comparable, V any] struct {
 	err  error
 
 	// Guarded by Cache.mu.
-	cost       int64
 	linked     bool
 	prev, next *cacheEntry[K, V]
 }
 
-// NewLRU returns a cache bounded at maxCost total cost with the given
-// per-entry cost function (nil charges 1 per entry, making maxCost a
-// plain entry-count capacity).
-func NewLRU[K comparable, V any](maxCost int64, cost func(V) int64) *Cache[K, V] {
+// NewLRU returns a cache bounded at capacity entries.
+func NewLRU[K comparable, V any](capacity int) *Cache[K, V] {
 	c := &Cache[K, V]{}
-	c.Bound(maxCost, cost)
+	c.Bound(capacity)
 	return c
 }
 
-// Bound sets the cache's size-aware LRU policy: evict least-recently-used
-// completed entries once the summed entry costs exceed maxCost. cost
-// computes one entry's cost from its value (called once, when the
-// computation completes); nil — or a non-positive result — charges 1.
-// maxCost ≤ 0 removes the bound (the zero-value behaviour). Set the
-// policy before the cache is shared across goroutines.
-func (c *Cache[K, V]) Bound(maxCost int64, cost func(V) int64) {
+// Bound sets the cache's LRU policy: evict least-recently-used completed
+// entries once more than capacity entries are interned. capacity ≤ 0
+// removes the bound (the zero-value behaviour). Set the policy before
+// the cache is shared across goroutines.
+func (c *Cache[K, V]) Bound(capacity int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if maxCost < 0 {
-		maxCost = 0
-	}
-	c.maxCost = maxCost
-	c.costFn = cost
+	c.capacity = capacity
 	c.evictLocked()
 }
 
@@ -131,10 +118,9 @@ func (c *Cache[K, V]) DoMetered(key K, hits, misses *obs.Counter, fn func() (V, 
 	}
 	e, ok := c.m[key]
 	if !ok {
-		e = &cacheEntry[K, V]{key: key, cost: 1}
+		e = &cacheEntry[K, V]{key: key}
 		c.m[key] = e
 		c.entries.Add(1)
-		c.total++
 		c.evictLocked()
 	} else if e.linked {
 		c.moveToFrontLocked(e)
@@ -152,41 +138,31 @@ func (c *Cache[K, V]) DoMetered(key K, hits, misses *obs.Counter, fn func() (V, 
 	return e.val, e.err
 }
 
-// complete settles a finished computation under the policy: replace the
-// provisional cost with the real one, link the entry into the LRU list,
-// and evict down to budget. An entry Forgotten (or evicted is
-// impossible — in-flight entries are never linked) while computing is
-// left untouched: its cost was already released.
+// complete settles a finished computation under the policy: link the
+// entry into the LRU list and evict down to capacity. An entry Forgotten
+// (or evicted is impossible — in-flight entries are never linked) while
+// computing is left untouched: it was already dropped from the map.
 func (c *Cache[K, V]) complete(e *cacheEntry[K, V]) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.m[e.key] != e {
 		return
 	}
-	cost := int64(1)
-	if c.costFn != nil && e.err == nil {
-		if v := c.costFn(e.val); v > 0 {
-			cost = v
-		}
-	}
-	c.total += cost - e.cost
-	e.cost = cost
 	c.pushFrontLocked(e)
 	c.evictLocked()
 }
 
 // evictLocked drops least-recently-used completed entries until the
-// total cost fits the budget (or nothing evictable remains). Requires
+// entry count fits the capacity (or nothing evictable remains). Requires
 // c.mu held.
 func (c *Cache[K, V]) evictLocked() {
-	if c.maxCost <= 0 {
+	if c.capacity <= 0 {
 		return
 	}
-	for c.total > c.maxCost && c.tail != nil {
+	for len(c.m) > c.capacity && c.tail != nil {
 		e := c.tail
 		c.unlinkLocked(e)
 		delete(c.m, e.key)
-		c.total -= e.cost
 		c.evictions.Add(1)
 		c.entries.Add(-1)
 	}
@@ -246,7 +222,6 @@ func (c *Cache[K, V]) Forget(key K) {
 	}
 	c.unlinkLocked(e)
 	delete(c.m, key)
-	c.total -= e.cost
 	c.entries.Add(-1)
 }
 
@@ -258,14 +233,6 @@ func (c *Cache[K, V]) Len() int {
 	return len(c.m)
 }
 
-// Cost reports the summed cost of interned entries (in-flight
-// computations count 1 until they settle).
-func (c *Cache[K, V]) Cost() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.total
-}
-
 // Reset drops every memoized entry (in-flight computations finish but
 // are not re-interned).
 func (c *Cache[K, V]) Reset() {
@@ -274,5 +241,4 @@ func (c *Cache[K, V]) Reset() {
 	c.entries.Add(-int64(len(c.m)))
 	c.m = nil
 	c.head, c.tail = nil, nil
-	c.total = 0
 }

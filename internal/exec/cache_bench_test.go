@@ -23,7 +23,7 @@ func BenchmarkCacheHitUnbounded(b *testing.B) {
 }
 
 func BenchmarkCacheHitLRU(b *testing.B) {
-	c := NewLRU[int, int](64, nil)
+	c := NewLRU[int, int](64)
 	for k := 0; k < 64; k++ {
 		c.Do(k, func() (int, error) { return k, nil })
 	}
@@ -37,7 +37,7 @@ func BenchmarkCacheHitLRU(b *testing.B) {
 }
 
 func BenchmarkCacheChurnLRU(b *testing.B) {
-	c := NewLRU[int, int](64, nil)
+	c := NewLRU[int, int](64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Do(i, func() (int, error) { return i, nil })
@@ -45,7 +45,7 @@ func BenchmarkCacheChurnLRU(b *testing.B) {
 }
 
 func BenchmarkCacheHitLRUParallel(b *testing.B) {
-	c := NewLRU[string, int](64, nil)
+	c := NewLRU[string, int](64)
 	keys := make([]string, 64)
 	for k := range keys {
 		keys[k] = fmt.Sprintf("key-%d", k)

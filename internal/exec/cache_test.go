@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -15,7 +14,7 @@ import (
 // and checks the eviction order: the least-recently-used completed entry
 // goes first, and a re-computation after eviction counts a fresh miss.
 func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {
-	c := NewLRU[int, int](3, nil)
+	c := NewLRU[int, int](3)
 	reg := obs.NewRegistry()
 	c.Instrument(reg)
 	compute := func(k int) func() (int, error) {
@@ -53,58 +52,11 @@ func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {
 	}
 }
 
-// TestLRUCostFunction binds the budget to a value-derived cost: entries
-// are evicted by summed cost, and a single entry costing more than the
-// whole budget is dropped immediately (callers still get its value).
-func TestLRUCostFunction(t *testing.T) {
-	c := NewLRU[string, string](10, func(v string) int64 { return int64(len(v)) })
-	c.Do("a", func() (string, error) { return "xxxx", nil })  // cost 4
-	c.Do("b", func() (string, error) { return "xxxxx", nil }) // cost 5, total 9
-	if got := c.Cost(); got != 9 {
-		t.Fatalf("Cost = %d, want 9", got)
-	}
-	c.Do("c", func() (string, error) { return "xxx", nil }) // cost 3 → evict "a"
-	if got, want := c.Cost(), int64(8); got != want {
-		t.Fatalf("Cost = %d, want %d", got, want)
-	}
-	if got := c.Len(); got != 2 {
-		t.Fatalf("Len = %d, want 2", got)
-	}
-	// An entry alone exceeding the budget: everything goes, including it.
-	v, _ := c.Do("huge", func() (string, error) { return string(make([]byte, 64)), nil })
-	if len(v) != 64 {
-		t.Fatalf("oversized value truncated: %d bytes", len(v))
-	}
-	if got := c.Len(); got != 0 {
-		t.Fatalf("Len = %d after oversized insert, want 0", got)
-	}
-	if got := c.Cost(); got != 0 {
-		t.Fatalf("Cost = %d after oversized insert, want 0", got)
-	}
-}
-
-// TestLRUErrorEntriesCostOne proves failed computations are charged the
-// provisional unit cost (the cost function never sees an error value).
-func TestLRUErrorEntriesCostOne(t *testing.T) {
-	boom := errors.New("boom")
-	c := NewLRU[int, string](2, func(v string) int64 { t.Fatal("cost called for error value"); return 1 })
-	if _, err := c.Do(1, func() (string, error) { return "", boom }); !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-	if got := c.Cost(); got != 1 {
-		t.Fatalf("Cost = %d, want 1", got)
-	}
-	// The error is memoized until evicted.
-	if _, err := c.Do(1, func() (string, error) { t.Fatal("retried"); return "", nil }); !errors.Is(err, boom) {
-		t.Fatalf("memoized err = %v", err)
-	}
-}
-
 // TestLRUForgetMidFlight forgets a key while its computation runs: the
-// orphaned computation must not be re-interned or corrupt the cost
+// orphaned computation must not be re-interned or corrupt the entry
 // accounting, and a later Do recomputes.
 func TestLRUForgetMidFlight(t *testing.T) {
-	c := NewLRU[int, int](4, nil)
+	c := NewLRU[int, int](4)
 	started := make(chan struct{})
 	release := make(chan struct{})
 	done := make(chan int)
@@ -125,8 +77,8 @@ func TestLRUForgetMidFlight(t *testing.T) {
 	if v := <-done; v != 70 {
 		t.Fatalf("orphaned caller got %d, want 70", v)
 	}
-	if got, cost := c.Len(), c.Cost(); got != 0 || cost != 0 {
-		t.Fatalf("orphaned completion re-interned: Len=%d Cost=%d", got, cost)
+	if got := c.Len(); got != 0 {
+		t.Fatalf("orphaned completion re-interned: Len=%d", got)
 	}
 	ran := false
 	c.Do(7, func() (int, error) { ran = true; return 71, nil })
@@ -149,7 +101,7 @@ func TestLRUSingleFlightUnderEviction(t *testing.T) {
 		keys     = 64
 		ops      = 4000
 	)
-	c := NewLRU[int, int](capacity, nil)
+	c := NewLRU[int, int](capacity)
 	reg := obs.NewRegistry()
 	c.Instrument(reg)
 	var inflight [keys]atomic.Int32
@@ -204,7 +156,7 @@ func TestLRUHammerWithForget(t *testing.T) {
 		keys     = 48
 		ops      = 4000
 	)
-	c := NewLRU[int, int](capacity, nil)
+	c := NewLRU[int, int](capacity)
 	reg := obs.NewRegistry()
 	c.Instrument(reg)
 	var wg sync.WaitGroup
@@ -241,16 +193,13 @@ func TestLRUHammerWithForget(t *testing.T) {
 	if got, want := reg.Gauge("cache.entries").Value(), int64(c.Len()); got != want {
 		t.Fatalf("entries gauge %d != Len %d", got, want)
 	}
-	if cost := c.Cost(); cost != int64(c.Len()) {
-		t.Fatalf("unit-cost cache: Cost %d != Len %d", cost, c.Len())
-	}
 }
 
 // TestCacheCapFromEnv pins the knob's parse contract.
 func TestCacheCapFromEnv(t *testing.T) {
 	for _, tc := range []struct {
 		val  string
-		want int64
+		want int
 	}{
 		{"", 0}, {"0", 0}, {"-3", 0}, {"junk", 0}, {"128", 128},
 	} {
@@ -264,15 +213,15 @@ func TestCacheCapFromEnv(t *testing.T) {
 // TestCacheResetBounded proves Reset clears the LRU bookkeeping, not just
 // the map.
 func TestCacheResetBounded(t *testing.T) {
-	c := NewLRU[int, int](4, nil)
+	c := NewLRU[int, int](4)
 	reg := obs.NewRegistry()
 	c.Instrument(reg)
 	for k := 0; k < 4; k++ {
 		c.Do(k, func() (int, error) { return k, nil })
 	}
 	c.Reset()
-	if c.Len() != 0 || c.Cost() != 0 {
-		t.Fatalf("Reset left Len=%d Cost=%d", c.Len(), c.Cost())
+	if c.Len() != 0 {
+		t.Fatalf("Reset left Len=%d", c.Len())
 	}
 	if got := reg.Gauge("cache.entries").Value(); got != 0 {
 		t.Fatalf("entries gauge %d after Reset", got)

@@ -4,7 +4,7 @@
 // concurrency-safe memoization Cache with single-flight semantics for
 // deduplicating repeated evaluations (identical flow specs, repeated
 // (Params, Load) points). The cache is unbounded by default and can opt
-// into a size-aware LRU eviction policy (Cache.Bound, M3D_CACHE_CAP) for
+// into an entry-count LRU eviction policy (Cache.Bound, M3D_CACHE_CAP) for
 // long-lived servers; see cache.go.
 //
 // It also owns the library's shared run-option surface: every public

@@ -541,11 +541,7 @@ func runWith(ctx context.Context, st *exec.Settings, p *tech.PDK, spec SoCSpec) 
 	if err != nil {
 		return nil, fmt.Errorf("flow: hold: %w", err)
 	}
-	tst := tm.Stats()
-	st.Metrics.Counter("flow.sta.passes.full").Add(int64(tst.FullPasses))
-	st.Metrics.Counter("flow.sta.passes.incremental").Add(int64(tst.IncrementalPasses))
-	st.Metrics.Counter("flow.sta.insts.recomputed").Add(int64(tst.RecomputedInsts))
-	st.Metrics.Counter("flow.sta.insts.skipped").Add(int64(tst.SkippedInsts))
+	st.Metrics.Counter("flow.sta.passes.full").Add(int64(tm.Stats().FullPasses))
 
 	// 6. Power analysis at the achieved frequency.
 	endPower := tr.start("power")

@@ -23,7 +23,7 @@
 //     key, and a caller that only inherited another caller's
 //     cancellation evaluates again under its own context. With
 //     Config.CacheCap (or M3D_CACHE_CAP) set, the response caches are
-//     bounded size-aware LRUs: memory stays flat under sustained varied
+//     entry-bounded LRUs: memory stays flat under sustained varied
 //     traffic at the price of re-evaluating evicted keys (cache.entries
 //     gauge, cache.evictions counter).
 //   - One design evaluator: every flow run goes through Server.design,
@@ -212,18 +212,18 @@ func New(cfg Config) *Server {
 	}
 	s.gate = exec.NewGate(maxInFlight, maxQueue)
 
-	cacheCap := int64(cfg.CacheCap)
-	if cfg.CacheCap == 0 {
+	cacheCap := cfg.CacheCap
+	if cacheCap == 0 {
 		cacheCap = exec.CacheCapFromEnv()
 	}
 	if cacheCap > 0 {
-		s.sweeps.Bound(cacheCap, nil)
-		s.flows.Bound(cacheCap, nil)
+		s.sweeps.Bound(cacheCap)
+		s.flows.Bound(cacheCap)
 		// Points are far smaller than responses; let the point memo hold a
 		// multiple of the response budget before evicting.
-		s.dsePoints.Bound(cacheCap*64, nil)
+		s.dsePoints.Bound(cacheCap * 64)
 	}
-	s.designs.Bound(maxDesigns, nil)
+	s.designs.Bound(maxDesigns)
 	s.sweeps.Instrument(s.reg)
 	s.flows.Instrument(s.reg)
 	s.dsePoints.Instrument(s.reg)

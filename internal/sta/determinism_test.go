@@ -125,12 +125,11 @@ func BenchmarkSTAFullTiming(b *testing.B) {
 	}
 }
 
-// BenchmarkOptimizeDrivesIncremental measures the full OptimizeDrives
-// loop — one full analysis plus incremental cone re-propagation per
-// upsizing round — under a target tight enough to force every round.
-// Cell choices are restored between iterations so each run re-does the
-// same sizing work. Tracked by scripts/benchdiff.sh.
-func BenchmarkOptimizeDrivesIncremental(b *testing.B) {
+// BenchmarkOptimizeDrives measures the full OptimizeDrives loop — one
+// full analysis per upsizing round — under a target tight enough to
+// force a second round. Cell choices are restored between iterations so
+// each run re-does the same sizing work. Tracked by scripts/benchdiff.sh.
+func BenchmarkOptimizeDrives(b *testing.B) {
 	p, nl, wm, lib := routedFixture(b, 2, 2)
 	lm := map[tech.Tier]*cell.Library{tech.TierSiCMOS: lib}
 	first, err := Analyze(p, nl, wm, 10e-9)

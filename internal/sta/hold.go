@@ -58,7 +58,6 @@ func AnalyzeHold(p *tech.PDK, nl *netlist.Netlist, wm *WireModel) (*HoldReport, 
 // AnalyzeHold runs the Timer's min-arrival pass over the shared scratch.
 func (t *Timer) AnalyzeHold() (*HoldReport, error) {
 	t.reset()
-	t.valid = false // min-arrival pass repurposes the max-arrival scratch
 	nl := t.nl
 	arr, seen, cls, pending := t.arr, t.seen, t.cls, t.pending
 	netDelay := makeNetDelay(t.wm, t.tierScale)

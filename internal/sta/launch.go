@@ -22,7 +22,6 @@ func isConstKind(c *cell.Cell) bool {
 // left in the Timer's arr/seen/cls scratch, indexed by Pin.ID.
 func (t *Timer) arrivalsWithLaunchClass() {
 	t.reset()
-	t.valid = false // class-tracking pass repurposes the max-arrival scratch
 	nl := t.nl
 	arr, seen, cls, pending := t.arr, t.seen, t.cls, t.pending
 	netDelay := makeNetDelay(t.wm, t.tierScale)

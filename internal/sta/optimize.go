@@ -29,10 +29,7 @@ func OptimizeDrives(p *tech.PDK, nl *netlist.Netlist, wm *WireModel,
 }
 
 // OptimizeDrives runs the upsizing loop on the Timer: the timing graph is
-// built once, the first round runs a full Analyze, and every later round
-// re-propagates only the fanout cones of the drivers the previous round
-// upsized (AnalyzeIncremental — identical reports, a fraction of the
-// work).
+// built once and every round re-runs Analyze over the upsized netlist.
 func (tm *Timer) OptimizeDrives(libs map[tech.Tier]*cell.Library,
 	targetPeriodS float64, maxRounds int) (*OptimizeResult, error) {
 
@@ -50,13 +47,13 @@ func (tm *Timer) OptimizeDrives(libs map[tech.Tier]*cell.Library,
 		if rep.Met() {
 			return res, nil
 		}
-		changed, addedArea := tm.upsizeRound(libs, targetPeriodS)
-		res.Upsized += len(changed)
+		upsized, addedArea := tm.upsizeRound(libs, targetPeriodS)
+		res.Upsized += upsized
 		res.AddedAreaNM2 += addedArea
-		if len(changed) == 0 {
+		if upsized == 0 {
 			return res, nil
 		}
-		rep, err = tm.AnalyzeIncremental(targetPeriodS, changed)
+		rep, err = tm.Analyze(targetPeriodS)
 		if err != nil {
 			return nil, err
 		}
@@ -67,11 +64,9 @@ func (tm *Timer) OptimizeDrives(libs map[tech.Tier]*cell.Library,
 
 // upsizeRound upsizes every driver whose net delay exceeds its fair share
 // of the period (a cheap heuristic that matches how ECO sizing behaves)
-// and returns the changed driver instances — one entry per upsized net,
-// so the count matches the historical per-net Upsized accounting — plus
-// the footprint growth.
+// and returns the number of upsized nets and the footprint growth.
 func (tm *Timer) upsizeRound(libs map[tech.Tier]*cell.Library,
-	targetPeriodS float64) (changed []*netlist.Instance, addedAreaNM2 int64) {
+	targetPeriodS float64) (upsized int, addedAreaNM2 int64) {
 
 	nl, wm := tm.nl, tm.wm
 	budget := targetPeriodS / 12
@@ -95,8 +90,8 @@ func (tm *Timer) upsizeRound(libs map[tech.Tier]*cell.Library,
 		if best != nil && best.Drive > cur.Drive {
 			addedAreaNM2 += best.AreaNM2 - cur.AreaNM2
 			drv.Cell = best
-			changed = append(changed, drv)
+			upsized++
 		}
 	}
-	return changed, addedAreaNM2
+	return upsized, addedAreaNM2
 }

@@ -135,27 +135,6 @@ type Timer struct {
 	cls     []launchClass // per pin: dominant launch class
 	queue   []*netlist.Instance
 
-	// Incremental-analysis state (see incremental.go). valid marks the
-	// arr/seen/from scratch as holding a complete max-arrival solution;
-	// passes that repurpose the scratch for other propagations
-	// (AnalyzeHold, arrivalsWithLaunchClass) clear it, which forces the
-	// next AnalyzeIncremental to fall back to a full Analyze.
-	valid bool
-	// forceFull makes AnalyzeIncremental delegate to Analyze — the
-	// differential tests use it to run the full-analysis oracle through
-	// the exact OptimizeDrives code path.
-	forceFull bool
-	// lvl is the topological level per instance (built lazily); buckets,
-	// inQ and netEp are the incremental pass's level-ordered work queue
-	// and epoch-stamped dedupe sets.
-	lvl      []int32
-	maxLvl   int32
-	buckets  [][]*netlist.Instance
-	inQ      []uint32
-	qEpoch   uint32
-	netEp    []uint32
-	netEpoch uint32
-
 	// tierScale, when non-nil, multiplies every driven-arc delay by the
 	// driver tier's entry (indexed by tech.Tier) — the per-sample corner
 	// hook the Monte-Carlo variation engine (internal/vary) drives. nil
@@ -165,20 +144,10 @@ type Timer struct {
 	stats Stats
 }
 
-// Stats counts the Timer's analysis work since construction: how many
-// full propagations ran versus incremental ones, and how much of the
-// instance graph the incremental passes actually re-evaluated.
+// Stats counts the Timer's analysis work since construction.
 type Stats struct {
 	// FullPasses counts complete max-arrival propagations (Analyze).
 	FullPasses int
-	// IncrementalPasses counts cone-only re-propagations.
-	IncrementalPasses int
-	// RecomputedInsts is the total instances re-evaluated across all
-	// incremental passes.
-	RecomputedInsts int
-	// SkippedInsts is the total instances incremental passes did not
-	// have to touch (full-pass equivalent work avoided).
-	SkippedInsts int
 }
 
 // Stats returns the Timer's accumulated work counters.
@@ -187,16 +156,13 @@ func (t *Timer) Stats() Stats { return t.stats }
 // SetTierDelayScale installs per-tier multiplicative delay scales,
 // indexed by tech.Tier (so scale[tech.TierCNFET] stretches every
 // CNFET-driven arc). Passing nil restores nominal timing. The scale is
-// copied, and the cached arrival solution is invalidated so the next
-// AnalyzeIncremental falls back to a full pass under the new corner.
-// An all-ones scale produces bit-for-bit nominal results.
+// copied. An all-ones scale produces bit-for-bit nominal results.
 func (t *Timer) SetTierDelayScale(scale []float64) {
 	if scale == nil {
 		t.tierScale = nil
 	} else {
 		t.tierScale = append(t.tierScale[:0], scale...)
 	}
-	t.valid = false
 }
 
 // NewTimer builds a reusable timing engine for the netlist; wm may be
@@ -331,14 +297,12 @@ func (t *Timer) Analyze(targetPeriodS float64) (*Report, error) {
 		}
 	}
 
-	t.valid = true
 	t.stats.FullPasses++
 	return t.buildReport(targetPeriodS)
 }
 
 // buildReport scans the timing endpoints and traces the critical path
-// over the arr/seen/from scratch. Analyze and AnalyzeIncremental share
-// it, so equal arrival state yields byte-identical reports.
+// over the arr/seen/from scratch Analyze just filled.
 func (t *Timer) buildReport(targetPeriodS float64) (*Report, error) {
 	nl := t.nl
 	arr, seen, from := t.arr, t.seen, t.from

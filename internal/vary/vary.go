@@ -10,8 +10,9 @@
 // history.
 //
 // Each Monte-Carlo sample is a Corner: one multiplicative delay scale per
-// tech.Tier, pushed through the reusable sta.Timer via SetTierDelayScale,
-// plus the matching analytic-model perturbations for EDP bands. Corners
+// tech.Tier, timed in slabs of corners by sta.BatchTimer (the per-corner
+// sta.Timer.SetTierDelayScale path is the tests' oracle), plus the
+// matching analytic-model perturbations for EDP bands. Corners
 // are drawn by a seeded, sample-indexed generator — Corner(i) is a pure
 // function of (Variation, seed, i) — so a fan-out over the worker pool
 // (exec.MapWith) returns deep-equal results at any pool width, the same

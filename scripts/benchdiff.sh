@@ -37,7 +37,7 @@ BENCHDIR="bench"
 TRACKED="BenchmarkCacheChurnLRU BenchmarkCacheHitLRU BenchmarkCacheHitLRUParallel \
 BenchmarkCacheHitUnbounded BenchmarkSweepSerial BenchmarkSweepParallelCached \
 BenchmarkSweepCached BenchmarkRunFlowReduced BenchmarkRouteNets \
-BenchmarkSTAFullTiming BenchmarkOptimizeDrivesIncremental \
+BenchmarkSTAFullTiming BenchmarkOptimizeDrives \
 BenchmarkBatchCornerSTA BenchmarkMonteCarloSTA BenchmarkPlaceGlobal"
 
 BASE="$BENCHDIR/BENCH_0.json"
@@ -86,7 +86,7 @@ run_bench "serve cached path" 'BenchmarkSweepCached' "$BENCHTIME" ./internal/ser
 # tens of percent on a 2-vCPU host, so each sample runs for BENCHTIME.
 run_bench "flow pipeline (reduced)" 'BenchmarkRunFlowReduced$' "$BENCHTIME" ./internal/flow/
 run_bench "router" 'BenchmarkRouteNets$' "$BENCHTIME" ./internal/route/
-run_bench "sta full + incremental + batch" 'Benchmark(STAFullTiming|OptimizeDrivesIncremental|BatchCornerSTA)$' "$BENCHTIME" ./internal/sta/
+run_bench "sta full + optimize + batch" 'Benchmark(STAFullTiming|OptimizeDrives|BatchCornerSTA)$' "$BENCHTIME" ./internal/sta/
 run_bench "variation mc sta" 'BenchmarkMonteCarloSTA$' "$BENCHTIME" ./internal/vary/
 run_bench "placer" 'BenchmarkPlaceGlobal$' "$BENCHTIME" ./internal/place/
 

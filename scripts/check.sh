@@ -64,13 +64,13 @@ echo "== jobs smoke =="
 # Boot cmd/m3dserve with an on-disk job store, run a flow job to done,
 # SIGTERM mid-job (the drain parks it checkpointed), then restart on the
 # same store and require byte-identical resumed artifacts.
-./scripts/jobsmoke.sh
+go run ./scripts/jobsmoke
 
 echo "== dse smoke =="
 # Boot cmd/m3dserve again and stream one small /v1/dse exploration:
 # the chunked frontier snapshots must be monotone, mutually
 # non-dominated, and converge with the pinned grid totals.
-./scripts/dsesmoke.sh
+go run ./scripts/dsesmoke
 
 echo "== yield smoke =="
 # Boot cmd/m3dserve once more and stream one pinned /v1/yield
@@ -78,7 +78,13 @@ echo "== yield smoke =="
 # bands stay ordered, yield curves stay monotone in period, the body
 # must match yield_stream.golden.json, and the server must drain
 # gracefully.
-./scripts/yieldsmoke.sh
+go run ./scripts/yieldsmoke
+# A second pass streams 4096 corners under a wall-clock budget: the
+# end-to-end check that yield runs through the corner-batched STA kernel
+# (a 4096-corner run completes in well under a second on one core; the
+# 30 s budget only catches a fall-back to one full timing walk per
+# corner).
+go run ./scripts/yieldsmoke -samples 4096 -batch 1024 -budget 30s
 
 echo "== invariant suite =="
 # Property-based guarantees of the Sec. III model (randomized seeded

@@ -13,7 +13,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -21,18 +20,14 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"time"
+
+	"m3d/scripts/internal/smoke"
 )
 
-const (
-	startDeadline = 30 * time.Second
-	drainDeadline = 20 * time.Second
-	jobDeadline   = 120 * time.Second
-)
+const jobDeadline = 120 * time.Second
 
 // flowSpec is the job payload; job "a" runs uninterrupted, job "b" is
 // the same work under a different id, interrupted by SIGTERM.
@@ -54,34 +49,32 @@ func run() error {
 	}
 	defer os.RemoveAll(tmp)
 
-	// A real binary, not `go run`: SIGTERM must land on the server
-	// process itself, and the restart must be a genuinely new process.
-	bin := filepath.Join(tmp, "m3dserve")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/m3dserve")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		return fmt.Errorf("build m3dserve: %w", err)
+	// One compiled binary serves both processes, so the restart below is
+	// a genuinely new process on the same store.
+	bin, err := smoke.Build(tmp)
+	if err != nil {
+		return err
 	}
 	store := filepath.Join(tmp, "jobs")
 
 	// First server: run job "a" to completion, then interrupt job "b".
-	srv1, base1, stderr1, err := startServer(bin, store)
+	srv1, err := smoke.Start(bin, "-drain", "15s", "-jobstore", store)
 	if err != nil {
 		return err
 	}
-	defer reap(srv1)
+	defer srv1.Reap()
 
-	if _, err := submit(base1, `{"id":"a","flow":`+flowSpec+`}`); err != nil {
+	if _, err := submit(srv1.Base, `{"id":"a","flow":`+flowSpec+`}`); err != nil {
 		return err
 	}
-	if err := waitDone(base1, "a"); err != nil {
+	if err := waitDone(srv1.Base, "a"); err != nil {
 		return err
 	}
-	refDEF, err := fetch(base1 + "/v1/jobs/a/artifacts/def")
+	refDEF, err := smoke.Fetch(srv1.Base+"/v1/jobs/a/artifacts/def", "")
 	if err != nil {
 		return err
 	}
-	refReport, err := fetch(base1 + "/v1/jobs/a/artifacts/report")
+	refReport, err := smoke.Fetch(srv1.Base+"/v1/jobs/a/artifacts/report", "")
 	if err != nil {
 		return err
 	}
@@ -92,30 +85,27 @@ func run() error {
 	// Submit "b" and SIGTERM while it is in flight: the drain must
 	// interrupt the job, park it resumable in the store, and still exit
 	// cleanly within the drain window.
-	if _, err := submit(base1, `{"id":"b","flow":`+flowSpec+`}`); err != nil {
+	if _, err := submit(srv1.Base, `{"id":"b","flow":`+flowSpec+`}`); err != nil {
 		return err
 	}
-	if err := srv1.Process.Signal(syscall.SIGTERM); err != nil {
-		return err
-	}
-	if err := waitExit(srv1, stderr1); err != nil {
+	if err := srv1.Stop(); err != nil {
 		return fmt.Errorf("first server drain: %w", err)
 	}
-	if !strings.Contains(stderr1.String(), "drained") {
-		return fmt.Errorf("no drain confirmation in server log:\n%s", stderr1.Bytes())
+	if !strings.Contains(srv1.Stderr(), "drained") {
+		return fmt.Errorf("no drain confirmation in server log:\n%s", srv1.Stderr())
 	}
 
 	// Second process, same store: "b" must resume and finish with
 	// artifacts byte-identical to the uninterrupted "a".
-	srv2, base2, stderr2, err := startServer(bin, store)
+	srv2, err := smoke.Start(bin, "-drain", "15s", "-jobstore", store)
 	if err != nil {
 		return err
 	}
-	defer reap(srv2)
-	if err := waitDone(base2, "b"); err != nil {
+	defer srv2.Reap()
+	if err := waitDone(srv2.Base, "b"); err != nil {
 		return fmt.Errorf("resumed job: %w", err)
 	}
-	gotDEF, err := fetch(base2 + "/v1/jobs/b/artifacts/def")
+	gotDEF, err := smoke.Fetch(srv2.Base+"/v1/jobs/b/artifacts/def", "")
 	if err != nil {
 		return err
 	}
@@ -123,7 +113,7 @@ func run() error {
 		return fmt.Errorf("resumed DEF drifted from the uninterrupted run (%d vs %d bytes)",
 			len(gotDEF), len(refDEF))
 	}
-	gotReport, err := fetch(base2 + "/v1/jobs/b/artifacts/report")
+	gotReport, err := smoke.Fetch(srv2.Base+"/v1/jobs/b/artifacts/report", "")
 	if err != nil {
 		return err
 	}
@@ -131,56 +121,10 @@ func run() error {
 		return fmt.Errorf("resumed report drifted from the uninterrupted run:\n%s", gotReport)
 	}
 
-	if err := srv2.Process.Signal(syscall.SIGTERM); err != nil {
-		return err
-	}
-	if err := waitExit(srv2, stderr2); err != nil {
+	if err := srv2.Stop(); err != nil {
 		return fmt.Errorf("second server drain: %w", err)
 	}
 	return nil
-}
-
-// startServer boots the binary on an ephemeral port against store and
-// returns the process, its base URL and its captured stderr.
-func startServer(bin, store string) (*exec.Cmd, string, *bytes.Buffer, error) {
-	srv := exec.Command(bin, "-addr", "localhost:0", "-drain", "15s", "-jobstore", store)
-	stdout, err := srv.StdoutPipe()
-	if err != nil {
-		return nil, "", nil, err
-	}
-	var stderr bytes.Buffer
-	srv.Stderr = &stderr
-	if err := srv.Start(); err != nil {
-		return nil, "", nil, err
-	}
-	addr, err := listenAddr(stdout)
-	if err != nil {
-		reap(srv)
-		return nil, "", nil, err
-	}
-	return srv, "http://" + addr, &stderr, nil
-}
-
-func reap(srv *exec.Cmd) {
-	if srv.ProcessState == nil {
-		srv.Process.Kill()
-		srv.Wait()
-	}
-}
-
-func waitExit(srv *exec.Cmd, stderr *bytes.Buffer) error {
-	done := make(chan error, 1)
-	go func() { done <- srv.Wait() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			return fmt.Errorf("exit: %w\nstderr:\n%s", err, stderr.Bytes())
-		}
-		return nil
-	case <-time.After(drainDeadline):
-		srv.Process.Kill()
-		return fmt.Errorf("no exit within %s\nstderr:\n%s", drainDeadline, stderr.Bytes())
-	}
 }
 
 // jobStatus is the slice of the job tier's status payload the smoke
@@ -217,7 +161,7 @@ func submit(base, body string) (*jobStatus, error) {
 func waitDone(base, id string) error {
 	deadline := time.Now().Add(jobDeadline)
 	for {
-		b, err := fetch(base + "/v1/jobs/" + id)
+		b, err := smoke.Fetch(base+"/v1/jobs/"+id, "")
 		if err != nil {
 			return err
 		}
@@ -236,53 +180,4 @@ func waitDone(base, id string) error {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-}
-
-// listenAddr reads the server's "listening on <addr>" banner.
-func listenAddr(stdout io.Reader) (string, error) {
-	type line struct {
-		text string
-		err  error
-	}
-	ch := make(chan line, 1)
-	go func() {
-		sc := bufio.NewScanner(stdout)
-		if sc.Scan() {
-			ch <- line{text: sc.Text()}
-			for sc.Scan() { // keep draining so the server never blocks
-			}
-			return
-		}
-		ch <- line{err: fmt.Errorf("server stdout closed before banner: %v", sc.Err())}
-	}()
-	select {
-	case l := <-ch:
-		if l.err != nil {
-			return "", l.err
-		}
-		addr, ok := strings.CutPrefix(l.text, "listening on ")
-		if !ok {
-			return "", fmt.Errorf("unexpected banner %q", l.text)
-		}
-		return addr, nil
-	case <-time.After(startDeadline):
-		return "", fmt.Errorf("server did not announce a listen address within %s", startDeadline)
-	}
-}
-
-// fetch GETs url, requiring 200.
-func fetch(url string) ([]byte, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s: status %d: %s", url, resp.StatusCode, b)
-	}
-	return b, nil
 }

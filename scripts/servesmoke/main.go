@@ -12,23 +12,14 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
-	"io"
 	"log"
-	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
-	"syscall"
-	"time"
-)
 
-const (
-	startDeadline = 30 * time.Second
-	drainDeadline = 20 * time.Second
+	"m3d/scripts/internal/smoke"
 )
 
 func main() {
@@ -47,41 +38,17 @@ func run() error {
 	}
 	defer os.RemoveAll(tmp)
 
-	// Build a real binary rather than `go run`: signals must reach the
-	// server process itself, not a go-run parent.
-	bin := filepath.Join(tmp, "m3dserve")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/m3dserve")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		return fmt.Errorf("build m3dserve: %w", err)
-	}
-
-	srv := exec.Command(bin, "-addr", "localhost:0", "-drain", "10s")
-	stdout, err := srv.StdoutPipe()
+	bin, err := smoke.Build(tmp)
 	if err != nil {
 		return err
 	}
-	var stderr bytes.Buffer
-	srv.Stderr = &stderr
-	if err := srv.Start(); err != nil {
-		return err
-	}
-	// Past this point the server is live: every early return must still
-	// reap the process.
-	defer func() {
-		if srv.ProcessState == nil {
-			srv.Process.Kill()
-			srv.Wait()
-		}
-	}()
-
-	addr, err := listenAddr(stdout)
+	srv, err := smoke.Start(bin, "-drain", "10s")
 	if err != nil {
 		return err
 	}
-	base := "http://" + addr
+	defer srv.Reap()
 
-	if err := expectBody(base+"/healthz", "", `"status":"ok"`); err != nil {
+	if err := expectBody(srv.Base+"/healthz", "", `"status":"ok"`); err != nil {
 		return err
 	}
 
@@ -91,7 +58,7 @@ func run() error {
 	if err != nil {
 		return fmt.Errorf("read golden (run from repo root): %w", err)
 	}
-	body, err := fetch(base+"/v1/sweep", `{"kind":"bandwidth_cs"}`)
+	body, err := smoke.Fetch(srv.Base+"/v1/sweep", `{"kind":"bandwidth_cs"}`)
 	if err != nil {
 		return err
 	}
@@ -99,91 +66,22 @@ func run() error {
 		return fmt.Errorf("sweep response drifted from sweep_default.golden.json\ngot:\n%s", body)
 	}
 
-	if err := expectBody(base+"/metrics", "", "serve.requests"); err != nil {
+	if err := expectBody(srv.Base+"/metrics", "", "serve.requests"); err != nil {
 		return err
 	}
 
 	// SIGTERM → graceful drain → exit 0 with the drain log lines.
-	if err := srv.Process.Signal(syscall.SIGTERM); err != nil {
+	if err := srv.Stop(); err != nil {
 		return err
 	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Wait() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			return fmt.Errorf("server exit after SIGTERM: %w\nstderr:\n%s", err, stderr.Bytes())
-		}
-	case <-time.After(drainDeadline):
-		srv.Process.Kill()
-		return fmt.Errorf("server did not drain within %s\nstderr:\n%s", drainDeadline, stderr.Bytes())
-	}
-	if !strings.Contains(stderr.String(), "drained") {
-		return fmt.Errorf("no drain confirmation in server log:\n%s", stderr.Bytes())
+	if !strings.Contains(srv.Stderr(), "drained") {
+		return fmt.Errorf("no drain confirmation in server log:\n%s", srv.Stderr())
 	}
 	return nil
 }
 
-// listenAddr reads the server's "listening on <addr>" banner.
-func listenAddr(stdout io.Reader) (string, error) {
-	type line struct {
-		text string
-		err  error
-	}
-	ch := make(chan line, 1)
-	go func() {
-		sc := bufio.NewScanner(stdout)
-		if sc.Scan() {
-			ch <- line{text: sc.Text()}
-			// Keep draining so the server never blocks on a full pipe.
-			for sc.Scan() {
-			}
-			return
-		}
-		ch <- line{err: fmt.Errorf("server stdout closed before banner: %v", sc.Err())}
-	}()
-	select {
-	case l := <-ch:
-		if l.err != nil {
-			return "", l.err
-		}
-		addr, ok := strings.CutPrefix(l.text, "listening on ")
-		if !ok {
-			return "", fmt.Errorf("unexpected banner %q", l.text)
-		}
-		return addr, nil
-	case <-time.After(startDeadline):
-		return "", fmt.Errorf("server did not announce a listen address within %s", startDeadline)
-	}
-}
-
-// fetch GETs url (empty body) or POSTs body as JSON, requiring 200.
-func fetch(url, body string) ([]byte, error) {
-	var (
-		resp *http.Response
-		err  error
-	)
-	if body == "" {
-		resp, err = http.Get(url)
-	} else {
-		resp, err = http.Post(url, "application/json", strings.NewReader(body))
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s: status %d: %s", url, resp.StatusCode, b)
-	}
-	return b, nil
-}
-
 func expectBody(url, body, want string) error {
-	b, err := fetch(url, body)
+	b, err := smoke.Fetch(url, body)
 	if err != nil {
 		return err
 	}

@@ -28,7 +28,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"flag"
@@ -37,18 +36,12 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"time"
 
 	"m3d/internal/vary"
-)
-
-const (
-	startDeadline = 30 * time.Second
-	drainDeadline = 20 * time.Second
+	"m3d/scripts/internal/smoke"
 )
 
 // goldenSamples and goldenBatch are the run shape of the serve suite's
@@ -102,39 +95,18 @@ func run(samples, batch int, budget time.Duration) error {
 	}
 	defer os.RemoveAll(tmp)
 
-	// A real binary, as in servesmoke: SIGTERM must reach the server
-	// itself, not a go-run parent.
-	bin := filepath.Join(tmp, "m3dserve")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/m3dserve")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		return fmt.Errorf("build m3dserve: %w", err)
-	}
-
-	srv := exec.Command(bin, "-addr", "localhost:0", "-drain", "10s")
-	stdout, err := srv.StdoutPipe()
+	bin, err := smoke.Build(tmp)
 	if err != nil {
 		return err
 	}
-	var stderr bytes.Buffer
-	srv.Stderr = &stderr
-	if err := srv.Start(); err != nil {
-		return err
-	}
-	defer func() {
-		if srv.ProcessState == nil {
-			srv.Process.Kill()
-			srv.Wait()
-		}
-	}()
-
-	addr, err := listenAddr(stdout)
+	srv, err := smoke.Start(bin, "-drain", "10s")
 	if err != nil {
 		return err
 	}
+	defer srv.Reap()
 
 	t0 := time.Now()
-	resp, err := http.Post("http://"+addr+"/v1/yield", "application/json",
+	resp, err := http.Post(srv.Base+"/v1/yield", "application/json",
 		strings.NewReader(yieldBody(samples, batch)))
 	if err != nil {
 		return err
@@ -174,21 +146,7 @@ func run(samples, batch int, budget time.Duration) error {
 	log.Printf("%d corners in %s", samples, elapsed.Round(time.Millisecond))
 
 	// SIGTERM → graceful drain → exit 0.
-	if err := srv.Process.Signal(syscall.SIGTERM); err != nil {
-		return err
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Wait() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			return fmt.Errorf("server exit after SIGTERM: %w\nstderr:\n%s", err, stderr.Bytes())
-		}
-	case <-time.After(drainDeadline):
-		srv.Process.Kill()
-		return fmt.Errorf("server did not drain within %s\nstderr:\n%s", drainDeadline, stderr.Bytes())
-	}
-	return nil
+	return srv.Stop()
 }
 
 // checkStream enforces the /v1/yield refinement invariants on the
@@ -244,36 +202,4 @@ func checkStream(body []byte, samples, batch int) error {
 		return fmt.Errorf("final samples %d, want %d", final.Samples, samples)
 	}
 	return nil
-}
-
-// listenAddr reads the server's "listening on <addr>" banner.
-func listenAddr(stdout io.Reader) (string, error) {
-	type line struct {
-		text string
-		err  error
-	}
-	ch := make(chan line, 1)
-	go func() {
-		sc := bufio.NewScanner(stdout)
-		if sc.Scan() {
-			ch <- line{text: sc.Text()}
-			for sc.Scan() {
-			}
-			return
-		}
-		ch <- line{err: fmt.Errorf("server stdout closed before banner: %v", sc.Err())}
-	}()
-	select {
-	case l := <-ch:
-		if l.err != nil {
-			return "", l.err
-		}
-		addr, ok := strings.CutPrefix(l.text, "listening on ")
-		if !ok {
-			return "", fmt.Errorf("unexpected banner %q", l.text)
-		}
-		return addr, nil
-	case <-time.After(startDeadline):
-		return "", fmt.Errorf("server did not announce a listen address within %s", startDeadline)
-	}
 }
