@@ -24,7 +24,6 @@ import (
 	"strings"
 
 	"m3d/internal/analytic"
-	"m3d/internal/arch"
 	"m3d/internal/cliutil"
 	"m3d/internal/core"
 	"m3d/internal/dse"
@@ -34,7 +33,6 @@ import (
 	"m3d/internal/report"
 	"m3d/internal/tech"
 	"m3d/internal/vary"
-	"m3d/internal/workload"
 )
 
 func main() {
@@ -259,19 +257,10 @@ func promoteFrontier(p *tech.PDK, frontier []dse.Point, n int, pool []exec.Optio
 // bandwidth, ILV resistance spread raises the 3D access energy), and
 // the table reports the p5/p50/p95 benefit beside the nominal number.
 func sweepDeltaVariation(p *tech.PDK, rows []core.Fig10Row, vf *variationFlags) {
-	a2d, a3d, _, err := core.CaseStudyPair(p)
+	m, err := core.CaseStudyMachine(p)
 	if err != nil {
 		log.Fatal(err)
 	}
-	am, err := core.AreaModel(p, arch.MB64)
-	if err != nil {
-		log.Fatal(err)
-	}
-	loads, err := core.Loads(a2d, workload.ResNet18())
-	if err != nil {
-		log.Fatal(err)
-	}
-	params := core.Params(a2d, a3d)
 	sampler, err := vary.NewSampler(vf.variation(), *vf.seed)
 	if err != nil {
 		log.Fatal(err)
@@ -282,7 +271,7 @@ func sweepDeltaVariation(p *tech.PDK, rows []core.Fig10Row, vf *variationFlags) 
 			*vf.samples, *vf.seed),
 		"delta", "N3D", "EDP nominal", "EDP p5", "EDP p50", "EDP p95")
 	for _, r := range rows {
-		band, err := vary.EDPBand(params, am, loads,
+		band, err := vary.EDPBand(m.Params, m.Area, m.Loads,
 			analytic.DesignPoint{Delta: r.Delta, TierPairs: 1, BWScale: 1},
 			sampler, *vf.samples)
 		if err != nil {

@@ -150,29 +150,6 @@ func validateSweepAxes(csCounts []int, bwScales []float64) error {
 	return nil
 }
 
-// sweepKey identifies one memoizable sweep evaluation: the full machine
-// parameters, the load, and the grid coordinates determine the point.
-type sweepKey struct {
-	p Params
-	w Load
-	n int
-	b float64
-}
-
-// sweepCache memoizes repeated (Params, Load, n, b) evaluations across
-// sweeps. SweepPoint is a pure function of the key, so a process-wide
-// cache is deterministic and safe under concurrency — eviction merely
-// costs a recomputation, never changes a result. Long-lived processes
-// bound it with M3D_CACHE_CAP (entries); unset keeps the seed's
-// unbounded behaviour.
-var sweepCache exec.Cache[sweepKey, SweepPoint]
-
-func init() {
-	if cap := exec.CacheCapFromEnv(); cap > 0 {
-		sweepCache.Bound(cap)
-	}
-}
-
 // SweepBandwidthCS evaluates the Fig. 8 grid: EDP benefit as a function of
 // parallel CS count and total-bandwidth scale, for a workload with the
 // given compute intensity (ops per bit). Each point is an M3D design with
@@ -182,10 +159,10 @@ func init() {
 // exec.Option surface controls width, cancellation, tracing and
 // metrics); results are returned in the serial row-major order (csCounts
 // outer, bwScales inner) and are bit-identical to the serial evaluation
-// at any pool width. Repeated points are served from a process-wide memo
-// cache, accounted by the registry's sweep.memo.hits /
-// sweep.memo.misses counters; when a tracer is attached the whole grid
-// runs under one "analytic.sweep" span.
+// at any pool width. Points are not memoized: computing one is cheaper
+// than a cache lookup (EXPERIMENTS.md, "Point caches deleted"). When a
+// tracer is attached the whole grid runs under one "analytic.sweep"
+// span.
 func SweepBandwidthCS(p Params, w Load, csCounts []int, bwScales []float64, opts ...exec.Option) ([]SweepPoint, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -205,12 +182,8 @@ func SweepBandwidthCS(p Params, w Load, csCounts []int, bwScales []float64, opts
 			obs.Int("cs_axis", len(csCounts)), obs.Int("bw_axis", len(bwScales)))
 		defer sp.End()
 	}
-	hits := st.Metrics.Counter("sweep.memo.hits")
-	misses := st.Metrics.Counter("sweep.memo.misses")
 	return exec.GridWith(st, csCounts, bwScales, func(_ context.Context, n int, b float64) (SweepPoint, error) {
-		return sweepCache.DoMetered(sweepKey{p, w, n, b}, hits, misses, func() (SweepPoint, error) {
-			return sweepPoint(p, w, n, b), nil
-		})
+		return sweepPoint(p, w, n, b), nil
 	})
 }
 

@@ -31,29 +31,10 @@ func BenchmarkSweepSerial(b *testing.B) {
 }
 
 // BenchmarkSweepParallel runs the same grid through exec.Grid at the
-// default pool width. The memo cache is reset every iteration so the
-// benchmark measures evaluation, not cache hits.
+// default pool width.
 func BenchmarkSweepParallel(b *testing.B) {
 	p, w := benchLoad()
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sweepCache.Reset()
-		if _, err := SweepBandwidthCS(p, w, benchCS, benchBW); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSweepParallelCached measures the steady-state path where the
-// whole grid is already memoized (repeated DSE queries on one grid).
-func BenchmarkSweepParallelCached(b *testing.B) {
-	p, w := benchLoad()
-	sweepCache.Reset()
-	if _, err := SweepBandwidthCS(p, w, benchCS, benchBW); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := SweepBandwidthCS(p, w, benchCS, benchBW); err != nil {
 			b.Fatal(err)
@@ -67,7 +48,6 @@ func BenchmarkSweepParallelWidth8(b *testing.B) {
 	p, w := benchLoad()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sweepCache.Reset()
 		if _, err := SweepBandwidthCS(p, w, benchCS, benchBW, exec.WithWorkers(8)); err != nil {
 			b.Fatal(err)
 		}

@@ -25,11 +25,20 @@ const CaseStudySRAMBits = int64(4) << 20
 // elaborating its netlist) plus its SRAM buffer, the RRAM cell-array and
 // peripheral areas at the given capacity, and a bus/IO allowance. With the
 // default 130 nm PDK and 64 MB this yields γ_cells ≈ 7.8 → N = 8 (Eq. 2).
+//
+// Measuring the CS (a full netlist elaboration) is nearly all of the
+// cost; CaseStudyMachine and Fig9 each measure it once per call.
 func AreaModel(p *tech.PDK, rramBits int64) (analytic.AreaModel, error) {
 	csArea, err := caseStudyCSAreaNM2(p)
 	if err != nil {
 		return analytic.AreaModel{}, err
 	}
+	return areaModelFor(p, csArea, rramBits)
+}
+
+// areaModelFor completes AreaModel around an already-measured CS area:
+// only the RRAM bank is sized here.
+func areaModelFor(p *tech.PDK, csArea float64, rramBits int64) (analytic.AreaModel, error) {
 	bank, err := macro.NewRRAMBank(p, macro.RRAMBankSpec{
 		CapacityBits: rramBits, WordBits: 256, Style: macro.Style2D,
 	})
@@ -114,16 +123,41 @@ func Params(a2d, a3d *arch.Accel) analytic.Params {
 	}
 }
 
+// CaseStudy is the Sec. II case-study machine: the 64 MB area model,
+// the 2D baseline and its M3D twin with N from Eq. 2, their analytical
+// parameters, and the ResNet-18 loads on the baseline.
+type CaseStudy struct {
+	Area     analytic.AreaModel
+	A2D, A3D *arch.Accel
+	N        int
+	Params   analytic.Params
+	Loads    []analytic.Load
+}
+
+// CaseStudyMachine builds the case-study machine from a single
+// measurement of the computing sub-system.
+func CaseStudyMachine(p *tech.PDK) (*CaseStudy, error) {
+	am, err := AreaModel(p, arch.MB64)
+	if err != nil {
+		return nil, err
+	}
+	n := am.N()
+	a2d := arch.CaseStudy2D()
+	a3d := a2d.WithParallelCS(n)
+	a3d.Name = fmt.Sprintf("case-study-M3D-N%d", n)
+	loads, err := Loads(a2d, workload.ResNet18())
+	if err != nil {
+		return nil, err
+	}
+	return &CaseStudy{Area: am, A2D: a2d, A3D: a3d, N: n, Params: Params(a2d, a3d), Loads: loads}, nil
+}
+
 // CaseStudyPair returns the Sec. II 2D baseline and M3D accelerators with
 // N derived from the area model (Eq. 2) rather than hard-coded.
 func CaseStudyPair(p *tech.PDK) (a2d, a3d *arch.Accel, n int, err error) {
-	am, err := AreaModel(p, arch.MB64)
+	m, err := CaseStudyMachine(p)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	n = am.N()
-	a2d = arch.CaseStudy2D()
-	a3d = a2d.WithParallelCS(n)
-	a3d.Name = fmt.Sprintf("case-study-M3D-N%d", n)
-	return a2d, a3d, n, nil
+	return m.A2D, m.A3D, m.N, nil
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
+	"m3d/internal/arch"
 	"m3d/internal/tech"
 	"m3d/internal/workload"
 )
@@ -31,6 +33,61 @@ func TestCaseStudyPair(t *testing.T) {
 	}
 	if n != 8 || a3d.NumCS != 8 || a2d.NumCS != 1 {
 		t.Fatalf("pair wrong: n=%d 2D=%d 3D=%d", n, a2d.NumCS, a3d.NumCS)
+	}
+	// The one-measurement machine behind the pair equals what separate
+	// AreaModel, Params and Loads calls build.
+	m, err := CaseStudyMachine(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	am, err := AreaModel(p, arch.MB64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loads, err := Loads(m.A2D, workload.ResNet18())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Area != am || m.N != n || !reflect.DeepEqual(m.A3D, a3d) {
+		t.Fatalf("machine area %+v N=%d, want %+v N=%d", m.Area, m.N, am, n)
+	}
+	if m.Params != Params(a2d, a3d) || !reflect.DeepEqual(m.Loads, loads) {
+		t.Fatal("machine params or loads differ from Params/Loads on the pair")
+	}
+}
+
+// TestEntryPointsMeasureCSOnce: each experiment built on the case-study
+// machine allocates at most 1.2× what one CS measurement (AreaModel at
+// 64 MB) does. The netlist elaboration is nearly all of their cost, so
+// measuring the CS twice reads about 2×, and once per Fig. 9 capacity
+// about 6×.
+func TestEntryPointsMeasureCSOnce(t *testing.T) {
+	p := tech.Default130()
+	allocs := func(run func() error) float64 {
+		return testing.AllocsPerRun(1, func() {
+			if err := run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	one := allocs(func() error { _, err := AreaModel(p, arch.MB64); return err })
+	for _, e := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Table1", func() error { _, err := Table1(p); return err }},
+		{"Fig9", func() error { _, err := Fig9(p, nil); return err }},
+		{"Fig10bc", func() error { _, err := Fig10bc(p, nil); return err }},
+		{"Obs8", func() error { _, err := Obs8(p, nil); return err }},
+		{"Fig10d", func() error { _, err := Fig10d(p, nil, 0); return err }},
+		{"Obs3", func() error { _, _, err := Obs3(p); return err }},
+		{"FutureWorkUpperLogic", func() error { _, err := FutureWorkUpperLogic(p); return err }},
+	} {
+		t.Run(e.name, func(t *testing.T) {
+			if r := allocs(e.run) / one; r > 1.2 {
+				t.Errorf("%s allocates %.2f× one CS measurement, want ≤ 1.2×", e.name, r)
+			}
+		})
 	}
 }
 

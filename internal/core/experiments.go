@@ -197,9 +197,15 @@ func Fig9(p *tech.PDK, capacitiesMB []int, opts ...exec.Option) ([]Fig9Row, erro
 		st.Label = "core.fig9.point"
 	}
 	defer span(st, "core.fig9", obs.Int("points", len(capacitiesMB)))()
+	// The CS is the same at every capacity: measure it once, then size
+	// only each point's RRAM bank.
+	csArea, err := caseStudyCSAreaNM2(p)
+	if err != nil {
+		return nil, err
+	}
 	return exec.MapWith(st, capacitiesMB, func(_ context.Context, _ int, mb int) (Fig9Row, error) {
 		bits := int64(mb) << 23
-		am, err := AreaModel(p, bits)
+		am, err := areaModelFor(p, csArea, bits)
 		if err != nil {
 			return Fig9Row{}, err
 		}
@@ -230,26 +236,17 @@ func Fig10bc(p *tech.PDK, deltas []float64, opts ...exec.Option) ([]Fig10Row, er
 	if len(deltas) == 0 {
 		deltas = []float64{1.0, 1.2, 1.4, 1.6, 1.8, 2.0, 2.25, 2.5}
 	}
-	a2d, a3d, _, err := CaseStudyPair(p)
+	m, err := CaseStudyMachine(p)
 	if err != nil {
 		return nil, err
 	}
-	am, err := AreaModel(p, arch.MB64)
-	if err != nil {
-		return nil, err
-	}
-	loads, err := Loads(a2d, workload.ResNet18())
-	if err != nil {
-		return nil, err
-	}
-	params := Params(a2d, a3d)
 	st := exec.Resolve(opts...)
 	if st.Label == "" {
 		st.Label = "core.fig10bc.point"
 	}
 	defer span(st, "core.fig10bc", obs.Int("points", len(deltas)))()
 	return exec.MapWith(st, deltas, func(_ context.Context, _ int, d float64) (Fig10Row, error) {
-		res, geo, err := analytic.Case1Benefit(params, am, loads, d)
+		res, geo, err := analytic.Case1Benefit(m.Params, m.Area, m.Loads, d)
 		if err != nil {
 			return Fig10Row{}, err
 		}
@@ -265,19 +262,10 @@ func Obs8(p *tech.PDK, betas []float64, opts ...exec.Option) ([]Fig10Row, error)
 	if len(betas) == 0 {
 		betas = []float64{1.0, 1.1, 1.2, 1.3, 1.4, 1.6, 2.0}
 	}
-	a2d, a3d, _, err := CaseStudyPair(p)
+	m, err := CaseStudyMachine(p)
 	if err != nil {
 		return nil, err
 	}
-	am, err := AreaModel(p, arch.MB64)
-	if err != nil {
-		return nil, err
-	}
-	loads, err := Loads(a2d, workload.ResNet18())
-	if err != nil {
-		return nil, err
-	}
-	params := Params(a2d, a3d)
 	viasPerCell, ilvPitch, bitcell := p.RRAM.ViasPerCell, float64(p.ILVPitch), float64(p.BitcellArea2D())
 	st := exec.Resolve(opts...)
 	if st.Label == "" {
@@ -285,7 +273,7 @@ func Obs8(p *tech.PDK, betas []float64, opts ...exec.Option) ([]Fig10Row, error)
 	}
 	defer span(st, "core.obs8", obs.Int("points", len(betas)))()
 	return exec.MapWith(st, betas, func(_ context.Context, _ int, b float64) (Fig10Row, error) {
-		res, geo, err := analytic.Case2Benefit(params, am, loads, b,
+		res, geo, err := analytic.Case2Benefit(m.Params, m.Area, m.Loads, b,
 			viasPerCell, ilvPitch, bitcell)
 		if err != nil {
 			return Fig10Row{}, err
@@ -316,26 +304,17 @@ func Fig10d(p *tech.PDK, ys []int, perTierPowerW float64, opts ...exec.Option) (
 	if perTierPowerW <= 0 {
 		perTierPowerW = 2.0
 	}
-	a2d, a3d, _, err := CaseStudyPair(p)
+	m, err := CaseStudyMachine(p)
 	if err != nil {
 		return nil, err
 	}
-	am, err := AreaModel(p, arch.MB64)
-	if err != nil {
-		return nil, err
-	}
-	loads, err := Loads(a2d, workload.ResNet18())
-	if err != nil {
-		return nil, err
-	}
-	params := Params(a2d, a3d)
 	st := exec.Resolve(opts...)
 	if st.Label == "" {
 		st.Label = "core.fig10d.point"
 	}
 	defer span(st, "core.fig10d", obs.Int("points", len(ys)))()
 	return exec.MapWith(st, ys, func(_ context.Context, _ int, y int) (Fig10dRow, error) {
-		res, n, err := analytic.Case3Benefit(params, am, loads, y)
+		res, n, err := analytic.Case3Benefit(m.Params, m.Area, m.Loads, y)
 		if err != nil {
 			return Fig10dRow{}, err
 		}
@@ -358,27 +337,24 @@ func Fig10d(p *tech.PDK, ys []int, perTierPowerW float64, opts ...exec.Option) (
 // paper).
 func Obs3(p *tech.PDK, opts ...exec.Option) (rramBased, sramBased BenefitRow, err error) {
 	defer span(exec.Resolve(opts...), "core.obs3")()
-	a2d, a3d, n, err := CaseStudyPair(p)
+	cs, err := CaseStudyMachine(p)
 	if err != nil {
 		return BenefitRow{}, BenefitRow{}, err
 	}
 	m := workload.ResNet18()
-	sp, er, edp, err := a3d.Benefit(a2d, m)
+	sp, er, edp, err := cs.A3D.Benefit(cs.A2D, m)
 	if err != nil {
 		return BenefitRow{}, BenefitRow{}, err
 	}
-	rramBased = BenefitRow{Name: fmt.Sprintf("RRAM 2D baseline (N=%d)", n),
+	rramBased = BenefitRow{Name: fmt.Sprintf("RRAM 2D baseline (N=%d)", cs.N),
 		Speedup: sp, EnergyRatio: er, EDPBenefit: edp}
 
 	// SRAM baseline: memory area doubles, freeing twice the Si in M3D.
-	am, err := AreaModel(p, arch.MB64)
-	if err != nil {
-		return BenefitRow{}, BenefitRow{}, err
-	}
+	am := cs.Area
 	am.ACells *= 2
 	n2 := am.N()
-	a3dSRAM := a2d.WithParallelCS(n2)
-	sp, er, edp, err = a3dSRAM.Benefit(a2d, m)
+	a3dSRAM := cs.A2D.WithParallelCS(n2)
+	sp, er, edp, err = a3dSRAM.Benefit(cs.A2D, m)
 	if err != nil {
 		return BenefitRow{}, BenefitRow{}, err
 	}

@@ -5,9 +5,7 @@ import (
 	"math"
 
 	"m3d/internal/analytic"
-	"m3d/internal/arch"
 	"m3d/internal/tech"
-	"m3d/internal/workload"
 )
 
 // FutureWorkRow is one design point of the upper-layer-logic study.
@@ -31,23 +29,14 @@ const cnfetCSEnergyPenalty = 0.15
 // (weaker) BEOL library. Returns the case-study point and the
 // upper-logic point on ResNet-18.
 func FutureWorkUpperLogic(p *tech.PDK) ([]FutureWorkRow, error) {
-	am, err := AreaModel(p, arch.MB64)
+	m, err := CaseStudyMachine(p)
 	if err != nil {
 		return nil, err
 	}
-	a2d, a3d, nSi, err := CaseStudyPair(p)
-	if err != nil {
-		return nil, err
-	}
-	m := workload.ResNet18()
-	loads, err := Loads(a2d, m)
-	if err != nil {
-		return nil, err
-	}
+	am, a2d, nSi := m.Area, m.A2D, m.N
 
 	// Case-study point.
-	base := Params(a2d, a3d)
-	res, err := analytic.EvaluateMany(base, loads)
+	res, err := analytic.EvaluateMany(m.Params, m.Loads)
 	if err != nil {
 		return nil, err
 	}
@@ -72,7 +61,7 @@ func FutureWorkUpperLogic(p *tech.PDK) ([]FutureWorkRow, error) {
 	frac := float64(nCN) / float64(n)
 	params.EC *= 1 + cnfetCSEnergyPenalty*frac
 	params.ECIdle *= 1 + cnfetCSEnergyPenalty*frac
-	res, err = analytic.EvaluateMany(params, loads)
+	res, err = analytic.EvaluateMany(params, m.Loads)
 	if err != nil {
 		return nil, err
 	}

@@ -15,9 +15,9 @@
 // seeded random exploration included — evaluated on the exec worker pool
 // (results land at their input index), and committed to the archive
 // serially in that order. Every flushed Update and the final Result are
-// therefore deep-equal at any worker width. Point evaluations memoize
-// through an exec.Cache (Options.Cache) so repeated requests — and the
-// brute-force comparison — share work without affecting results.
+// therefore deep-equal at any worker width. Points are not memoized: one
+// costs about 2 µs, and building the case-study machine (one CS netlist
+// measurement) is nearly all of a default exploration's cost.
 package dse
 
 import (
@@ -27,7 +27,6 @@ import (
 	"sort"
 
 	"m3d/internal/analytic"
-	"m3d/internal/arch"
 	"m3d/internal/core"
 	"m3d/internal/errs"
 	"m3d/internal/exec"
@@ -35,7 +34,6 @@ import (
 	"m3d/internal/tech"
 	"m3d/internal/thermal"
 	"m3d/internal/vary"
-	"m3d/internal/workload"
 )
 
 // maxGridCells bounds the lattice of one exploration (mirrors the serve
@@ -170,20 +168,6 @@ func coordLess(a, b coord) bool {
 	return a.b < b.b
 }
 
-// PointKey identifies one memoizable point evaluation across requests:
-// the machine/workload/thermal fingerprint plus the design coordinates.
-type PointKey struct {
-	Sig     string
-	Delta   float64
-	Y       int
-	BWScale float64
-}
-
-// PointCache memoizes point evaluations (exec.Cache single-flight
-// semantics); a server shares one across requests and bounds it with
-// Cache.Bound.
-type PointCache = exec.Cache[PointKey, Point]
-
 // Options tune one exploration.
 type Options struct {
 	// MaxEvals bounds the number of point evaluations this exploration
@@ -200,9 +184,6 @@ type Options struct {
 	// RequireThermal drops points whose Eq. 17 temperature rise exceeds
 	// the PDK budget (negative thermal headroom) from the archive.
 	RequireThermal bool
-	// Cache memoizes point evaluations across calls; nil uses a private
-	// per-call cache.
-	Cache *PointCache
 
 	// VarySamples switches the exploration into variation-aware mode:
 	// every point is additionally evaluated under this many process
@@ -242,16 +223,10 @@ type Result struct {
 
 // evaluator computes points of one space against the case-study machine.
 type evaluator struct {
-	space  Space
-	params analytic.Params
-	am     analytic.AreaModel
-	loads  []analytic.Load
-	pdk    *tech.PDK
-	sig    string
-	cache  *PointCache
-	evals  *obs.Counter
-	hits   *obs.Counter
-	misses *obs.Counter
+	space Space
+	m     *core.CaseStudy
+	pdk   *tech.PDK
+	evals *obs.Counter
 
 	// Variation-aware mode (Options.VarySamples > 0): the corner
 	// sampler and per-point corner count for EDP bands.
@@ -265,8 +240,8 @@ type evaluator struct {
 // always from the calling goroutine, in round order. The usual exec
 // options apply: WithWorkers fans point evaluations out (results are
 // width-independent), WithContext cancels between batches, tracing and
-// metrics attach via WithTracer/WithMetrics (counters dse.evals,
-// dse.rounds, dse.memo.hits/dse.memo.misses, gauge dse.frontier.size).
+// metrics attach via WithTracer/WithMetrics (counters dse.evals and
+// dse.rounds, gauge dse.frontier.size).
 func Explore(pdk *tech.PDK, space Space, opt Options, onUpdate func(Update), opts ...exec.Option) (*Result, error) {
 	space = space.WithDefaults()
 	if err := space.Validate(); err != nil {
@@ -281,7 +256,7 @@ func Explore(pdk *tech.PDK, space Space, opt Options, onUpdate func(Update), opt
 			obs.Int("grid", space.GridSize()), obs.Int("max_evals", opt.MaxEvals))
 		defer sp.End()
 	}
-	ev, err := newEvaluator(pdk, space, opt.Cache, st.Metrics, opt.VarySamples, opt.VarySeed)
+	ev, err := newEvaluator(pdk, space, st.Metrics.Counter("dse.evals"), opt.VarySamples, opt.VarySeed)
 	if err != nil {
 		return nil, err
 	}
@@ -370,8 +345,7 @@ func Explore(pdk *tech.PDK, space Space, opt Options, onUpdate func(Update), opt
 
 // BruteForce evaluates every lattice cell of space and returns the exact
 // non-dominated set — the oracle the adaptive search is tested against.
-// Evaluations bypass the memo cache so metrics reflect true model work
-// (counter dse.brute.evals).
+// Its evaluations count on dse.brute.evals, apart from Explore's.
 func BruteForce(pdk *tech.PDK, space Space, opts ...exec.Option) (*Result, error) {
 	space = space.WithDefaults()
 	if err := space.Validate(); err != nil {
@@ -381,12 +355,10 @@ func BruteForce(pdk *tech.PDK, space Space, opts ...exec.Option) (*Result, error
 	if st.Label == "" {
 		st.Label = "dse.brute.point"
 	}
-	ev, err := newEvaluator(pdk, space, nil, st.Metrics, 0, 0)
+	ev, err := newEvaluator(pdk, space, st.Metrics.Counter("dse.brute.evals"), 0, 0)
 	if err != nil {
 		return nil, err
 	}
-	ev.evals = st.Metrics.Counter("dse.brute.evals")
-	ev.cache = nil
 
 	all := make([]coord, 0, space.GridSize())
 	for d := 0; d < space.Deltas.Steps; d++ {
@@ -412,23 +384,7 @@ func BruteForce(pdk *tech.PDK, space Space, opts ...exec.Option) (*Result, error
 	}, nil
 }
 
-func newEvaluator(pdk *tech.PDK, space Space, cache *PointCache, reg *obs.Registry, varySamples int, varySeed int64) (*evaluator, error) {
-	a2d, a3d, _, err := core.CaseStudyPair(pdk)
-	if err != nil {
-		return nil, err
-	}
-	am, err := core.AreaModel(pdk, arch.MB64)
-	if err != nil {
-		return nil, err
-	}
-	loads, err := core.Loads(a2d, workload.ResNet18())
-	if err != nil {
-		return nil, err
-	}
-	params := core.Params(a2d, a3d)
-	if cache == nil {
-		cache = &PointCache{}
-	}
+func newEvaluator(pdk *tech.PDK, space Space, evals *obs.Counter, varySamples int, varySeed int64) (*evaluator, error) {
 	if varySamples < 0 || varySamples > vary.MaxSamples {
 		return nil, fmt.Errorf("dse: variation samples %d out of range [0, %d]: %w",
 			varySamples, vary.MaxSamples, errs.ErrBadSpec)
@@ -442,75 +398,58 @@ func newEvaluator(pdk *tech.PDK, space Space, cache *PointCache, reg *obs.Regist
 		// Every point evaluation reuses the same corners; draw them once.
 		sampler.Prime(varySamples)
 	}
+	m, err := core.CaseStudyMachine(pdk)
+	if err != nil {
+		return nil, err
+	}
 	return &evaluator{
-		space:  space,
-		params: params,
-		am:     am,
-		loads:  loads,
-		pdk:    pdk,
-		// The fingerprint covers everything the point value depends on
-		// besides the coordinates, so one shared cache can serve
-		// different machines, powers, thermal budgets and variation
-		// configurations.
-		sig: fmt.Sprintf("%v|%v|n=%d|p=%g|rs=%g|rt=%g|max=%g|vs=%d|vseed=%d|var=%v",
-			params, am, len(loads), space.PerTierPowerW,
-			pdk.RthetaSink, pdk.RthetaPerTier, pdk.MaxTempRiseK,
-			varySamples, varySeed, pdk.Variation),
-		cache:       cache,
-		evals:       reg.Counter("dse.evals"),
-		hits:        reg.Counter("dse.memo.hits"),
-		misses:      reg.Counter("dse.memo.misses"),
+		space:       space,
+		m:           m,
+		pdk:         pdk,
+		evals:       evals,
 		sampler:     sampler,
 		varySamples: varySamples,
 	}, nil
 }
 
-// eval computes (or recalls) one lattice cell.
+// eval computes one lattice cell.
 func (ev *evaluator) eval(_ context.Context, _ int, c coord) (Point, error) {
-	delta := ev.space.Deltas.Value(c.d)
-	y := ev.space.TierPairs.Value(c.y)
-	bw := ev.space.BWScales.Value(c.b)
-	compute := func() (Point, error) {
-		ev.evals.Add(1)
-		pr, err := analytic.CasePoint(ev.params, ev.am, ev.loads,
-			analytic.DesignPoint{Delta: delta, TierPairs: y, BWScale: bw})
+	ev.evals.Add(1)
+	d := analytic.DesignPoint{
+		Delta:     ev.space.Deltas.Value(c.d),
+		TierPairs: ev.space.TierPairs.Value(c.y),
+		BWScale:   ev.space.BWScales.Value(c.b),
+	}
+	pr, err := analytic.CasePoint(ev.m.Params, ev.m.Area, ev.m.Loads, d)
+	if err != nil {
+		return Point{}, err
+	}
+	powers := make([]float64, d.TierPairs)
+	for i := range powers {
+		powers[i] = ev.space.PerTierPowerW
+	}
+	rise := thermal.NewStack(ev.pdk, powers).TempRiseK()
+	pt := Point{
+		Delta:            d.Delta,
+		TierPairs:        d.TierPairs,
+		BWScale:          d.BWScale,
+		N:                pr.N,
+		N2DNew:           pr.N2DNew,
+		Speedup:          pr.Speedup,
+		EDPBenefit:       pr.EDPBenefit,
+		ThermalHeadroomK: ev.pdk.MaxTempRiseK - rise,
+		FootprintMM2:     pr.Footprint / 1e12,
+	}
+	if ev.sampler != nil {
+		band, err := vary.EDPBand(ev.m.Params, ev.m.Area, ev.m.Loads, d, ev.sampler, ev.varySamples)
 		if err != nil {
 			return Point{}, err
 		}
-		powers := make([]float64, y)
-		for i := range powers {
-			powers[i] = ev.space.PerTierPowerW
-		}
-		rise := thermal.NewStack(ev.pdk, powers).TempRiseK()
-		pt := Point{
-			Delta:            delta,
-			TierPairs:        y,
-			BWScale:          bw,
-			N:                pr.N,
-			N2DNew:           pr.N2DNew,
-			Speedup:          pr.Speedup,
-			EDPBenefit:       pr.EDPBenefit,
-			ThermalHeadroomK: ev.pdk.MaxTempRiseK - rise,
-			FootprintMM2:     pr.Footprint / 1e12,
-		}
-		if ev.sampler != nil {
-			band, err := vary.EDPBand(ev.params, ev.am, ev.loads,
-				analytic.DesignPoint{Delta: delta, TierPairs: y, BWScale: bw},
-				ev.sampler, ev.varySamples)
-			if err != nil {
-				return Point{}, err
-			}
-			pt.EDPBenefitP5, pt.EDPBenefitP50, pt.EDPBenefitP95 = band.P5, band.P50, band.P95
-			// Yield-constrained objective: rank by what 95% of chips meet.
-			pt.EDPBenefit = band.P5
-		}
-		return pt, nil
+		pt.EDPBenefitP5, pt.EDPBenefitP50, pt.EDPBenefitP95 = band.P5, band.P50, band.P95
+		// Yield-constrained objective: rank by what 95% of chips meet.
+		pt.EDPBenefit = band.P5
 	}
-	if ev.cache == nil {
-		return compute()
-	}
-	key := PointKey{Sig: ev.sig, Delta: delta, Y: y, BWScale: bw}
-	return ev.cache.DoMetered(key, ev.hits, ev.misses, compute)
+	return pt, nil
 }
 
 // initialStrides picks per-axis power-of-two strides giving ~3-4 coarse

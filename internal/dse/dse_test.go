@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 
+	"m3d/internal/arch"
+	"m3d/internal/core"
 	"m3d/internal/exec"
 	"m3d/internal/obs"
 	"m3d/internal/tech"
@@ -172,7 +174,7 @@ func coverageSpace() Space {
 // TestExploreCoversBruteForce is the headline acceptance check: on the
 // pinned space the adaptive frontier weakly dominates every brute-force
 // frontier point while issuing ≤ 25% of the grid's model evaluations
-// (counted at the model, via a fresh registry and a fresh cache).
+// (counted at the model, via a fresh registry).
 func TestExploreCoversBruteForce(t *testing.T) {
 	pdk := tech.Default130()
 	space := coverageSpace()
@@ -208,37 +210,6 @@ func TestExploreCoversBruteForce(t *testing.T) {
 	}
 	t.Logf("adaptive: %d evals, %d rounds, frontier %d; brute: %d evals, frontier %d",
 		evals, res.Rounds, len(res.Frontier), brute.Evaluations, len(brute.Frontier))
-}
-
-// TestExploreSharedCache: a second exploration against a shared cache
-// recomputes nothing (dse.evals unchanged) yet returns the same result.
-func TestExploreSharedCache(t *testing.T) {
-	pdk := tech.Default130()
-	space := testSpace()
-	cache := &PointCache{}
-	reg := &obs.Registry{}
-	opt := Options{Seed: 42, Cache: cache}
-	first, err := Explore(pdk, space, opt, nil, exec.WithMetrics(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold := reg.Counter("dse.evals").Value()
-	second, err := Explore(pdk, space, opt, nil, exec.WithMetrics(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Counter("dse.evals").Value(); got != cold {
-		t.Fatalf("warm run recomputed: dse.evals %d -> %d", cold, got)
-	}
-	if !reflect.DeepEqual(first, second) {
-		t.Fatal("warm run returned a different result")
-	}
-	// Evaluations counts submissions, not cache misses, so it is
-	// cache-warmth-independent — required for byte-identical streams.
-	if first.Evaluations != second.Evaluations {
-		t.Fatalf("Evaluations differ with cache warmth: %d vs %d",
-			first.Evaluations, second.Evaluations)
-	}
 }
 
 // TestExploreBudgetExhaustion: a tiny budget ends the search early with
@@ -308,5 +279,26 @@ func TestExploreBadSpace(t *testing.T) {
 	}
 	if _, err := BruteForce(pdk, bad); err == nil {
 		t.Fatal("BruteForce accepted an invalid space")
+	}
+}
+
+// TestExploreMeasuresCSOnce: a default exploration allocates at most
+// 1.2× what one case-study CS measurement does. Building the machine is
+// almost all of an exploration's cost, so measuring the CS twice would
+// read about 2×.
+func TestExploreMeasuresCSOnce(t *testing.T) {
+	pdk := tech.Default130()
+	one := testing.AllocsPerRun(1, func() {
+		if _, err := core.AreaModel(pdk, arch.MB64); err != nil {
+			t.Fatal(err)
+		}
+	})
+	got := testing.AllocsPerRun(1, func() {
+		if _, err := Explore(pdk, Space{}, Options{}, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if r := got / one; r > 1.2 {
+		t.Fatalf("Explore allocates %.0f objects, %.2f× one CS measurement (%.0f); want ≤ 1.2×", got, r, one)
 	}
 }

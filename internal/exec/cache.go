@@ -9,9 +9,9 @@ import (
 )
 
 // CacheCapEnv is the environment variable that sets the entry capacity of
-// the process-wide memo caches (the analytic sweep cache, the serve
-// coalescing caches) for deployments that opt into bounded memory. Unset,
-// empty, or non-positive leaves them unbounded (the seed behaviour).
+// the serve coalescing response caches for deployments that opt into
+// bounded memory. Unset, empty, or non-positive leaves them unbounded
+// (the seed behaviour).
 const CacheCapEnv = "M3D_CACHE_CAP"
 
 // CacheCapFromEnv returns the M3D_CACHE_CAP capacity, or 0 when the

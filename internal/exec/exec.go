@@ -2,8 +2,8 @@
 // context-aware, bounded worker pool (Map, Grid) whose results come back
 // in deterministic input order regardless of goroutine scheduling, plus a
 // concurrency-safe memoization Cache with single-flight semantics for
-// deduplicating repeated evaluations (identical flow specs, repeated
-// (Params, Load) points). The cache is unbounded by default and can opt
+// deduplicating repeated evaluations (identical flow specs, identical
+// service requests). The cache is unbounded by default and can opt
 // into an entry-count LRU eviction policy (Cache.Bound, M3D_CACHE_CAP) for
 // long-lived servers; see cache.go.
 //

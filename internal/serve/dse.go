@@ -96,11 +96,9 @@ type DSEPromotion struct {
 
 // handleDSE is POST /v1/dse: one adaptive Pareto exploration streamed as
 // a chunked JSON array of frontier snapshots (shared arrayStream
-// framing with /v1/batch). Point evaluations memoize through the
-// server-wide dse point cache, so repeated and overlapping explorations
-// reuse model work; the streamed evaluation counters count submissions,
-// not cache misses, keeping identical requests byte-identical regardless
-// of cache warmth.
+// framing with /v1/batch). Points are not memoized across requests: one
+// costs about 2 µs, and building the case-study machine is nearly all of
+// a request's cost.
 func (s *Server) handleDSE(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 	req, err := decodeRequest[DSERequest](r.Body)
 	if err != nil {
@@ -113,7 +111,6 @@ func (s *Server) handleDSE(ctx context.Context, w http.ResponseWriter, r *http.R
 		Seed:           req.Seed,
 		Explore:        req.Explore,
 		RequireThermal: req.RequireThermal,
-		Cache:          &s.dsePoints,
 	}
 	// The stream opens lazily at the first settled round: anything that
 	// fails before then (bad machine, immediate cancellation) still owns

@@ -876,9 +876,9 @@ func planSweepStages(s *Server, req *SweepRequest, chunks int) []jobStage {
 	return stages
 }
 
-// planDSEStages: explore → final. The exploration itself memoizes every
-// point through the server-wide dse point cache, so a resumed explore
-// stage re-walks warm entries rather than re-evaluating the model.
+// planDSEStages: explore → final. A resumed explore stage re-runs the
+// whole exploration: its points are cheap to compute, and the result
+// matches the uninterrupted run because the search is deterministic.
 func planDSEStages(s *Server, req *DSERequest) []jobStage {
 	return []jobStage{
 		{name: "explore", run: func(ctx context.Context, _ map[string][]byte) ([]byte, error) {
@@ -887,7 +887,6 @@ func planDSEStages(s *Server, req *DSERequest) []jobStage {
 				Seed:           req.Seed,
 				Explore:        req.Explore,
 				RequireThermal: req.RequireThermal,
-				Cache:          &s.dsePoints,
 			}
 			var final dse.Update
 			_, err := dse.Explore(s.pdk, req.space(), opt, func(u dse.Update) {

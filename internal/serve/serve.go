@@ -57,7 +57,6 @@ import (
 	"sync"
 	"time"
 
-	"m3d/internal/dse"
 	"m3d/internal/errs"
 	"m3d/internal/exec"
 	"m3d/internal/flow"
@@ -159,9 +158,8 @@ type Server struct {
 	idle     chan struct{}
 	idleOnce sync.Once
 
-	sweeps    exec.Cache[string, *SweepResponse]
-	flows     exec.Cache[string, *FlowResponse]
-	dsePoints dse.PointCache
+	sweeps exec.Cache[string, *SweepResponse]
+	flows  exec.Cache[string, *FlowResponse]
 	// designs retains full flow.Result databases (netlist + routes), the
 	// output of Server.design; bounded at maxDesigns.
 	designs exec.Cache[string, *flow.Result]
@@ -219,14 +217,10 @@ func New(cfg Config) *Server {
 	if cacheCap > 0 {
 		s.sweeps.Bound(cacheCap)
 		s.flows.Bound(cacheCap)
-		// Points are far smaller than responses; let the point memo hold a
-		// multiple of the response budget before evicting.
-		s.dsePoints.Bound(cacheCap * 64)
 	}
 	s.designs.Bound(maxDesigns)
 	s.sweeps.Instrument(s.reg)
 	s.flows.Instrument(s.reg)
-	s.dsePoints.Instrument(s.reg)
 	s.designs.Instrument(s.reg)
 
 	s.jobs = newJobTier(s, cfg.JobStore, cfg.MaxJobs, cfg.MaxJobQueue)

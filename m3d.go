@@ -390,10 +390,9 @@ func NewServiceMemJobStore() *ServiceMemJobStore { return serve.NewMemJobStore()
 func NewServiceDirJobStore(dir string) (*ServiceDirJobStore, error) { return serve.NewDirJobStore(dir) }
 
 // CacheCapEnv is the environment variable (M3D_CACHE_CAP) that bounds
-// the process-wide memo caches — the analytic sweep cache and, unless
-// ServiceConfig.CacheCap overrides it, the service coalescing caches —
-// at that many entries with least-recently-used eviction. Unset or
-// non-positive keeps them unbounded.
+// the service's coalescing response caches, unless ServiceConfig.CacheCap
+// overrides it, at that many entries with least-recently-used eviction.
+// Unset or non-positive keeps them unbounded.
 const CacheCapEnv = exec.CacheCapEnv
 
 // Adaptive multi-objective design-space exploration (internal/dse;
@@ -410,7 +409,7 @@ type (
 	// DSESpace is the boxed design space an exploration samples.
 	DSESpace = dse.Space
 	// DSEOptions tune one exploration (evaluation budget, seed, thermal
-	// filtering, shared point cache).
+	// filtering, variation-aware mode).
 	DSEOptions = dse.Options
 	// DSEPoint is one evaluated design point with its four objectives.
 	DSEPoint = dse.Point
@@ -421,9 +420,6 @@ type (
 	DSEResult = dse.Result
 	// DSEArchive is a Pareto archive with dominated-region pruning.
 	DSEArchive = dse.Archive
-	// DSEPointCache memoizes point evaluations across explorations
-	// (exec.Cache single-flight semantics).
-	DSEPointCache = dse.PointCache
 )
 
 var (

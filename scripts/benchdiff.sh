@@ -35,7 +35,7 @@ BENCHDIR="bench"
 # silently failing package, pattern typo) fails the script immediately
 # instead of producing a hollow baseline.
 TRACKED="BenchmarkCacheChurnLRU BenchmarkCacheHitLRU BenchmarkCacheHitLRUParallel \
-BenchmarkCacheHitUnbounded BenchmarkSweepSerial BenchmarkSweepParallelCached \
+BenchmarkCacheHitUnbounded BenchmarkSweepSerial BenchmarkSweepParallel \
 BenchmarkSweepCached BenchmarkRunFlowReduced BenchmarkRouteNets \
 BenchmarkSTAFullTiming BenchmarkOptimizeDrives \
 BenchmarkBatchCornerSTA BenchmarkMonteCarloSTA BenchmarkPlaceGlobal"
@@ -80,7 +80,7 @@ run_bench() {
 }
 
 run_bench "exec cache" 'BenchmarkCache' "$BENCHTIME" ./internal/exec/
-run_bench "analytic sweep" 'BenchmarkSweep(Serial|ParallelCached)$' "$BENCHTIME" ./internal/analytic/
+run_bench "analytic sweep" 'BenchmarkSweep(Serial|Parallel)$' "$BENCHTIME" ./internal/analytic/
 run_bench "serve cached path" 'BenchmarkSweepCached' "$BENCHTIME" ./internal/serve/
 # The reduced flow takes ~0.1 s; single iterations of it scatter by
 # tens of percent on a 2-vCPU host, so each sample runs for BENCHTIME.
