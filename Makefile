@@ -71,12 +71,14 @@ profile:
 	$(GO) tool pprof -top -nodecount 15 -sample_index=alloc_objects prof/flow.test prof/mem.out
 
 # CPU + heap profile of a 4096-corner Monte-Carlo yield run through the
-# corner-batched STA kernel. Writes prof/yield_cpu.out, prof/yield_mem.out
-# and prints the top entries; dig deeper with
+# corner-batched STA kernel. One run takes about a millisecond, so the
+# benchmark runs for a duration rather than a count to give the profiler
+# enough samples. Writes prof/yield_cpu.out, prof/yield_mem.out and
+# prints the top entries; dig deeper with
 #   go tool pprof prof/vary.test prof/yield_cpu.out
 profile-yield:
 	mkdir -p prof
-	$(GO) test -run '^$$' -bench 'BenchmarkMonteCarloYield4096$$' -benchtime 3x -benchmem \
+	$(GO) test -run '^$$' -bench 'BenchmarkMonteCarloYield4096$$' -benchtime 2s -benchmem \
 		-cpuprofile prof/yield_cpu.out -memprofile prof/yield_mem.out \
 		-o prof/vary.test ./internal/vary/
 	$(GO) tool pprof -top -nodecount 15 prof/vary.test prof/yield_cpu.out

@@ -88,6 +88,27 @@ func registerVariationFlags(fs *flag.FlagSet) *variationFlags {
 	}
 }
 
+// validate rejects a -samples count outside [1, vary.MaxSamples] when
+// -variation is on: zero corners would print empty bands, and a negative
+// count cannot size a sample slice.
+func (vf *variationFlags) validate() error {
+	if *vf.enabled && (*vf.samples < 1 || *vf.samples > vary.MaxSamples) {
+		return fmt.Errorf("-samples %d out of range [1, %d] with -variation", *vf.samples, vary.MaxSamples)
+	}
+	return nil
+}
+
+// parseFlags parses a subcommand's arguments and exits 2, the flag
+// package's usage-error status, on a bad -variation flag group, before
+// any evaluation starts.
+func parseFlags(fs *flag.FlagSet, args []string, vf *variationFlags) {
+	fs.Parse(args)
+	if err := vf.validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "m3ddse %s: %v\n", fs.Name(), err)
+		os.Exit(2)
+	}
+}
+
 // variation assembles the tech.Variation the flags spell.
 func (vf *variationFlags) variation() tech.Variation {
 	return tech.Variation{
@@ -117,7 +138,7 @@ func runPareto(args []string) {
 	workers := fs.Int("workers", 0, "worker pool width (0 = GOMAXPROCS, or M3D_WORKERS)")
 	vf := registerVariationFlags(fs)
 	obsFlags := cliutil.RegisterOn(fs)
-	fs.Parse(args)
+	parseFlags(fs, args, vf)
 
 	var space dse.Space
 	var err error
@@ -340,7 +361,7 @@ func runSweep(args []string) {
 	side := fs.Int("side", 3, "systolic array side per CS for the flowcs sweep")
 	vf := registerVariationFlags(fs)
 	obsFlags := cliutil.RegisterOn(fs)
-	fs.Parse(args)
+	parseFlags(fs, args, vf)
 
 	p := tech.Default130()
 	pool := append([]exec.Option{exec.WithWorkers(*workers)}, obsFlags.Setup()...)

@@ -57,9 +57,46 @@ func waitJob(t *testing.T, baseURL, id, want string) JobStatus {
 			t.Fatalf("job %s settled as %q (error %q), want %q", id, st.State, st.Error, want)
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("job %s stuck in %q waiting for %q", id, st.State, want)
+			t.Fatalf("job %s stuck in %q waiting for %q\n%s", id, st.State, want, jobDiagnostics(t, baseURL, st))
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// jobDiagnostics renders what a stuck wait needs to tell a job that
+// never started from one a stage failure parked (settleError re-queues
+// an interrupted job and clears its error): the job record and the
+// server's serve.jobs.* series from /metrics.
+func jobDiagnostics(t *testing.T, baseURL string, st JobStatus) string {
+	t.Helper()
+	var b strings.Builder
+	fmt.Fprintf(&b, "job %s: state %q, error %q, stage %q, span %q, stages done %v of %v\n",
+		st.ID, st.State, st.Error, st.Stage, st.Span, st.StagesDone, st.Stages)
+	_, metrics := get(t, baseURL+"/metrics")
+	for _, line := range strings.Split(string(metrics), "\n") {
+		if f := strings.Fields(line); len(f) > 1 && strings.HasPrefix(f[1], "serve.jobs.") {
+			fmt.Fprintf(&b, "  %s\n", line)
+		}
+	}
+	return b.String()
+}
+
+// TestJobDiagnostics pins the report waitJob prints on a timeout: the
+// job record's state and stages, and the serve.jobs.* counters.
+func TestJobDiagnostics(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	submitJob(t, ts.URL, jobSweepBody)
+	st := waitJob(t, ts.URL, "swjob", JobStateDone)
+	got := jobDiagnostics(t, ts.URL, st)
+	for _, want := range []string{
+		`job swjob: state "done"`,
+		"stages done [part.00 part.01 final]",
+		"counter serve.jobs.submitted 1\n",
+		"counter serve.jobs.done 1\n",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("diagnostics lack %q:\n%s", want, got)
+		}
 	}
 }
 

@@ -1,7 +1,10 @@
 package vary
 
 import (
+	"fmt"
+
 	"m3d/internal/analytic"
+	"m3d/internal/errs"
 	"m3d/internal/tech"
 )
 
@@ -20,10 +23,14 @@ func perturb(p analytic.Params, c Corner) analytic.Params {
 
 // EDPSamples evaluates one design point of the analytic model under n
 // process corners, returning the per-corner EDP benefits in sample-index
-// order. The loop is serial on purpose: each evaluation is a handful of
-// closed-form equations, far below the cost of a goroutine handoff, and
-// callers (the DSE evaluator) already fan out across design points.
+// order. n outside [1, MaxSamples] matches errs.ErrBadSpec. The loop is
+// serial on purpose: each evaluation is a handful of closed-form
+// equations, far below the cost of a goroutine handoff, and callers (the
+// DSE evaluator) already fan out across design points.
 func EDPSamples(p analytic.Params, a analytic.AreaModel, loads []analytic.Load, d analytic.DesignPoint, s *Sampler, n int) ([]float64, error) {
+	if n < 1 || n > MaxSamples {
+		return nil, fmt.Errorf("vary: samples %d out of range [1, %d]: %w", n, MaxSamples, errs.ErrBadSpec)
+	}
 	out := make([]float64, n)
 	for i := 0; i < n; i++ {
 		res, err := analytic.CasePoint(perturb(p, s.Corner(i)), a, loads, d)

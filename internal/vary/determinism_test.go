@@ -1,12 +1,14 @@
 package vary_test
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
 	"m3d/internal/analytic"
 	"m3d/internal/arch"
 	"m3d/internal/core"
+	"m3d/internal/errs"
 	"m3d/internal/exec"
 	"m3d/internal/tech"
 	"m3d/internal/vary"
@@ -125,5 +127,25 @@ func TestEDPBandDeterminism(t *testing.T) {
 	}
 	if b1 != b2 {
 		t.Fatalf("EDP bands differ across fresh samplers: %+v vs %+v", b1, b2)
+	}
+}
+
+// TestEDPSamplesBadCount pins the sample-count bounds of EDPSamples and
+// EDPBand (and so of m3d.VariationEDPSamples/VariationEDPBand): a count
+// outside [1, MaxSamples] matches errs.ErrBadSpec instead of panicking
+// in makeslice (negative) or returning an all-zero band (zero).
+func TestEDPSamplesBadCount(t *testing.T) {
+	s, err := vary.NewSampler(tech.DefaultVariation(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := analytic.DesignPoint{Delta: 1, TierPairs: 1, BWScale: 1}
+	for _, n := range []int{-1, 0, vary.MaxSamples + 1} {
+		if _, err := vary.EDPSamples(analytic.Params{}, analytic.AreaModel{}, nil, d, s, n); !errors.Is(err, errs.ErrBadSpec) {
+			t.Errorf("EDPSamples(n=%d) error = %v, want ErrBadSpec", n, err)
+		}
+		if _, err := vary.EDPBand(analytic.Params{}, analytic.AreaModel{}, nil, d, s, n); !errors.Is(err, errs.ErrBadSpec) {
+			t.Errorf("EDPBand(n=%d) error = %v, want ErrBadSpec", n, err)
+		}
 	}
 }

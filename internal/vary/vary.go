@@ -16,9 +16,12 @@
 // are drawn by a seeded, sample-indexed generator — Corner(i) is a pure
 // function of (Variation, seed, i) — so a fan-out over the worker pool
 // (exec.MapWith) returns deep-equal results at any pool width, the same
-// determinism contract internal/dse relies on. The yield engine draws
-// each corner inside the slab task that times it, so the draws share the
-// pool with the batched STA instead of running serially up front.
+// determinism contract internal/dse relies on. Each corner's generator
+// runs on a cornerSource: the stream of rand.NewSource(cornerSeed(i)),
+// bit for bit, seeded in O(1) rather than by filling math/rand's
+// 607-word register, so a draw costs ~0.1 µs instead of ~13 µs. The
+// yield engine draws each corner inside the slab task that times it, so
+// the draws share the pool with the batched STA.
 package vary
 
 import (
@@ -55,11 +58,11 @@ type Corner struct {
 //
 // Because each draw is a pure function of (Variation, seed, i), corners
 // may be cached: Prime(n) precomputes the first n corners once, after
-// which Corner(i) is a slice read. Reseeding the per-draw RNG dominates
-// the cost of a cold draw (~2k generator-warmup steps), so priming pays
-// off for callers that re-read the same stream thousands of times — the
-// DSE's per-point EDP bands and m3ddse -variation. The yield engine
-// reads each corner once and does not prime: its slab tasks draw
+// which Corner(i) is a slice read. A cold draw is four normal deviates
+// on an O(1)-seeded cornerSource, so the cache saves little per read;
+// it serves callers that re-read the same stream for every design point
+// — the DSE's per-point EDP bands and m3ddse -variation. The yield
+// engine reads each corner once and does not prime: its slab tasks draw
 // uncached corners on their own reused generator (see corner).
 type Sampler struct {
 	v    tech.Variation
@@ -117,16 +120,17 @@ func clampScale(s float64) float64 {
 func (s *Sampler) Corner(i int) Corner { return s.corner(nil, i) }
 
 // corner returns corner i from the cache when the cache covers i, and
-// otherwise draws it: on rng reseeded with cornerSeed(i), or on a fresh
-// generator when rng is nil. A reseeded generator yields the same stream
-// as a fresh one, so the cache and both draw routes give bit-identical
-// corners; a caller that owns rng draws without allocating.
+// otherwise draws it: on rng, a generator over a cornerSource, reseeded
+// with cornerSeed(i), or on a fresh one when rng is nil. A reseeded
+// cornerSource yields the same stream as a fresh one, so the cache and
+// both draw routes give bit-identical corners; a caller that owns rng
+// draws without allocating.
 func (s *Sampler) corner(rng *rand.Rand, i int) Corner {
 	if c := s.primed.Load(); c != nil && i >= 0 && i < len(*c) {
 		return (*c)[i]
 	}
 	if rng == nil {
-		return s.drawCorner(rand.New(rand.NewSource(s.cornerSeed(i))), i)
+		return s.drawCorner(rand.New(newCornerSource(s.cornerSeed(i))), i)
 	}
 	rng.Seed(s.cornerSeed(i))
 	return s.drawCorner(rng, i)
@@ -138,11 +142,11 @@ func (s *Sampler) cornerSeed(i int) int64 {
 }
 
 // drawCorner consumes the fixed four-deviate sequence from rng (already
-// seeded with cornerSeed(i)) and builds the corner. Seeding a reused
-// *rand.Rand via Seed(cornerSeed(i)) produces the identical stream to a
-// fresh rand.New(rand.NewSource(...)), which is what lets Prime and the
-// yield engine's slab tasks draw without an allocation per corner — or
-// a bit of divergence.
+// seeded with cornerSeed(i)) and builds the corner. rng runs on a
+// cornerSource, whose stream equals rand.NewSource(cornerSeed(i))'s bit
+// for bit and whose Seed is O(1), so Prime and the yield engine's slab
+// tasks reseed one generator per corner without an allocation — or a
+// bit of divergence from the math/rand stream the goldens pin.
 func (s *Sampler) drawCorner(rng *rand.Rand, i int) Corner {
 	z0 := rng.NormFloat64()
 	rho := s.v.TierCorr
@@ -165,10 +169,9 @@ func (s *Sampler) drawCorner(rng *rand.Rand, i int) Corner {
 // covered prefix is a single atomic load. The draws run serially on the
 // calling goroutine, so Prime is for callers that re-read the stream:
 // the DSE's per-point EDP bands and m3ddse -variation prime their sample
-// count once and turn thousands of later reads into slice reads. A
-// single pass such as a yield run is cheaper unprimed, because the
-// engine then draws each corner on the pool, inside the slab that
-// times it.
+// count once and read the same corners for every design point. A
+// single pass such as a yield run skips the cache: the engine draws
+// each corner on the pool, inside the slab that times it.
 func (s *Sampler) Prime(n int) {
 	if n > MaxSamples {
 		n = MaxSamples
@@ -191,7 +194,7 @@ func (s *Sampler) Prime(n int) {
 	// Callers prime their whole sample count once, so the cache is
 	// sized to exactly n.
 	out := append(make([]Corner, 0, n), have...)
-	rng := rand.New(rand.NewSource(1))
+	rng := rand.New(newCornerSource(1))
 	for i := len(out); i < n; i++ {
 		rng.Seed(s.cornerSeed(i))
 		out = append(out, s.drawCorner(rng, i))

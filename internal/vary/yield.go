@@ -86,7 +86,8 @@ const batchCorners = 32
 // batchScratch is one worker's reusable slab state: a corner-batched
 // timer (with its own WireModel RC cache over the shared read-only
 // netlist and routes), the slab's corner-scale staging slice, and the
-// generator the slab reseeds to draw each uncached corner.
+// generator the slab reseeds, in O(1) on its cornerSource, to draw each
+// uncached corner.
 type batchScratch struct {
 	bt     *sta.BatchTimer
 	scales [][tech.NumTiers]float64
@@ -152,7 +153,7 @@ func (e *Engine) get() (*batchScratch, error) {
 	return &batchScratch{
 		bt:     bt,
 		scales: make([][tech.NumTiers]float64, 0, batchCorners),
-		rng:    rand.New(rand.NewSource(1)),
+		rng:    rand.New(newCornerSource(1)),
 	}, nil
 }
 

@@ -493,7 +493,8 @@ var (
 	// DefaultYieldPeriods spans 0.90×–1.50× the nominal critical path.
 	DefaultYieldPeriods = vary.DefaultPeriods
 	// VariationEDPSamples / VariationEDPBand evaluate the Sec. III EDP
-	// benefit of one design point under n sampled corners.
+	// benefit of one design point under n sampled corners; n outside
+	// [1, MaxYieldSamples] matches ErrBadSpec.
 	VariationEDPSamples = vary.EDPSamples
 	VariationEDPBand    = vary.EDPBand
 )

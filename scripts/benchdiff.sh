@@ -1,10 +1,10 @@
 #!/bin/sh
 # benchdiff.sh — the performance-regression gate. Runs the tracked
 # benchmarks (exec cache hot paths, analytic sweep engine, serve HTTP
-# cached path, and the flow/route/place/sta perf-critical paths) and
-# fails when any benchmark is more than THRESHOLD_PCT slower — or
-# allocates more than ALLOC_THRESHOLD_PCT more objects per op — than the
-# committed baseline bench/BENCH_0.json.
+# cached path, the flow/route/place/sta perf-critical paths, and the
+# Monte-Carlo yield window) and fails when any benchmark is more than
+# THRESHOLD_PCT slower — or allocates more than ALLOC_THRESHOLD_PCT more
+# objects per op — than the committed baseline bench/BENCH_0.json.
 #
 #   ./scripts/benchdiff.sh                 # run + compare vs baseline
 #   THRESHOLD_PCT=40 ./scripts/benchdiff.sh
@@ -38,7 +38,8 @@ TRACKED="BenchmarkCacheChurnLRU BenchmarkCacheHitLRU BenchmarkCacheHitLRUParalle
 BenchmarkCacheHitUnbounded BenchmarkSweepSerial BenchmarkSweepParallel \
 BenchmarkSweepCached BenchmarkRunFlowReduced BenchmarkRouteNets \
 BenchmarkSTAFullTiming BenchmarkOptimizeDrives \
-BenchmarkBatchCornerSTA BenchmarkMonteCarloSTA BenchmarkPlaceGlobal"
+BenchmarkBatchCornerSTA BenchmarkMonteCarloSTA BenchmarkMonteCarloYield4096 \
+BenchmarkPlaceGlobal"
 
 BASE="$BENCHDIR/BENCH_0.json"
 TMP="$(mktemp -d)"
@@ -87,7 +88,9 @@ run_bench "serve cached path" 'BenchmarkSweepCached' "$BENCHTIME" ./internal/ser
 run_bench "flow pipeline (reduced)" 'BenchmarkRunFlowReduced$' "$BENCHTIME" ./internal/flow/
 run_bench "router" 'BenchmarkRouteNets$' "$BENCHTIME" ./internal/route/
 run_bench "sta full + optimize + batch" 'Benchmark(STAFullTiming|OptimizeDrives|BatchCornerSTA)$' "$BENCHTIME" ./internal/sta/
-run_bench "variation mc sta" 'BenchmarkMonteCarloSTA$' "$BENCHTIME" ./internal/vary/
+# MonteCarloSTA times the batched kernel on primed corners; Yield4096
+# also draws its 4096 corners, so it gates the per-corner draw cost.
+run_bench "variation mc sta + yield" 'BenchmarkMonteCarlo(STA|Yield4096)$' "$BENCHTIME" ./internal/vary/
 run_bench "placer" 'BenchmarkPlaceGlobal$' "$BENCHTIME" ./internal/place/
 
 # Every tracked benchmark must have produced at least one result line.

@@ -19,10 +19,10 @@ if [ -n "$unformatted" ]; then
 fi
 
 echo "== go vet =="
-go vet ./...
+make vet
 
 echo "== go build =="
-go build ./...
+make build
 
 echo "== go test -race =="
 make race
@@ -58,19 +58,19 @@ rm -rf "$SMOKE_TMP"
 echo "== serve smoke =="
 # Boot cmd/m3dserve on an ephemeral port, replay the sweep_default
 # golden over real HTTP, then SIGTERM and require a graceful drain.
-go run ./scripts/servesmoke
+make serve-smoke
 
 echo "== jobs smoke =="
 # Boot cmd/m3dserve with an on-disk job store, run a flow job to done,
 # SIGTERM mid-job (the drain parks it checkpointed), then restart on the
 # same store and require byte-identical resumed artifacts.
-go run ./scripts/jobsmoke
+make jobs-smoke
 
 echo "== dse smoke =="
 # Boot cmd/m3dserve again and stream one small /v1/dse exploration:
 # the chunked frontier snapshots must be monotone, mutually
 # non-dominated, and converge with the pinned grid totals.
-go run ./scripts/dsesmoke
+make dse-smoke
 
 echo "== yield smoke =="
 # Boot cmd/m3dserve once more and stream one pinned /v1/yield
@@ -78,13 +78,12 @@ echo "== yield smoke =="
 # bands stay ordered, yield curves stay monotone in period, the body
 # must match yield_stream.golden.json, and the server must drain
 # gracefully.
-go run ./scripts/yieldsmoke
 # A second pass streams 4096 corners under a wall-clock budget: the
 # end-to-end check that yield runs through the corner-batched STA kernel
 # (a 4096-corner run completes in well under a second on one core; the
 # 30 s budget only catches a fall-back to one full timing walk per
 # corner).
-go run ./scripts/yieldsmoke -samples 4096 -batch 1024 -budget 30s
+make yield-smoke
 
 echo "== invariant suite =="
 # Property-based guarantees of the Sec. III model (randomized seeded
@@ -97,13 +96,14 @@ make fuzz FUZZTIME="$FUZZTIME"
 
 echo "== profile harness smoke =="
 # The `make profile` pipeline must keep producing parseable pprof
-# profiles of the reduced flow; see scripts/profilecheck.sh.
-./scripts/profilecheck.sh
+# profiles of the reduced flow and the yield window; see
+# scripts/profilecheck.sh.
+make profilecheck
 
 echo "== benchmark regression gate =="
 # >THRESHOLD_PCT (default 25%) ns/op — or >ALLOC_THRESHOLD_PCT
 # allocs/op — regression vs bench/BENCH_0.json fails the check; see
 # scripts/benchdiff.sh and EXPERIMENTS.md.
-./scripts/benchdiff.sh
+make benchdiff
 
 echo "OK: all checks passed"
