@@ -70,12 +70,16 @@ profile:
 	$(GO) tool pprof -top -nodecount 15 prof/flow.test prof/cpu.out
 	$(GO) tool pprof -top -nodecount 15 -sample_index=alloc_objects prof/flow.test prof/mem.out
 
-# CPU + heap profile of a 4096-corner Monte-Carlo yield run through the
-# corner-batched STA kernel. One run takes about a millisecond, so the
-# benchmark runs for a duration rather than a count to give the profiler
-# enough samples. Writes prof/yield_cpu.out, prof/yield_mem.out and
-# prints the top entries; dig deeper with
+# CPU + heap profiles of the Monte-Carlo yield path: a 4096-corner yield
+# run on a 16-stage chain (corner draws plus the corner-batched STA
+# kernel), then the kernel alone on the routed 2x2 systolic fixture,
+# a design large enough for the per-arc work to show. Each run takes
+# about a millisecond or less, so the benchmarks run for a duration
+# rather than a count to give the profiler enough samples. Writes
+# prof/yield_{cpu,mem}.out and prof/batch_{cpu,mem}.out and prints the
+# top entries; dig deeper with
 #   go tool pprof prof/vary.test prof/yield_cpu.out
+#   go tool pprof prof/sta.test prof/batch_cpu.out
 profile-yield:
 	mkdir -p prof
 	$(GO) test -run '^$$' -bench 'BenchmarkMonteCarloYield4096$$' -benchtime 2s -benchmem \
@@ -83,6 +87,11 @@ profile-yield:
 		-o prof/vary.test ./internal/vary/
 	$(GO) tool pprof -top -nodecount 15 prof/vary.test prof/yield_cpu.out
 	$(GO) tool pprof -top -nodecount 15 -sample_index=alloc_objects prof/vary.test prof/yield_mem.out
+	$(GO) test -run '^$$' -bench 'BenchmarkBatchCornerSTA$$' -benchtime 2s -benchmem \
+		-cpuprofile prof/batch_cpu.out -memprofile prof/batch_mem.out \
+		-o prof/sta.test ./internal/sta/
+	$(GO) tool pprof -top -nodecount 15 prof/sta.test prof/batch_cpu.out
+	$(GO) tool pprof -top -nodecount 15 -sample_index=alloc_objects prof/sta.test prof/batch_mem.out
 
 # Smoke the profiling harness (part of `make check`).
 profilecheck:

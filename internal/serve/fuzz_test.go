@@ -261,8 +261,8 @@ func FuzzBatchRequest(f *testing.F) {
 // validator with arbitrary bodies through the same decodeRequest entry
 // the handler uses. Contract: no panics, every rejection is
 // errs.ErrBadSpec (the 400 family), and an accepted request's
-// defaults-applied run shape stays within the sampling bounds and
-// builds a valid corner sampler.
+// defaults-applied run shape stays within the sampling and period
+// bounds and builds a valid corner sampler.
 //
 // Seeds live in testdata/fuzz/FuzzYieldRequest (checked in): the pinned
 // stream request, the empty default, each knob alone, and the hostile
@@ -305,6 +305,9 @@ func FuzzYieldRequest(f *testing.F) {
 		}
 		if b < 1 || b > n {
 			t.Fatalf("accepted request's batch %d out of bounds for %d samples", b, n)
+		}
+		if len(req.Periods) > maxYieldPeriods {
+			t.Fatalf("accepted request has %d periods, max %d", len(req.Periods), maxYieldPeriods)
 		}
 		v := tech.DefaultVariation()
 		if req.Variation != nil {

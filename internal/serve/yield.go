@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"math"
 	"net/http"
 	"sort"
 
@@ -13,6 +14,11 @@ import (
 // maxYieldSamples bounds one /v1/yield Monte-Carlo run (interactive
 // budget; larger studies belong on the async job tier).
 const maxYieldSamples = 65536
+
+// maxYieldPeriods bounds the yield-curve periods of one request: every
+// streamed element carries one curve point per period. It is ten times
+// the 25 points vary.DefaultPeriods emits.
+const maxYieldPeriods = 256
 
 // defaultYieldSamples / defaultYieldBatch are the stock run size and
 // per-update refinement batch.
@@ -64,7 +70,8 @@ type YieldRequest struct {
 	// Seed selects the corner stream.
 	Seed int64 `json:"seed,omitempty"`
 	// Periods overrides the yield-curve clock periods in seconds
-	// (default: vary.DefaultPeriods around the nominal critical path).
+	// (default: vary.DefaultPeriods around the nominal critical path;
+	// at most 256).
 	Periods []float64 `json:"periods,omitempty"`
 }
 
@@ -79,9 +86,12 @@ func (q *YieldRequest) validate() error {
 	if q.Batch < 0 {
 		return badSpec("batch %d must be ≥ 0", q.Batch)
 	}
+	if len(q.Periods) > maxYieldPeriods {
+		return badSpec("%d periods exceed the maximum of %d", len(q.Periods), maxYieldPeriods)
+	}
 	for _, p := range q.Periods {
-		if p <= 0 {
-			return badSpec("period %g must be positive", p)
+		if !(p > 0) || math.IsInf(p, 1) {
+			return badSpec("period %g must be positive and finite", p)
 		}
 	}
 	if q.Variation != nil {

@@ -3,8 +3,13 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"math"
 	"net/http"
+	"strings"
 	"testing"
+
+	"m3d/internal/errs"
 )
 
 // yieldStreamBody is the pinned request the stream tests (and the
@@ -27,6 +32,7 @@ func TestYieldBadRequests(t *testing.T) {
 		{"oversized samples", `{"samples":1000000}`},
 		{"negative batch", `{"batch":-4}`},
 		{"non-positive period", `{"periods":[1e-9,0]}`},
+		{"too many periods", `{"periods":[` + strings.Repeat(`1e-9,`, maxYieldPeriods) + `2e-9]}`},
 		{"sigma out of range", `{"variation":{"si_drive_sigma":0.9}}`},
 		{"correlation out of range", `{"variation":{"tier_corr":1.5}}`},
 	}
@@ -37,6 +43,24 @@ func TestYieldBadRequests(t *testing.T) {
 				t.Fatalf("status = %d, want 400 (body %s)", status, body)
 			}
 		})
+	}
+}
+
+// TestYieldRequestNonFinitePeriods: JSON cannot spell NaN or Inf, but a
+// request built in Go can, so validate refuses non-finite periods too.
+func TestYieldRequestNonFinitePeriods(t *testing.T) {
+	for _, p := range []float64{math.NaN(), math.Inf(1)} {
+		q := YieldRequest{Periods: []float64{p}}
+		if err := q.validate(); !errors.Is(err, errs.ErrBadSpec) {
+			t.Errorf("period %g: got %v, want ErrBadSpec", p, err)
+		}
+	}
+	q := YieldRequest{Periods: make([]float64, maxYieldPeriods)}
+	for i := range q.Periods {
+		q.Periods[i] = 1e-9
+	}
+	if err := q.validate(); err != nil {
+		t.Errorf("%d periods: got %v", maxYieldPeriods, err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package sta
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -8,6 +9,8 @@ import (
 	"testing"
 
 	"m3d/internal/cell"
+	"m3d/internal/geom"
+	"m3d/internal/netlist"
 	"m3d/internal/tech"
 )
 
@@ -52,9 +55,104 @@ func assertBatchMatchesOracle(t *testing.T, label string, bt *BatchTimer, oracle
 	}
 }
 
+// mixedTierNetlist is randomTimedNetlist spread over every tier lane:
+// each flip-flop and gate draws its cell from the Si CMOS or the CNFET
+// library, a tie cell feeds a gate input, and one RRAM-tier hard macro
+// launches at its access latency into the logic and captures three of
+// its nets as endpoints.
+func mixedTierNetlist(t testing.TB, p *tech.PDK, seed int64) *netlist.Netlist {
+	t.Helper()
+	var libs [2]*cell.Library
+	for i, tier := range []tech.Tier{tech.TierSiCMOS, tech.TierCNFET} {
+		lib, err := cell.NewLibrary(p, tier)
+		if err != nil {
+			t.Fatal(err)
+		}
+		libs[i] = lib
+	}
+	rng := rand.New(rand.NewSource(seed))
+	lib := func() *cell.Library { return libs[rng.Intn(2)] }
+	randPos := func() geom.Point {
+		return geom.Pt(rng.Int63n(400_000), rng.Int63n(400_000))
+	}
+	nl := netlist.New(fmt.Sprintf("mixed%d", seed))
+	clk := nl.AddNet("clk", 2)
+	clk.Clock = true
+
+	var nets []*netlist.Net
+	for i := 0; i < 8; i++ {
+		ff := nl.AddCell(fmt.Sprintf("lff%d", i), lib().MustPick(cell.DFF, 1))
+		ff.Pos = randPos()
+		nl.MustPin(ff, "CK", false, ff.Cell.InputCapF, clk)
+		q := nl.AddNet(fmt.Sprintf("q%d", i), 0.2)
+		nl.MustPin(ff, "Q", true, 0, q)
+		nets = append(nets, q)
+	}
+	m := &netlist.MacroRef{Kind: "rram", Width: 1000, Height: 1000, AccessLatencyS: 1.5e-9, PinCapF: 8e-15}
+	mac := nl.AddMacro("rram0", m, tech.TierRRAM)
+	mac.Pos = randPos()
+	nl.MustPin(mac, "CK", false, m.PinCapF, clk)
+	for i := 0; i < 4; i++ {
+		do := nl.AddNet(fmt.Sprintf("do%d", i), 0.2)
+		nl.MustPin(mac, fmt.Sprintf("DO%d", i), true, 0, do)
+		nets = append(nets, do)
+	}
+	tie := nl.AddCell("tie", libs[0].MustPick(cell.TieLo, 1))
+	tn := nl.AddNet("tn", 0)
+	nl.MustPin(tie, "Y", true, 0, tn)
+
+	kinds := []cell.Kind{cell.Inv, cell.Buf, cell.Nand2, cell.Nor2, cell.And2}
+	for i := 0; i < 70; i++ {
+		k := kinds[rng.Intn(len(kinds))]
+		c := nl.AddCell(fmt.Sprintf("g%d", i), lib().MustPick(k, 1))
+		c.Pos = randPos()
+		nIn := 1
+		if k != cell.Inv && k != cell.Buf {
+			nIn = 2
+		}
+		for s := 0; s < nIn; s++ {
+			src := nets[rng.Intn(len(nets))]
+			if i == 0 && s == 0 {
+				src = tn
+			}
+			nl.MustPin(c, fmt.Sprintf("A%d", s), false, c.Cell.InputCapF, src)
+		}
+		y := nl.AddNet(fmt.Sprintf("w%d", i), 0.2)
+		nl.MustPin(c, "Y", true, 0, y)
+		nets = append(nets, y)
+	}
+	for i := 0; i < 8; i++ {
+		ff := nl.AddCell(fmt.Sprintf("cff%d", i), lib().MustPick(cell.DFF, 1))
+		ff.Pos = randPos()
+		nl.MustPin(ff, "CK", false, ff.Cell.InputCapF, clk)
+		nl.MustPin(ff, "D", false, ff.Cell.InputCapF, nets[len(nets)-1-i])
+	}
+	for i := 0; i < 3; i++ {
+		nl.MustPin(mac, fmt.Sprintf("DI%d", i), false, m.PinCapF, nets[len(nets)-9-i])
+	}
+	return nl
+}
+
+// compileBatch compiles nl's batch graph and builds one timer over it.
+func compileBatch(t testing.TB, p *tech.PDK, nl *netlist.Netlist, wm *WireModel, maxCorners int) *BatchTimer {
+	t.Helper()
+	g, err := CompileBatch(p, nl, wm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bt, err := NewBatchTimer(g, maxCorners)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bt
+}
+
 // TestBatchMatchesPerCornerRandom pins AnalyzeBatch against the serial
 // per-corner oracle on randomized acyclic designs at batch sizes 1, 7
-// and 64 — including a batch smaller than the timer's capacity.
+// and 64 — including a batch smaller than the timer's capacity. The
+// Si-only designs are joined by mixed-tier ones (mixedTierNetlist), so
+// every tier's scale lane and a macro launch reach the critical path;
+// each corner's three tier scales differ.
 func TestBatchMatchesPerCornerRandom(t *testing.T) {
 	p := tech.Default130()
 	lib, err := cell.NewLibrary(p, tech.TierSiCMOS)
@@ -62,15 +160,18 @@ func TestBatchMatchesPerCornerRandom(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seed := int64(1); seed <= 4; seed++ {
-		nl := randomTimedNetlist(t, lib, seed)
-		bt, err := NewBatchTimer(p, nl, nil, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		oracle := NewTimer(p, nl, nil)
-		for _, k := range []int{1, 7, 64} {
-			scales := cornerScales(seed*100+int64(k), k)
-			assertBatchMatchesOracle(t, "random", bt, oracle, scales)
+		for _, nl := range []*netlist.Netlist{randomTimedNetlist(t, lib, seed), mixedTierNetlist(t, p, seed)} {
+			bt := compileBatch(t, p, nl, nil, 64)
+			oracle := NewTimer(p, nl, nil)
+			for _, k := range []int{1, 7, 64} {
+				scales := cornerScales(seed*100+int64(k), k)
+				for i, sc := range scales[1:] {
+					if sc[0] == sc[1] || sc[1] == sc[2] || sc[0] == sc[2] {
+						t.Fatalf("corner %d repeats a tier scale: %v", i+1, sc)
+					}
+				}
+				assertBatchMatchesOracle(t, nl.Name, bt, oracle, scales)
+			}
 		}
 	}
 }
@@ -80,10 +181,7 @@ func TestBatchMatchesPerCornerRandom(t *testing.T) {
 // reusing one BatchTimer across batch sizes like the yield engine does.
 func TestBatchMatchesPerCornerRouted(t *testing.T) {
 	p, nl, wm, _ := routedFixture(t, 2, 2)
-	bt, err := NewBatchTimer(p, nl, wm, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bt := compileBatch(t, p, nl, wm, 64)
 	oracle := NewTimer(p, nl, wm)
 	for _, k := range []int{1, 7, 64} {
 		scales := cornerScales(int64(k), k)
@@ -92,18 +190,18 @@ func TestBatchMatchesPerCornerRouted(t *testing.T) {
 }
 
 // TestBatchConcurrentWidths prices 128 corners in 16-corner slabs fanned
-// over 1, 2 and 8 goroutines (one BatchTimer + WireModel per goroutine,
-// the vary.Engine sharing pattern) and requires every width to agree
-// bit-for-bit with the serial per-corner oracle. Run under -race this is
-// the proof that concurrent BatchTimers over one read-only netlist and
-// routing result do not interfere.
+// over 1, 2 and 8 goroutines that share one compiled BatchGraph, each
+// with its own BatchTimer (the vary.Engine sharing pattern), and requires
+// every width to agree bit-for-bit with the serial per-corner oracle. Run
+// under -race this is the proof that the graph is read-only once
+// compiled.
 func TestBatchConcurrentWidths(t *testing.T) {
-	p, nl, routes, _ := routedFixtureRoutes(t, 2, 2)
+	p, nl, wm, _ := routedFixture(t, 2, 2)
 	const total, slab = 128, 16
 	scales := cornerScales(7, total)
 
 	want := make([]float64, total)
-	oracle := NewTimer(p, nl, NewWireModel(p, routes))
+	oracle := NewTimer(p, nl, wm)
 	for k, sc := range scales {
 		oracle.SetTierDelayScale(sc[:])
 		rep, err := oracle.Analyze(1.0)
@@ -111,6 +209,10 @@ func TestBatchConcurrentWidths(t *testing.T) {
 			t.Fatal(err)
 		}
 		want[k] = rep.CriticalPathS
+	}
+	g, err := CompileBatch(p, nl, wm)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	for _, width := range []int{1, 2, 8} {
@@ -122,7 +224,7 @@ func TestBatchConcurrentWidths(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				bt, err := NewBatchTimer(p, nl, NewWireModel(p, routes), slab)
+				bt, err := NewBatchTimer(g, slab)
 				if err != nil {
 					errc <- err
 					return
@@ -152,8 +254,9 @@ func TestBatchConcurrentWidths(t *testing.T) {
 	}
 }
 
-// TestBatchValidation covers the argument contract: zero corners,
-// capacity overflow, mismatched output length and bad capacity.
+// TestBatchValidation covers the argument contract: bad capacity, a
+// design without endpoints (refused at compile time), zero corners,
+// capacity overflow and mismatched output length.
 func TestBatchValidation(t *testing.T) {
 	p := tech.Default130()
 	lib, err := cell.NewLibrary(p, tech.TierSiCMOS)
@@ -161,10 +264,23 @@ func TestBatchValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	nl := randomTimedNetlist(t, lib, 1)
-	if _, err := NewBatchTimer(p, nl, nil, 0); err == nil {
+	g, err := CompileBatch(p, nl, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewBatchTimer(g, 0); err == nil {
 		t.Fatal("want error for zero capacity")
 	}
-	bt, err := NewBatchTimer(p, nl, nil, 4)
+	open := netlist.New("open")
+	inv := open.AddCell("inv", lib.MustPick(cell.Inv, 1))
+	open.MustPin(inv, "Y", true, 0, open.AddNet("y", 0.2))
+	if _, err := NewTimer(p, open, nil).Analyze(1.0); err == nil {
+		t.Fatal("oracle: want error for a design without endpoints")
+	}
+	if _, err := CompileBatch(p, open, nil); err == nil {
+		t.Fatal("want error for a design without endpoints")
+	}
+	bt, err := NewBatchTimer(g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,16 +297,14 @@ func TestBatchValidation(t *testing.T) {
 }
 
 // BenchmarkBatchCornerSTA is the benchdiff-tracked cost of pricing a
-// 32-corner batch with ONE levelization walk over the routed fixture —
-// the inner kernel the Monte-Carlo yield engine runs per slab. The
-// serial equivalent is 32 full Analyze passes (≈32× BenchmarkSTAFullTiming's
+// 32-corner batch over the routed fixture's compiled graph — the inner
+// kernel the Monte-Carlo yield engine runs per slab. The graph is
+// compiled once outside the timed region, as the engine does. The serial
+// equivalent is 32 full Analyze passes (≈32× BenchmarkSTAFullTiming's
 // setup half).
 func BenchmarkBatchCornerSTA(b *testing.B) {
 	p, nl, wm, _ := routedFixture(b, 2, 2)
-	bt, err := NewBatchTimer(p, nl, wm, 32)
-	if err != nil {
-		b.Fatal(err)
-	}
+	bt := compileBatch(b, p, nl, wm, 32)
 	scales := cornerScales(1, 32)
 	out := make([]float64, 32)
 	b.ReportAllocs()

@@ -182,10 +182,10 @@ func isLaunch(inst *netlist.Instance) bool {
 // driver+wire arc delay: the nominal delay d, the driver's implementing
 // tier, and whether a per-tier corner scale applies to the arc at all
 // (driven nets only; const-kind tie cells contribute a hard zero that no
-// corner may stretch). Splitting the arc this way lets the corner-batched
-// BatchTimer price K corners of one arc as d·scale_k[tier] — the exact
-// operand pair the serial path multiplies — without re-walking the RC
-// model per corner.
+// corner may stretch). Splitting the arc this way lets CompileBatch
+// evaluate the RC model once per net, after which a BatchTimer prices
+// every corner of the arc as d·scale_k[tier] — the exact operand pair
+// the serial path multiplies.
 func netDelayParts(wm *WireModel, n *netlist.Net) (d float64, tier tech.Tier, scaled bool) {
 	rw, cw := wm.NetRC(n)
 	cTotal := cw + n.SinkCapF()

@@ -89,7 +89,8 @@ func TestSamplerPrimeIdentity(t *testing.T) {
 }
 
 // TestCriticalPathsIntoValidation covers the caller-owned-storage
-// contract: window and length violations match errs.ErrBadSpec.
+// contract: window and length violations, including a window reaching
+// past MaxSamples, match errs.ErrBadSpec.
 func TestCriticalPathsIntoValidation(t *testing.T) {
 	p, nl := chainNetlist(t, 4)
 	e, err := vary.NewEngine(p, nl, nil, tech.DefaultVariation(), 1)
@@ -103,8 +104,28 @@ func TestCriticalPathsIntoValidation(t *testing.T) {
 	if err := e.CriticalPathsInto(st, 0, 4, make([]float64, 3)); !errors.Is(err, errs.ErrBadSpec) {
 		t.Fatalf("short dst: got %v", err)
 	}
+	if err := e.CriticalPathsInto(st, vary.MaxSamples, vary.MaxSamples+1, make([]float64, 1)); !errors.Is(err, errs.ErrBadSpec) {
+		t.Fatalf("window past MaxSamples: got %v", err)
+	}
+	if _, err := e.CriticalPaths(st, 0, math.MaxInt); !errors.Is(err, errs.ErrBadSpec) {
+		t.Fatalf("huge window: got %v", err)
+	}
 	if err := e.CriticalPathsInto(st, 3, 3, nil); err != nil {
 		t.Fatalf("empty window: got %v", err)
+	}
+}
+
+// TestOptionsValidatePeriods: a yield period must be positive and
+// finite; NaN and ±Inf match errs.ErrBadSpec like non-positive periods.
+func TestOptionsValidatePeriods(t *testing.T) {
+	for _, p := range []float64{0, -1e-9, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		o := vary.Options{Samples: 1, Periods: []float64{1e-9, p}}
+		if err := o.Validate(); !errors.Is(err, errs.ErrBadSpec) {
+			t.Errorf("period %g: got %v, want ErrBadSpec", p, err)
+		}
+	}
+	if err := (vary.Options{Samples: 1, Periods: []float64{1e-9, 2e-9}}).Validate(); err != nil {
+		t.Errorf("finite periods: got %v", err)
 	}
 }
 

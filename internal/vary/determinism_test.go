@@ -68,8 +68,9 @@ func TestYieldBatchSplitDeterminism(t *testing.T) {
 }
 
 // TestYieldCacheWarmthIndependence re-runs the same analysis on one
-// engine: the second pass reuses pooled Timers with warm WireModel RC
-// caches and must still be deep-equal to the first.
+// engine: the second pass reuses pooled slab scratch whose arrival lanes
+// hold the first pass's values and must still be deep-equal to the
+// first.
 func TestYieldCacheWarmthIndependence(t *testing.T) {
 	p, nl := chainNetlist(t, 10)
 	e, err := vary.NewEngine(p, nl, nil, tech.DefaultVariation(), 13)

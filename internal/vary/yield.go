@@ -3,6 +3,7 @@ package vary
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -43,8 +44,8 @@ func (o Options) Validate() error {
 		return fmt.Errorf("vary: samples %d out of range [1, %d]: %w", o.Samples, MaxSamples, errs.ErrBadSpec)
 	}
 	for _, p := range o.Periods {
-		if p <= 0 {
-			return fmt.Errorf("vary: period %g must be positive: %w", p, errs.ErrBadSpec)
+		if !(p > 0) || math.IsInf(p, 1) {
+			return fmt.Errorf("vary: period %g must be positive and finite: %w", p, errs.ErrBadSpec)
 		}
 	}
 	return nil
@@ -77,17 +78,18 @@ const analyzePeriodS = 1.0
 
 // batchCorners is the engine's internal corner-slab width: every sample
 // window is cut into slabs of this many corners and each slab is priced
-// by ONE sta.BatchTimer graph walk. The slab cut is a fixed function of
-// the sample indices — never of the worker width — and corner i's value
-// is independent of which slab prices it, so results stay bit-identical
-// at any width and across any caller-side window split.
+// by ONE sta.BatchTimer pass over the engine's compiled graph. The slab
+// cut is a fixed function of the sample indices — never of the worker
+// width — and corner i's value is independent of which slab prices it,
+// so results stay bit-identical at any width and across any caller-side
+// window split.
 const batchCorners = 32
 
 // batchScratch is one worker's reusable slab state: a corner-batched
-// timer (with its own WireModel RC cache over the shared read-only
-// netlist and routes), the slab's corner-scale staging slice, and the
-// generator the slab reseeds, in O(1) on its cornerSource, to draw each
-// uncached corner.
+// timer (arrival and scale lanes over the engine's shared compiled
+// graph), the slab's corner-scale staging slice, and the generator the
+// slab reseeds, in O(1) on its cornerSource, to draw each uncached
+// corner.
 type batchScratch struct {
 	bt     *sta.BatchTimer
 	scales [][tech.NumTiers]float64
@@ -95,16 +97,16 @@ type batchScratch struct {
 }
 
 // Engine runs Monte-Carlo timing yield over one placed-and-routed
-// netlist. It owns a free list of batchScratch instances — a plain
-// slice-indexed stack, not a sync.Pool, so scratch survives GC cycles,
-// steady-state sampling allocates nothing, and heap profiles of the
-// yield path show the design's timing state once instead of churn.
+// netlist. Its timing graph is compiled once, at construction, and
+// shared read-only by every slab. It owns a free list of batchScratch
+// instances — a plain slice-indexed stack, not a sync.Pool, so scratch
+// survives GC cycles, steady-state sampling allocates nothing, and heap
+// profiles of the yield path show the design's timing state once
+// instead of churn.
 // Analyze results are pure in (netlist, corner), so scratch reuse —
 // whatever the stack's warmth — never changes a sample's value.
 type Engine struct {
-	p       *tech.PDK
-	nl      *netlist.Netlist
-	routes  *route.Result
+	graph   *sta.BatchGraph
 	sampler *Sampler
 	nominal *sta.Report
 
@@ -112,22 +114,28 @@ type Engine struct {
 	free []*batchScratch
 }
 
-// NewEngine builds a yield engine for one design. routes may be nil
-// (pre-route wire estimates). The variation parameters are validated
-// (errs.ErrBadSpec on violation) and the nominal STA runs once here so
-// every later sample is anchored on the same baseline.
+// NewEngine builds a yield engine for one finished design: the netlist,
+// placement and routes must not change while the engine is in use.
+// routes may be nil (pre-route wire estimates). The variation parameters
+// are validated (errs.ErrBadSpec on violation), the nominal STA runs
+// once here so every later sample is anchored on the same baseline, and
+// the batched timing graph is compiled from the wire model that
+// analysis warmed.
 func NewEngine(p *tech.PDK, nl *netlist.Netlist, routes *route.Result, v tech.Variation, seed int64) (*Engine, error) {
 	s, err := NewSampler(v, seed)
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{p: p, nl: nl, routes: routes, sampler: s}
-	nom, err := sta.Analyze(p, nl, sta.NewWireModel(p, routes), analyzePeriodS)
+	wm := sta.NewWireModel(p, routes)
+	nom, err := sta.Analyze(p, nl, wm, analyzePeriodS)
 	if err != nil {
 		return nil, fmt.Errorf("vary: nominal analysis: %w", err)
 	}
-	e.nominal = nom
-	return e, nil
+	g, err := sta.CompileBatch(p, nl, wm)
+	if err != nil {
+		return nil, fmt.Errorf("vary: batch timing graph: %w", err)
+	}
+	return &Engine{graph: g, sampler: s, nominal: nom}, nil
 }
 
 // Nominal returns the zero-variation STA report computed at construction.
@@ -136,7 +144,8 @@ func (e *Engine) Nominal() *sta.Report { return e.nominal }
 // Sampler returns the engine's corner sampler.
 func (e *Engine) Sampler() *Sampler { return e.sampler }
 
-// get pops a scratch off the free list, building one on a cold stack.
+// get pops a scratch off the free list, building one over the shared
+// graph on a cold stack.
 func (e *Engine) get() (*batchScratch, error) {
 	e.mu.Lock()
 	if n := len(e.free); n > 0 {
@@ -146,7 +155,7 @@ func (e *Engine) get() (*batchScratch, error) {
 		return sc, nil
 	}
 	e.mu.Unlock()
-	bt, err := sta.NewBatchTimer(e.p, e.nl, sta.NewWireModel(e.p, e.routes), batchCorners)
+	bt, err := sta.NewBatchTimer(e.graph, batchCorners)
 	if err != nil {
 		return nil, fmt.Errorf("vary: batch timer: %w", err)
 	}
@@ -163,7 +172,7 @@ func (e *Engine) put(sc *batchScratch) {
 	e.mu.Unlock()
 }
 
-// runSlab prices corners [slabLo, slabHi) with one batched graph walk,
+// runSlab prices corners [slabLo, slabHi) with one batched timing pass,
 // writing critical paths into out (len slabHi-slabLo). Each corner comes
 // from the sampler's cache when the cache covers it and is otherwise
 // drawn here, on the scratch's generator, so the draws run on whichever
@@ -184,6 +193,15 @@ func (e *Engine) runSlab(sc *batchScratch, slabLo, slabHi int, out []float64,
 	return nil
 }
 
+// checkWindow accepts a sample window [lo, hi) with 0 ≤ lo ≤ hi ≤
+// MaxSamples; anything else matches errs.ErrBadSpec.
+func checkWindow(lo, hi int) error {
+	if lo < 0 || hi < lo || hi > MaxSamples {
+		return fmt.Errorf("vary: bad sample window [%d, %d) (max %d): %w", lo, hi, MaxSamples, errs.ErrBadSpec)
+	}
+	return nil
+}
+
 // CriticalPaths times the sample window [lo, hi): each sample index i
 // draws Corner(i) inside its slab and prices it through the corner-batched STA kernel,
 // returning the per-sample critical paths in index order. Because
@@ -193,8 +211,8 @@ func (e *Engine) runSlab(sc *batchScratch, slabLo, slabHi int, out []float64,
 // serve streaming handler refines quantiles per batch) without changing
 // a single value.
 func (e *Engine) CriticalPaths(st *exec.Settings, lo, hi int) ([]float64, error) {
-	if lo < 0 || hi < lo {
-		return nil, fmt.Errorf("vary: bad sample window [%d, %d): %w", lo, hi, errs.ErrBadSpec)
+	if err := checkWindow(lo, hi); err != nil {
+		return nil, err
 	}
 	out := make([]float64, hi-lo)
 	if err := e.CriticalPathsInto(st, lo, hi, out); err != nil {
@@ -210,8 +228,8 @@ func (e *Engine) CriticalPaths(st *exec.Settings, lo, hi int) ([]float64, error)
 // draws every uncached corner — which is what
 // TestCriticalPathsZeroSteadyStateAllocs pins.
 func (e *Engine) CriticalPathsInto(st *exec.Settings, lo, hi int, dst []float64) error {
-	if lo < 0 || hi < lo {
-		return fmt.Errorf("vary: bad sample window [%d, %d): %w", lo, hi, errs.ErrBadSpec)
+	if err := checkWindow(lo, hi); err != nil {
+		return err
 	}
 	if len(dst) != hi-lo {
 		return fmt.Errorf("vary: dst length %d != window [%d, %d) size %d: %w",

@@ -464,7 +464,8 @@ type (
 	// indexed by Tier.
 	VariationCorner = vary.Corner
 	// YieldEngine re-times one placed-and-routed design under sampled
-	// corners (a reusable timer pool over the shared netlist).
+	// corners (a timing graph compiled once, shared by a reusable
+	// scratch pool). The design must not change while it is in use.
 	YieldEngine = vary.Engine
 	// YieldOptions tune one Monte-Carlo yield analysis (sample count,
 	// seed, clock periods).
