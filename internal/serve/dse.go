@@ -58,6 +58,17 @@ func (q *DSERequest) space() dse.Space {
 	return sp.WithDefaults()
 }
 
+// options is the dse.Options the request's knobs select, shared by
+// POST /v1/dse and the DSE job's explore stage.
+func (q *DSERequest) options() dse.Options {
+	return dse.Options{
+		MaxEvals:       q.MaxEvals,
+		Seed:           q.Seed,
+		Explore:        q.Explore,
+		RequireThermal: q.RequireThermal,
+	}
+}
+
 // validate checks the space and the serve-level knobs (the decodeRequest
 // contract).
 func (q *DSERequest) validate() error {
@@ -106,18 +117,12 @@ func (s *Server) handleDSE(ctx context.Context, w http.ResponseWriter, r *http.R
 	}
 	s.reg.Counter("serve.dse.requests").Add(1)
 
-	opt := dse.Options{
-		MaxEvals:       req.MaxEvals,
-		Seed:           req.Seed,
-		Explore:        req.Explore,
-		RequireThermal: req.RequireThermal,
-	}
 	// The stream opens lazily at the first settled round: anything that
 	// fails before then (bad machine, immediate cancellation) still owns
 	// the status line.
 	var st *arrayStream
 	var final dse.Update
-	_, err = dse.Explore(s.pdk, req.space(), opt, func(u dse.Update) {
+	_, err = dse.Explore(s.pdk, req.space(), req.options(), func(u dse.Update) {
 		if u.Done {
 			final = u // held back: promotions ride on the final element
 			return
@@ -136,10 +141,7 @@ func (s *Server) handleDSE(ctx context.Context, w http.ResponseWriter, r *http.R
 		return nil
 	}
 
-	out := DSEUpdate{Update: final}
-	for _, p := range dse.TopK(final.Frontier, req.Promote) {
-		out.Promoted = append(out.Promoted, s.promote(ctx, req, p))
-	}
+	out := s.promote(ctx, req, final)
 	if st == nil {
 		st = newArrayStream(w)
 		if !st.ok() {
@@ -151,32 +153,35 @@ func (s *Server) handleDSE(ctx context.Context, w http.ResponseWriter, r *http.R
 	return nil
 }
 
-// promote runs one frontier point through the physical flow via the
-// coalescing flow cache: a small M3D SoC whose CS parallelism follows
-// the point's N, clamped to the interactive range — promotion is a
-// physical-design sanity probe of the frontier shape, not a full-scale
-// build, and must land within the request deadline.
-func (s *Server) promote(ctx context.Context, req *DSERequest, p dse.Point) DSEPromotion {
-	numCS := p.N
-	if numCS < 1 {
-		numCS = 1
+// promote builds the final DSEUpdate: the settled exploration plus its
+// req.Promote top-EDP frontier points, each run through the physical
+// flow via the coalescing flow cache — a small M3D SoC whose CS
+// parallelism follows the point's N, clamped to the interactive range.
+// Promotion is a physical-design sanity probe of the frontier shape, not
+// a full-scale build, and must land within the request deadline; each
+// point's failure is reported in-band. POST /v1/dse and the DSE job's
+// explore stage both end here.
+func (s *Server) promote(ctx context.Context, req *DSERequest, final dse.Update) DSEUpdate {
+	out := DSEUpdate{Update: final}
+	for _, p := range dse.TopK(final.Frontier, req.Promote) {
+		numCS := min(max(p.N, 1), 4)
+		fr := &FlowRequest{
+			Style:          "M3D",
+			NumCS:          numCS,
+			ArrayRows:      2,
+			ArrayCols:      2,
+			RRAMCapMB:      1,
+			Banks:          numCS,
+			GlobalSRAMBits: 64 << 10,
+			Seed:           req.Seed,
+		}
+		pr := DSEPromotion{Point: p, Status: http.StatusOK}
+		if resp, err := s.flowCached(ctx, fr); err != nil {
+			pr.Status, pr.Error = statusOf(err), err.Error()
+		} else {
+			pr.Flow = resp
+		}
+		out.Promoted = append(out.Promoted, pr)
 	}
-	if numCS > 4 {
-		numCS = 4
-	}
-	fr := &FlowRequest{
-		Style:          "M3D",
-		NumCS:          numCS,
-		ArrayRows:      2,
-		ArrayCols:      2,
-		RRAMCapMB:      1,
-		Banks:          numCS,
-		GlobalSRAMBits: 64 << 10,
-		Seed:           req.Seed,
-	}
-	resp, err := s.flowCached(ctx, fr)
-	if err != nil {
-		return DSEPromotion{Point: p, Status: statusOf(err), Error: err.Error()}
-	}
-	return DSEPromotion{Point: p, Status: http.StatusOK, Flow: resp}
+	return out
 }

@@ -882,14 +882,8 @@ func planSweepStages(s *Server, req *SweepRequest, chunks int) []jobStage {
 func planDSEStages(s *Server, req *DSERequest) []jobStage {
 	return []jobStage{
 		{name: "explore", run: func(ctx context.Context, _ map[string][]byte) ([]byte, error) {
-			opt := dse.Options{
-				MaxEvals:       req.MaxEvals,
-				Seed:           req.Seed,
-				Explore:        req.Explore,
-				RequireThermal: req.RequireThermal,
-			}
 			var final dse.Update
-			_, err := dse.Explore(s.pdk, req.space(), opt, func(u dse.Update) {
+			_, err := dse.Explore(s.pdk, req.space(), req.options(), func(u dse.Update) {
 				if u.Done {
 					final = u
 				}
@@ -897,11 +891,7 @@ func planDSEStages(s *Server, req *DSERequest) []jobStage {
 			if err != nil {
 				return nil, err
 			}
-			out := DSEUpdate{Update: final}
-			for _, p := range dse.TopK(final.Frontier, req.Promote) {
-				out.Promoted = append(out.Promoted, s.promote(ctx, req, p))
-			}
-			return json.Marshal(out)
+			return json.Marshal(s.promote(ctx, req, final))
 		}},
 		{name: "final", run: func(_ context.Context, prior map[string][]byte) ([]byte, error) {
 			return prior["explore"], nil

@@ -3,7 +3,6 @@ package sta
 import (
 	"fmt"
 
-	"m3d/internal/cell"
 	"m3d/internal/netlist"
 	"m3d/internal/tech"
 )
@@ -13,8 +12,9 @@ import (
 // derives from topology and nominal delays, flattened into index arrays.
 //
 //   - The Kahn traversal (queue order, pending counts, seen flags) never
-//     reads a delay value, so it is run once here. Launch instances keep
-//     their fixed launch time; the remaining instances the walk resolves
+//     reads a delay value, so it is run once here. Launch instances
+//     (launchOf, the rule the Timer seeds from) keep their fixed launch
+//     time; the remaining instances the walk resolves
 //     are listed in the order it resolves them (ready), each with its
 //     counted inputs as (driver instance, net) arcs in pin order.
 //   - netlist.AddPin rejects a second driver, so a sink pin's arrival is
@@ -67,8 +67,10 @@ type batchEnd struct {
 const unitLane = int(tech.NumTiers)
 
 // CompileBatch compiles the corner-independent timing graph of nl under
-// wm (nil: pre-route estimates). It fails if the design has no timing
-// endpoints, the error Timer.Analyze would return on every pass.
+// wm (nil: pre-route estimates). Its walk starts from the launch rule
+// (launchOf) that Timer.Analyze seeds from. It fails if the design has
+// no timing endpoints, the error Timer.Analyze would return on every
+// pass.
 func CompileBatch(p *tech.PDK, nl *netlist.Netlist, wm *WireModel) (*BatchGraph, error) {
 	if wm == nil {
 		wm = NewWireModel(p, nil)
@@ -95,22 +97,12 @@ func CompileBatch(p *tech.PDK, nl *netlist.Netlist, wm *WireModel) (*BatchGraph,
 		nInst:      n,
 	}
 
-	// Launch points: the classification of Timer.Analyze.
+	// Launch points: the package's launch rule, as the Timer seeds it.
 	queue := make([]*netlist.Instance, 0, n)
 	for _, inst := range nl.Instances {
-		seq := !inst.IsMacro() && inst.Cell.Sequential
-		mac := inst.IsMacro()
-		tie := !mac && (inst.Cell.Kind == cell.TieHi || inst.Cell.Kind == cell.TieLo)
-		if seq || mac || tie || pending[inst.ID] == 0 {
-			launchT := 0.0
-			if seq {
-				launchT = inst.Cell.ClkQS
-			}
-			if mac {
-				launchT = inst.Macro.AccessLatencyS
-			}
+		if at, _, ok := launchOf(inst, pending[inst.ID]); ok {
 			g.launchInst = append(g.launchInst, int32(inst.ID))
-			g.launchT = append(g.launchT, launchT)
+			g.launchT = append(g.launchT, at)
 			queue = append(queue, inst)
 			pending[inst.ID] = -1
 		}
@@ -176,12 +168,6 @@ func CompileBatch(p *tech.PDK, nl *netlist.Netlist, wm *WireModel) (*BatchGraph,
 		return nil, fmt.Errorf("sta: design has no timing endpoints")
 	}
 	return g, nil
-}
-
-// timedInput reports whether pin is an input that carries a data
-// arrival: connected and not on a clock net (the Timer's pending count).
-func timedInput(pin *netlist.Pin) bool {
-	return !pin.IsOutput && pin.Net != nil && !pin.Net.Clock
 }
 
 // BatchTimer prices up to MaxCorners process corners per pass over one

@@ -69,10 +69,7 @@ func TestTimingDeterministicAcrossRepeats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refGroups, err := GroupEndpoints(p, nl, wm, ref)
-	if err != nil {
-		t.Fatal(err)
-	}
+	refGroups := GroupEndpoints(p, nl, wm)
 
 	tm := NewTimer(p, nl, wm) // reused across passes, like OptimizeDrives
 	for pass := 0; pass < 5; pass++ {
@@ -97,10 +94,7 @@ func TestTimingDeterministicAcrossRepeats(t *testing.T) {
 		if !reflect.DeepEqual(hold, refHold) {
 			t.Fatalf("pass %d: hold report diverged:\n got %+v\nwant %+v", pass, hold, refHold)
 		}
-		groups, err := GroupEndpoints(p, nl, wm, rep)
-		if err != nil {
-			t.Fatal(err)
-		}
+		groups := GroupEndpoints(p, nl, wm)
 		if !reflect.DeepEqual(groups, refGroups) {
 			t.Fatalf("pass %d: group summaries diverged:\n got %+v\nwant %+v", pass, groups, refGroups)
 		}

@@ -55,36 +55,14 @@ func AnalyzeHold(p *tech.PDK, nl *netlist.Netlist, wm *WireModel) (*HoldReport, 
 	return NewTimer(p, nl, wm).AnalyzeHold()
 }
 
-// AnalyzeHold runs the Timer's min-arrival pass over the shared scratch.
+// AnalyzeHold runs the Timer's min-arrival pass over the shared scratch,
+// seeded from the same launch rule as Analyze.
 func (t *Timer) AnalyzeHold() (*HoldReport, error) {
-	t.reset()
+	t.launch()
 	nl := t.nl
 	arr, seen, cls, pending := t.arr, t.seen, t.cls, t.pending
 	netDelay := makeNetDelay(t.wm, t.tierScale)
 
-	for _, inst := range nl.Instances {
-		if isLaunch(inst) || pending[inst.ID] == 0 {
-			launchT := 0.0
-			class := launchConst
-			if !inst.IsMacro() && inst.Cell.Sequential {
-				launchT = inst.Cell.ClkQS
-				class = launchReg
-			}
-			if inst.IsMacro() {
-				launchT = inst.Macro.AccessLatencyS
-				class = launchMacro
-			}
-			for _, pin := range inst.Pins() {
-				if pin.IsOutput {
-					arr[pin.ID] = launchT
-					seen[pin.ID] = true
-					cls[pin.ID] = class
-				}
-			}
-			t.queue = append(t.queue, inst)
-			pending[inst.ID] = -1
-		}
-	}
 	for qi := 0; qi < len(t.queue); qi++ {
 		inst := t.queue[qi]
 		for _, out := range inst.Pins() {
@@ -114,10 +92,7 @@ func (t *Timer) AnalyzeHold() (*HoldReport, error) {
 					bestCls := launchConst
 					first := true
 					for _, in := range sink.Inst.Pins() {
-						if in.IsOutput || in.Net == nil || in.Net.Clock {
-							continue
-						}
-						if seen[in.ID] && (first || arr[in.ID] < best) {
+						if timedInput(in) && seen[in.ID] && (first || arr[in.ID] < best) {
 							best = arr[in.ID]
 							bestCls = cls[in.ID]
 							first = false
@@ -142,10 +117,7 @@ func (t *Timer) AnalyzeHold() (*HoldReport, error) {
 			continue
 		}
 		for _, pin := range inst.Pins() {
-			if pin.IsOutput || pin.Net == nil || pin.Net.Clock {
-				continue
-			}
-			if !seen[pin.ID] {
+			if !timedInput(pin) || !seen[pin.ID] {
 				continue
 			}
 			// Constant-launched paths (tie cells, input stubs) carry no
@@ -168,14 +140,6 @@ func (t *Timer) AnalyzeHold() (*HoldReport, error) {
 		return nil, fmt.Errorf("sta: no hold endpoints")
 	}
 	return rep, nil
-}
-
-// isLaunch reports whether an instance's outputs start timing paths.
-func isLaunch(inst *netlist.Instance) bool {
-	if inst.IsMacro() {
-		return true
-	}
-	return inst.Cell.Sequential
 }
 
 // netDelayParts computes the corner-independent pieces of one net's
@@ -223,16 +187,11 @@ func makeNetDelay(wm *WireModel, tierScale []float64) func(*netlist.Net) float64
 	}
 }
 
-// GroupEndpoints classifies every timing endpoint by path group using the
-// max-arrival analysis and returns per-group summaries (sorted by group).
-func GroupEndpoints(p *tech.PDK, nl *netlist.Netlist, wm *WireModel, rep *Report) ([]GroupSummary, error) {
-	if rep == nil {
-		return nil, fmt.Errorf("sta: nil setup report")
-	}
-	// Re-derive worst arrival per endpoint group from a fresh analysis:
-	// we only need the endpoint pins and their launch classes, which the
-	// existing Analyze exposes via the critical path; for grouping we
-	// rerun arrivals here in a compact form.
+// GroupEndpoints classifies every timing endpoint by path group from one
+// max-arrival pass (the walk Analyze runs, which records each pin's
+// dominant launch class) and returns per-group summaries sorted by group.
+// A macro input is reg2macro whatever launched it.
+func GroupEndpoints(p *tech.PDK, nl *netlist.Netlist, wm *WireModel) []GroupSummary {
 	groups := map[PathGroup]*GroupSummary{}
 	bump := func(g PathGroup, arrival float64, name string) {
 		s, ok := groups[g]
@@ -247,7 +206,7 @@ func GroupEndpoints(p *tech.PDK, nl *netlist.Netlist, wm *WireModel, rep *Report
 		}
 	}
 	tm := NewTimer(p, nl, wm)
-	tm.arrivalsWithLaunchClass()
+	tm.maxArrivals()
 	for _, inst := range nl.Instances {
 		seq := !inst.IsMacro() && inst.Cell.Sequential
 		mac := inst.IsMacro()
@@ -255,10 +214,7 @@ func GroupEndpoints(p *tech.PDK, nl *netlist.Netlist, wm *WireModel, rep *Report
 			continue
 		}
 		for _, pin := range inst.Pins() {
-			if pin.IsOutput || pin.Net == nil || pin.Net.Clock {
-				continue
-			}
-			if !tm.seen[pin.ID] {
+			if !timedInput(pin) || !tm.seen[pin.ID] {
 				continue
 			}
 			t := tm.arr[pin.ID]
@@ -267,8 +223,6 @@ func GroupEndpoints(p *tech.PDK, nl *netlist.Netlist, wm *WireModel, rep *Report
 			}
 			var g PathGroup
 			switch {
-			case mac && tm.cls[pin.ID] == launchMacro:
-				g = GroupRegToMacro // macro endpoint; launch class irrelevant label-wise
 			case mac:
 				g = GroupRegToMacro
 			case tm.cls[pin.ID] == launchMacro:
@@ -286,5 +240,5 @@ func GroupEndpoints(p *tech.PDK, nl *netlist.Netlist, wm *WireModel, rep *Report
 		out = append(out, *s)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Group < out[j].Group })
-	return out, nil
+	return out
 }

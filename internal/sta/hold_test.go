@@ -1,6 +1,9 @@
 package sta
 
 import (
+	"bytes"
+	"fmt"
+	"math"
 	"testing"
 
 	"m3d/internal/cell"
@@ -141,13 +144,19 @@ func TestGroupEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups, err := GroupEndpoints(p, b.NL, nil, rep)
-	if err != nil {
-		t.Fatal(err)
-	}
+	groups := GroupEndpoints(p, b.NL, nil)
 	byGroup := map[PathGroup]GroupSummary{}
+	worst, endpoints := 0.0, 0
 	for _, g := range groups {
 		byGroup[g.Group] = g
+		worst = max(worst, g.WorstArrivalS)
+		endpoints += g.Endpoints
+	}
+	// The groups partition the endpoints of the same max-arrival pass
+	// Analyze reports on.
+	if worst != rep.CriticalPathS || endpoints != rep.Endpoints {
+		t.Errorf("groups cover %d endpoints, worst %g; Analyze: %d, %g",
+			endpoints, worst, rep.Endpoints, rep.CriticalPathS)
 	}
 	if byGroup[GroupRegToReg].Endpoints == 0 {
 		t.Error("missing reg2reg endpoints")
@@ -160,7 +169,38 @@ func TestGroupEndpoints(t *testing.T) {
 	if m2r.WorstArrivalS < 10e-9 {
 		t.Errorf("macro2reg worst arrival %g should include the RRAM latency", m2r.WorstArrivalS)
 	}
-	if _, err := GroupEndpoints(p, b.NL, nil, nil); err == nil {
-		t.Error("nil report should fail")
+}
+
+// TestAnalyzeHoldGolden pins the min-arrival pass and the path-group
+// classification bit for bit: the hold report (worst slack as exact
+// bits, violations, endpoints, worst endpoint) and every GroupEndpoints
+// row with its worst arrival's bits. The mixed-tier designs reach the
+// macro2reg, reg2macro and in2reg groups, which no flow golden holds.
+// Run with -update to rewrite the golden.
+func TestAnalyzeHoldGolden(t *testing.T) {
+	p, lib := libs(t)
+	var b bytes.Buffer
+	record := func(label string, p *tech.PDK, nl *netlist.Netlist, wm *WireModel) {
+		hold, err := AnalyzeHold(p, nl, wm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		groups := GroupEndpoints(p, nl, wm)
+		fmt.Fprintf(&b, "case %s\n", label)
+		fmt.Fprintf(&b, "hold slack=%016x violations=%d endpoints=%d worst=%s\n",
+			math.Float64bits(hold.WorstSlackS), hold.Violations, hold.Endpoints, hold.WorstEndpoint)
+		for _, g := range groups {
+			fmt.Fprintf(&b, "group %s endpoints=%d worst=%016x at %s\n",
+				g.Group, g.Endpoints, math.Float64bits(g.WorstArrivalS), g.WorstEndpoint)
+		}
 	}
+	for seed := int64(1); seed <= 6; seed++ {
+		record(fmt.Sprintf("random seed %d", seed), p, randomTimedNetlist(t, lib, seed), nil)
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		record(fmt.Sprintf("mixed seed %d", seed), p, mixedTierNetlist(t, p, seed), nil)
+	}
+	rp, nl, wm, _ := routedFixture(t, 2, 2)
+	record("routed systolic 2x2", rp, nl, wm)
+	assertGolden(t, "hold_groups.golden", b.Bytes())
 }

@@ -2,6 +2,7 @@ package sta
 
 import (
 	"m3d/internal/cell"
+	"m3d/internal/netlist"
 )
 
 // launchClass labels where a timing path starts.
@@ -17,89 +18,21 @@ func isConstKind(c *cell.Cell) bool {
 	return c.Kind == cell.TieHi || c.Kind == cell.TieLo
 }
 
-// arrivalsWithLaunchClass runs max-arrival propagation (like Analyze) but
-// also tracks the launch class of each pin's dominant path. Results are
-// left in the Timer's arr/seen/cls scratch, indexed by Pin.ID.
-func (t *Timer) arrivalsWithLaunchClass() {
-	t.reset()
-	nl := t.nl
-	arr, seen, cls, pending := t.arr, t.seen, t.cls, t.pending
-	netDelay := makeNetDelay(t.wm, t.tierScale)
-
-	for _, inst := range nl.Instances {
-		launchT := -1.0
-		class := launchReg
-		switch {
-		case inst.IsMacro():
-			launchT = inst.Macro.AccessLatencyS
-			class = launchMacro
-		case inst.Cell.Sequential:
-			launchT = inst.Cell.ClkQS
-		case isConstKind(inst.Cell):
-			launchT = 0
-			class = launchConst
-		case pending[inst.ID] == 0:
-			launchT = 0
-			class = launchConst
-		}
-		if launchT >= 0 {
-			for _, pin := range inst.Pins() {
-				if pin.IsOutput {
-					arr[pin.ID] = launchT
-					seen[pin.ID] = true
-					cls[pin.ID] = class
-				}
-			}
-			t.queue = append(t.queue, inst)
-			pending[inst.ID] = -1
-		}
+// launchOf is the package's launch rule: whether inst starts timing
+// paths and, if it does, at what time its outputs launch and with which
+// class. Hard macros launch at their access latency, flip-flops at
+// clock-to-Q, and tie cells and instances without a timed input
+// (pending, the instance's count of timed inputs, is 0) at 0 as
+// constants. Timer.Analyze, Timer.AnalyzeHold and CompileBatch all seed
+// their walks from it.
+func launchOf(inst *netlist.Instance, pending int32) (at float64, class launchClass, ok bool) {
+	switch {
+	case inst.IsMacro():
+		return inst.Macro.AccessLatencyS, launchMacro, true
+	case inst.Cell.Sequential:
+		return inst.Cell.ClkQS, launchReg, true
+	case isConstKind(inst.Cell), pending == 0:
+		return 0, launchConst, true
 	}
-	for qi := 0; qi < len(t.queue); qi++ {
-		inst := t.queue[qi]
-		for _, out := range inst.Pins() {
-			if !out.IsOutput || out.Net == nil || out.Net.Clock {
-				continue
-			}
-			if !seen[out.ID] {
-				continue
-			}
-			tOut := arr[out.ID]
-			d := netDelay(out.Net)
-			for _, sink := range out.Net.Sinks {
-				tSink := tOut + d
-				if !seen[sink.ID] || tSink > arr[sink.ID] {
-					arr[sink.ID] = tSink
-					seen[sink.ID] = true
-					cls[sink.ID] = cls[out.ID]
-				}
-				sid := sink.Inst.ID
-				if pending[sid] < 0 {
-					continue
-				}
-				pending[sid]--
-				if pending[sid] == 0 {
-					pending[sid] = -1
-					worst := 0.0
-					worstCls := launchConst
-					for _, in := range sink.Inst.Pins() {
-						if in.IsOutput || in.Net == nil || in.Net.Clock {
-							continue
-						}
-						if seen[in.ID] && arr[in.ID] >= worst {
-							worst = arr[in.ID]
-							worstCls = cls[in.ID]
-						}
-					}
-					for _, op := range sink.Inst.Pins() {
-						if op.IsOutput {
-							arr[op.ID] = worst
-							seen[op.ID] = true
-							cls[op.ID] = worstCls
-						}
-					}
-					t.queue = append(t.queue, sink.Inst)
-				}
-			}
-		}
-	}
+	return 0, 0, false
 }

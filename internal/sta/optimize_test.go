@@ -88,10 +88,7 @@ func optimizeRecord(t *testing.T, b *bytes.Buffer, label string, p *tech.PDK, nl
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups, err := GroupEndpoints(p, nl, tm.wm, res.Final)
-	if err != nil {
-		t.Fatal(err)
-	}
+	groups := GroupEndpoints(p, nl, tm.wm)
 	bits := math.Float64bits
 	rep := res.Final
 	fmt.Fprintf(b, "case %s target=%016x max_rounds=%d\n", label, bits(target), maxRounds)
@@ -146,12 +143,19 @@ func TestOptimizeDrivesGolden(t *testing.T) {
 		t.Fatalf("no case ran a second round (most %d): targets too loose to pin re-timing", mostRounds)
 	}
 
-	golden := filepath.Join("testdata", "optimize_drives.golden")
+	assertGolden(t, "optimize_drives.golden", b.Bytes())
+}
+
+// assertGolden compares got with testdata/name, rewriting the file
+// first under -update, and reports the first differing line.
+func assertGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, b.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -159,10 +163,10 @@ func TestOptimizeDrivesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read golden (run with -update to create): %v", err)
 	}
-	if !bytes.Equal(b.Bytes(), want) {
-		got, exp := strings.Split(b.String(), "\n"), strings.Split(string(want), "\n")
+	if !bytes.Equal(got, want) {
+		gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
 		i := 0
-		for i < len(got) && i < len(exp) && got[i] == exp[i] {
+		for i < len(gl) && i < len(wl) && gl[i] == wl[i] {
 			i++
 		}
 		at := func(lines []string) string {
@@ -171,8 +175,8 @@ func TestOptimizeDrivesGolden(t *testing.T) {
 			}
 			return "(end of output)"
 		}
-		t.Fatalf("OptimizeDrives output differs from %s at line %d:\n got %s\nwant %s",
-			golden, i+1, at(got), at(exp))
+		t.Fatalf("output differs from %s at line %d:\n got %s\nwant %s",
+			golden, i+1, at(gl), at(wl))
 	}
 }
 
@@ -385,14 +389,8 @@ func TestOptimizeDrivesForceFullOracle(t *testing.T) {
 					seed, inst.Name, inst.Cell.Drive, nlFull.Instances[i].Cell.Drive)
 			}
 		}
-		gOpt, err := GroupEndpoints(p, nlOpt, tm.wm, resOpt.Final)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gFull, err := GroupEndpoints(p, nlFull, NewWireModel(p, nil), resFull.Final)
-		if err != nil {
-			t.Fatal(err)
-		}
+		gOpt := GroupEndpoints(p, nlOpt, tm.wm)
+		gFull := GroupEndpoints(p, nlFull, NewWireModel(p, nil))
 		if !reflect.DeepEqual(gOpt, gFull) {
 			t.Errorf("seed %d: endpoint groups differ: %+v vs %+v", seed, gOpt, gFull)
 		}

@@ -5,13 +5,20 @@
 // and an achieved-frequency report. A post-route drive optimization pass
 // (the flow's "post-route optimization to meet power and timing") upsizes
 // drivers on failing paths.
+//
+// Each timing question has one walk, and every walk starts from one
+// launch rule (launchOf): Timer.Analyze runs the max-arrival walk
+// (setup, the critical path, and the launch classes GroupEndpoints
+// reads), Timer.AnalyzeHold the min-arrival walk (hold), and
+// CompileBatch the Kahn walk once per design, so that a BatchTimer can
+// price many process corners of the max-arrival question at once. The
+// serial Timer is the BatchTimer's bit-for-bit oracle.
 package sta
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
-	"m3d/internal/cell"
 	"m3d/internal/netlist"
 	"m3d/internal/route"
 	"m3d/internal/tech"
@@ -115,6 +122,11 @@ func (r *Report) Met() bool { return r.WorstSlackS >= 0 }
 // allocations, and lets OptimizeDrives rerun analysis each round without
 // rebuilding anything.
 //
+// Analyze runs the max-arrival walk (maxArrivals), which also records
+// each pin's dominant launch class in cls for GroupEndpoints; AnalyzeHold
+// runs the min-arrival walk over the same scratch. Both seed their walks
+// from the launch rule (launchOf).
+//
 // A Timer is single-goroutine; the netlist topology (instances, pins,
 // nets) must not change between passes. Cell pointer swaps (drive
 // upsizing) are fine — cell-dependent delays are read during the pass.
@@ -132,7 +144,7 @@ type Timer struct {
 	arr     []float64     // per pin: arrival time
 	seen    []bool        // per pin: arrival computed
 	from    []int32       // per pin: predecessor Pin.ID, -1 = launch
-	cls     []launchClass // per pin: dominant launch class
+	cls     []launchClass // per pin: launch class of the dominant path
 	queue   []*netlist.Instance
 
 	// tierScale, when non-nil, multiplies every driven-arc delay by the
@@ -181,25 +193,46 @@ func NewTimer(p *tech.PDK, nl *netlist.Netlist, wm *WireModel) *Timer {
 		cls:         make([]launchClass, nl.NumPins()),
 	}
 	for _, inst := range nl.Instances {
-		var n int32
 		for _, pin := range inst.Pins() {
-			if !pin.IsOutput && pin.Net != nil && !pin.Net.Clock {
-				n++
+			if timedInput(pin) {
+				t.pendingInit[inst.ID]++
 			}
 		}
-		t.pendingInit[inst.ID] = n
 	}
 	return t
 }
 
-// reset restores the per-pass scratch for a fresh propagation.
-func (t *Timer) reset() {
+// timedInput reports whether pin is an input that carries a data
+// arrival: connected and not on a clock net (the Timer's pending count).
+func timedInput(pin *netlist.Pin) bool {
+	return !pin.IsOutput && pin.Net != nil && !pin.Net.Clock
+}
+
+// launch restores the per-pass scratch and starts a fresh propagation:
+// every instance the launch rule starts paths at has its outputs set to
+// its launch time and class, and is queued as resolved (pending -1).
+func (t *Timer) launch() {
 	copy(t.pending, t.pendingInit)
 	for i := range t.seen {
 		t.seen[i] = false
 		t.from[i] = -1
 	}
 	t.queue = t.queue[:0]
+	for _, inst := range t.nl.Instances {
+		at, class, ok := launchOf(inst, t.pending[inst.ID])
+		if !ok {
+			continue
+		}
+		for _, pin := range inst.Pins() {
+			if pin.IsOutput {
+				t.arr[pin.ID] = at
+				t.seen[pin.ID] = true
+				t.cls[pin.ID] = class
+			}
+		}
+		t.queue = append(t.queue, inst)
+		t.pending[inst.ID] = -1
+	}
 }
 
 // Analyze runs STA at the given target clock period.
@@ -213,34 +246,22 @@ func (t *Timer) Analyze(targetPeriodS float64) (*Report, error) {
 	if targetPeriodS <= 0 {
 		return nil, fmt.Errorf("sta: target period must be positive, got %g", targetPeriodS)
 	}
-	t.reset()
-	nl := t.nl
-	arr, seen, from, pending := t.arr, t.seen, t.from, t.pending
-	netDelay := makeNetDelay(t.wm, t.tierScale)
+	t.maxArrivals()
+	t.stats.FullPasses++
+	return t.buildReport(targetPeriodS)
+}
 
-	for _, inst := range nl.Instances {
-		seq := !inst.IsMacro() && inst.Cell.Sequential
-		mac := inst.IsMacro()
-		tie := !mac && (inst.Cell.Kind == cell.TieHi || inst.Cell.Kind == cell.TieLo)
-		if seq || mac || tie || pending[inst.ID] == 0 {
-			// Launch point: outputs available at fixed time.
-			launchT := 0.0
-			if seq {
-				launchT = inst.Cell.ClkQS
-			}
-			if mac {
-				launchT = inst.Macro.AccessLatencyS
-			}
-			for _, pin := range inst.Pins() {
-				if pin.IsOutput {
-					arr[pin.ID] = launchT
-					seen[pin.ID] = true
-				}
-			}
-			t.queue = append(t.queue, inst)
-			pending[inst.ID] = -1 // mark done
-		}
-	}
+// maxArrivals is the package's only max-arrival walk: a Kahn traversal
+// from the launch points that leaves every reached pin's worst arrival,
+// its predecessor and its dominant path's launch class in the arr/seen/
+// from/cls scratch. A sink takes a strictly later arrival (>); a
+// resolved instance's outputs take its worst timed input, folded from 0
+// in pin order with >=. BatchTimer.AnalyzeBatch replays the same order
+// and rules over a compiled graph.
+func (t *Timer) maxArrivals() {
+	t.launch()
+	arr, seen, from, cls, pending := t.arr, t.seen, t.from, t.cls, t.pending
+	netDelay := makeNetDelay(t.wm, t.tierScale)
 
 	for qi := 0; qi < len(t.queue); qi++ {
 		inst := t.queue[qi]
@@ -259,6 +280,7 @@ func (t *Timer) Analyze(targetPeriodS float64) (*Report, error) {
 					arr[sink.ID] = tSink
 					seen[sink.ID] = true
 					from[sink.ID] = int32(out.ID)
+					cls[sink.ID] = cls[out.ID]
 				}
 				sid := sink.Inst.ID
 				if pending[sid] < 0 {
@@ -269,14 +291,11 @@ func (t *Timer) Analyze(targetPeriodS float64) (*Report, error) {
 					pending[sid] = -1
 					// Compute output arrivals: max input arrival + cell delay.
 					worstIn := 0.0
-					var worstPin *netlist.Pin
+					worstFrom, worstCls := int32(-1), launchConst
 					for _, in := range sink.Inst.Pins() {
-						if in.IsOutput || in.Net == nil || in.Net.Clock {
-							continue
-						}
-						if seen[in.ID] && arr[in.ID] >= worstIn {
+						if timedInput(in) && seen[in.ID] && arr[in.ID] >= worstIn {
 							worstIn = arr[in.ID]
-							worstPin = in
+							worstFrom, worstCls = int32(in.ID), cls[in.ID]
 						}
 					}
 					// The cell's intrinsic and drive delay are charged on the
@@ -286,9 +305,8 @@ func (t *Timer) Analyze(targetPeriodS float64) (*Report, error) {
 						if op.IsOutput {
 							arr[op.ID] = worstIn
 							seen[op.ID] = true
-							if worstPin != nil {
-								from[op.ID] = int32(worstPin.ID)
-							}
+							from[op.ID] = worstFrom
+							cls[op.ID] = worstCls
 						}
 					}
 					t.queue = append(t.queue, sink.Inst)
@@ -296,13 +314,10 @@ func (t *Timer) Analyze(targetPeriodS float64) (*Report, error) {
 			}
 		}
 	}
-
-	t.stats.FullPasses++
-	return t.buildReport(targetPeriodS)
 }
 
 // buildReport scans the timing endpoints and traces the critical path
-// over the arr/seen/from scratch Analyze just filled.
+// over the arr/seen/from scratch maxArrivals just filled.
 func (t *Timer) buildReport(targetPeriodS float64) (*Report, error) {
 	nl := t.nl
 	arr, seen, from := t.arr, t.seen, t.from
@@ -318,10 +333,7 @@ func (t *Timer) buildReport(targetPeriodS float64) (*Report, error) {
 			continue
 		}
 		for _, pin := range inst.Pins() {
-			if pin.IsOutput || pin.Net == nil || pin.Net.Clock {
-				continue
-			}
-			if !seen[pin.ID] {
+			if !timedInput(pin) || !seen[pin.ID] {
 				continue
 			}
 			tEnd := arr[pin.ID]
@@ -344,7 +356,10 @@ func (t *Timer) buildReport(targetPeriodS float64) (*Report, error) {
 	}
 	rep.WorstSlackS = targetPeriodS - worst
 
-	// Trace the critical path.
+	// Trace the critical path from the capture pin back along the
+	// predecessor links, then reverse it to launch-to-capture order. (A
+	// gate's input and output share one arrival, so the order cannot be
+	// recovered by sorting on arrival.)
 	if worstPin != nil {
 		for id := int32(worstPin.ID); id >= 0; id = from[id] {
 			pin := nl.PinByID(int(id))
@@ -355,10 +370,7 @@ func (t *Timer) buildReport(targetPeriodS float64) (*Report, error) {
 				break
 			}
 		}
+		slices.Reverse(rep.CriticalPath)
 	}
-	// Reverse to launch-to-capture order.
-	sort.SliceStable(rep.CriticalPath, func(i, j int) bool {
-		return rep.CriticalPath[i].Arrival < rep.CriticalPath[j].Arrival
-	})
 	return rep, nil
 }

@@ -172,20 +172,55 @@ func TestMacroLatencyDominates(t *testing.T) {
 	}
 }
 
+// TestCriticalPathTraced requires the reported critical path to read
+// launch to capture, pin by pin: it starts at a launch output, ends at
+// the worst endpoint, and each consecutive pair is either one
+// instance's input followed by its output or one net's driver followed
+// by one of its sinks. randomTimedNetlist names every instance
+// uniquely, so each point resolves to one pin.
 func TestCriticalPathTraced(t *testing.T) {
 	p, lib := libs(t)
-	nl := pipelineNetlist(t, lib, 5)
-	rep, err := Analyze(p, nl, nil, 50e-9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.CriticalPath) < 3 {
-		t.Fatalf("critical path trace too short: %d points", len(rep.CriticalPath))
-	}
-	// Arrivals along the path are non-decreasing.
-	for i := 1; i < len(rep.CriticalPath); i++ {
-		if rep.CriticalPath[i].Arrival < rep.CriticalPath[i-1].Arrival {
-			t.Fatal("critical path arrivals not monotone")
+	for seed := int64(1); seed <= 6; seed++ {
+		nl := randomTimedNetlist(t, lib, seed)
+		rep, err := Analyze(p, nl, nil, 50e-9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := rep.CriticalPath
+		if len(path) < 3 {
+			t.Fatalf("seed %d: critical path trace too short: %d points", seed, len(path))
+		}
+		pins := map[string]*netlist.Pin{}
+		for _, inst := range nl.Instances {
+			for _, pin := range inst.Pins() {
+				pins[inst.Name+"/"+pin.Name] = pin
+			}
+		}
+		at := make([]*netlist.Pin, len(path))
+		for i, pp := range path {
+			if at[i] = pins[pp.Inst+"/"+pp.Pin]; at[i] == nil {
+				t.Fatalf("seed %d: path point %s/%s is not a pin", seed, pp.Inst, pp.Pin)
+			}
+		}
+		if first := at[0]; !first.IsOutput || path[0].Arrival != first.Inst.Cell.ClkQS {
+			t.Errorf("seed %d: path starts at %s/%s, not at a launching flip-flop output",
+				seed, path[0].Inst, path[0].Pin)
+		}
+		if last := path[len(path)-1]; last.Arrival+at[len(at)-1].Inst.Cell.SetupS != rep.CriticalPathS {
+			t.Errorf("seed %d: path ends at %s/%s (%g), not at the worst endpoint (%g)",
+				seed, last.Inst, last.Pin, last.Arrival, rep.CriticalPathS)
+		}
+		for i := 1; i < len(at); i++ {
+			a, b := at[i-1], at[i]
+			cellArc := a.Inst == b.Inst && !a.IsOutput && b.IsOutput
+			netArc := a.IsOutput && !b.IsOutput && a.Net == b.Net
+			if !cellArc && !netArc {
+				t.Fatalf("seed %d: %s/%s -> %s/%s is neither a cell arc nor a net arc",
+					seed, path[i-1].Inst, path[i-1].Pin, path[i].Inst, path[i].Pin)
+			}
+			if path[i].Arrival < path[i-1].Arrival {
+				t.Fatalf("seed %d: critical path arrivals not monotone", seed)
+			}
 		}
 	}
 }
