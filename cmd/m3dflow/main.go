@@ -113,6 +113,8 @@ func main() {
 	row("Routed WL (mm)", float64(twoD.RoutedWL)/1e6, func(r *flow.Result) interface{} { return float64(r.RoutedWL) / 1e6 })
 	row("Vias", twoD.Vias, func(r *flow.Result) interface{} { return r.Vias })
 	row("ILVs", twoD.ILVs, func(r *flow.Result) interface{} { return r.ILVs })
+	row("Overflow edges", twoD.OverflowEdges, func(r *flow.Result) interface{} { return r.OverflowEdges })
+	row("Rip-up overflow/round", ripups(twoD), func(r *flow.Result) interface{} { return ripups(r) })
 	row("Fmax", report.MHz(twoD.FmaxHz), func(r *flow.Result) interface{} { return report.MHz(r.FmaxHz) })
 	row("Timing met @20MHz", twoD.TimingMet, func(r *flow.Result) interface{} { return r.TimingMet })
 	row("Drivers upsized", twoD.Upsized, func(r *flow.Result) interface{} { return r.Upsized })
@@ -126,6 +128,16 @@ func main() {
 	}
 	fmt.Printf("\nFreed Si under arrays: %s (the space the M3D architecture fills with %d parallel CSs)\n",
 		report.MM2(m3d.Area.FreeSiNM2-twoD.Area.FreeSiNM2), numCS)
+}
+
+// ripups renders the router's overflow at the start of each rip-up round,
+// oldest first.
+func ripups(r *flow.Result) string {
+	parts := make([]string, len(r.RipupHistory))
+	for i, ov := range r.RipupHistory {
+		parts[i] = strconv.Itoa(ov)
+	}
+	return strings.Join(parts, " > ")
 }
 
 // export writes one export of a flow result to a new file at path.

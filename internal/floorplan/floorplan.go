@@ -1,6 +1,7 @@
 // Package floorplan implements the floorplanning stage of the RTL-to-GDS
-// flow: die sizing, hard-macro placement (shelf packing with halos), and
-// the per-tier keep-out bookkeeping that placement and routing consume.
+// flow: die sizing, hard-macro placement (shelf packing with halos), the
+// per-tier keep-out bookkeeping that placement and routing consume, and
+// one placement region per instance group (see Region).
 //
 // The per-tier blockage model is where the 2D-vs-M3D difference enters the
 // flow: a 2D-style RRAM bank blocks the Si tier under its whole footprint,
@@ -11,6 +12,7 @@ package floorplan
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"m3d/internal/geom"
@@ -27,6 +29,19 @@ type Floorplan struct {
 	Die geom.Rect
 	// blockages are absolute keep-out rectangles per tier.
 	blockages map[tech.Tier][]geom.Rect
+	// regions[g-1] is group g's placement region; empty = the die.
+	regions []geom.Rect
+}
+
+// Region returns the placement region of instance group g (see
+// netlist.Instance.Group): the tile PackMacros3D derived from the
+// group's shelf-packed macros. Ungrouped instances (g = 0) and groups
+// without such a macro get the die.
+func (f *Floorplan) Region(g int) geom.Rect {
+	if g >= 1 && g <= len(f.regions) && !f.regions[g-1].Empty() {
+		return f.regions[g-1]
+	}
+	return f.Die
 }
 
 // New creates an empty floorplan on the given die.
@@ -82,6 +97,10 @@ func (f *Floorplan) PlaceMacro(inst *netlist.Instance, at geom.Point) error {
 // (SRAM buffers) are then fitted into whatever Si area remains free —
 // including *under* M3D-style RRAM arrays, the paper's freed space —
 // by scanning candidate positions against the per-tier keep-outs.
+//
+// The shelf-packed macros also fix the group regions (tileRegions), and
+// a grouped secondary macro is scanned inside its group's region first,
+// then over the whole die if the region has no legal spot.
 func (f *Floorplan) PackMacros3D(insts []*netlist.Instance) error {
 	var primary, secondary []*netlist.Instance
 	for _, inst := range insts {
@@ -99,6 +118,7 @@ func (f *Floorplan) PackMacros3D(insts []*netlist.Instance) error {
 	if err := f.PackMacros(primary); err != nil {
 		return err
 	}
+	f.regions = f.tileRegions(primary)
 	// Track same-tier macro footprints (macros on one device tier must not
 	// overlap in XY even when blockage maps would allow it).
 	placedByTier := map[tech.Tier][]geom.Rect{}
@@ -106,12 +126,108 @@ func (f *Floorplan) PackMacros3D(insts []*netlist.Instance) error {
 		placedByTier[inst.Tier] = append(placedByTier[inst.Tier], inst.Bounds(f.PDK).Inset(-MacroHalo))
 	}
 	for _, inst := range secondary {
-		if err := f.scanPlace(inst, placedByTier); err != nil {
+		at, ok := f.scanFree(inst, f.Region(inst.Group), placedByTier)
+		if !ok {
+			at, ok = f.scanFree(inst, f.Die, placedByTier)
+		}
+		if !ok {
+			return fmt.Errorf("floorplan: no legal position for macro %s (%d x %d) on die %v",
+				inst.Name, inst.Width(f.PDK), inst.Height(f.PDK), f.Die)
+		}
+		if err := f.PlaceMacro(inst, at); err != nil {
 			return err
 		}
 		placedByTier[inst.Tier] = append(placedByTier[inst.Tier], inst.Bounds(f.PDK).Inset(-MacroHalo))
 	}
 	return nil
+}
+
+// tileRegions derives one region per group from the group's first
+// shelf-packed macro (its bank) by tiling the die so that every such
+// group gets an equal share of the free Si area. Banks on one shelf
+// (the same lower edge) share a horizontal band whose share is their
+// number; inside a band each group gets a column, in its bank's
+// left-to-right order. Boundaries snap to the row or site grid, and the
+// outer bands and columns run to the die edges. A group without a bank
+// gets an empty rect (Region then returns the die).
+func (f *Floorplan) tileRegions(packed []*netlist.Instance) []geom.Rect {
+	bank := map[int]geom.Point{}
+	shelves := map[int64][]int{}
+	var ys []int64
+	n := 0
+	for _, inst := range packed {
+		g := inst.Group
+		if _, seen := bank[g]; g < 1 || seen {
+			continue
+		}
+		bank[g] = inst.Pos
+		n = max(n, g)
+		if len(shelves[inst.Pos.Y]) == 0 {
+			ys = append(ys, inst.Pos.Y)
+		}
+		shelves[inst.Pos.Y] = append(shelves[inst.Pos.Y], g)
+	}
+	if n == 0 {
+		return nil
+	}
+	slices.Sort(ys)
+	shares := make([]int, len(ys))
+	for s, y := range ys {
+		shares[s] = len(shelves[y])
+	}
+	die := f.Die
+	bands := f.split(die.Lo.Y, die.Hi.Y, f.PDK.RowHeight, shares, func(y int64) geom.Rect {
+		return geom.R(die.Lo.X, die.Lo.Y, die.Hi.X, y)
+	})
+
+	regions := make([]geom.Rect, n)
+	for s, y := range ys {
+		groups := shelves[y]
+		sort.Slice(groups, func(i, j int) bool { return bank[groups[i]].X < bank[groups[j]].X })
+		y0, y1 := bands[s], bands[s+1]
+		equal := make([]int, len(groups))
+		for i := range equal {
+			equal[i] = 1
+		}
+		cols := f.split(die.Lo.X, die.Hi.X, f.PDK.SiteWidth, equal, func(x int64) geom.Rect {
+			return geom.R(die.Lo.X, y0, x, y1)
+		})
+		for i, g := range groups {
+			regions[g-1] = geom.R(cols[i], y0, cols[i+1], y1)
+		}
+	}
+	return regions
+}
+
+// split cuts [lo, hi) at multiples of pitch from lo into len(shares)
+// consecutive intervals whose free Si areas are in proportion to shares;
+// upTo(v) is the area from lo to v. It returns the len(shares)+1
+// boundaries, lo first and hi last.
+func (f *Floorplan) split(lo, hi, pitch int64, shares []int, upTo func(v int64) geom.Rect) []int64 {
+	total := 0
+	for _, s := range shares {
+		total += s
+	}
+	whole := f.freeIn(upTo(hi))
+	cuts := []int64{lo}
+	acc := 0
+	for _, s := range shares[:len(shares)-1] {
+		acc += s
+		want := whole * int64(acc) / int64(total)
+		// The smallest grid step whose free area reaches want.
+		n := sort.Search(int((hi-lo)/pitch), func(i int) bool { return f.freeIn(upTo(lo+int64(i)*pitch)) >= want })
+		cuts = append(cuts, lo+int64(n)*pitch)
+	}
+	return append(cuts, hi)
+}
+
+// freeIn returns the area of r not covered by Si-tier keep-outs.
+func (f *Floorplan) freeIn(r geom.Rect) int64 {
+	free := r.Area()
+	for _, b := range f.blockages[tech.TierSiCMOS] {
+		free -= b.Intersect(r).Area()
+	}
+	return free
 }
 
 // blocksFullFootprint reports whether the macro's blockages cover its whole
@@ -127,9 +243,10 @@ func blocksFullFootprint(p *tech.PDK, inst *netlist.Instance, tier tech.Tier) bo
 	return covered >= foot.Area()
 }
 
-// scanPlace finds the first legal spot for a macro: every blockage tier
+// scanFree finds the first legal spot for a macro inside area, scanning
+// rows of candidates from its lower-left corner: every blockage tier
 // free, no same-tier macro overlap, inside the die.
-func (f *Floorplan) scanPlace(inst *netlist.Instance, placedByTier map[tech.Tier][]geom.Rect) error {
+func (f *Floorplan) scanFree(inst *netlist.Instance, area geom.Rect, placedByTier map[tech.Tier][]geom.Rect) (geom.Point, bool) {
 	p := f.PDK
 	w := inst.Width(p) + MacroHalo
 	h := inst.Height(p) + MacroHalo
@@ -141,8 +258,8 @@ func (f *Floorplan) scanPlace(inst *netlist.Instance, placedByTier map[tech.Tier
 	if stepY < p.RowHeight {
 		stepY = p.RowHeight
 	}
-	for y := f.Die.Lo.Y; y+h <= f.Die.Hi.Y; y += stepY {
-		for x := f.Die.Lo.X; x+w <= f.Die.Hi.X; x += stepX {
+	for y := area.Lo.Y; y+h <= area.Hi.Y; y += stepY {
+		for x := area.Lo.X; x+w <= area.Hi.X; x += stepX {
 			at := geom.Pt(x+MacroHalo/2, y+MacroHalo/2)
 			foot := geom.Rect{Lo: at, Hi: at.Add(geom.Pt(inst.Width(p), inst.Height(p)))}
 			ok := true
@@ -161,12 +278,11 @@ func (f *Floorplan) scanPlace(inst *netlist.Instance, placedByTier map[tech.Tier
 				}
 			}
 			if ok {
-				return f.PlaceMacro(inst, at)
+				return at, true
 			}
 		}
 	}
-	return fmt.Errorf("floorplan: no legal position for macro %s (%d x %d) on die %v",
-		inst.Name, inst.Width(p), inst.Height(p), f.Die)
+	return geom.Point{}, false
 }
 
 // PackMacros shelf-packs the given macro instances into the die from the

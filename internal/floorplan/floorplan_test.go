@@ -296,3 +296,159 @@ func TestPackMacros3DRejectsOverfill(t *testing.T) {
 		t.Error("SRAM cannot stack under a 2D-style bank; packing should fail")
 	}
 }
+
+// packGrouped shelf-packs n M3D banks in groups 1..n on a die of the
+// given size, with one SRAM buffer per group, and returns the banks and
+// buffers.
+func packGrouped(t *testing.T, f *Floorplan, n int, bufBits int64) (banks, bufs []*netlist.Instance) {
+	t.Helper()
+	p := f.PDK
+	bank, err := macro.NewRRAMBank(p, macro.RRAMBankSpec{CapacityBits: 4 << 20, WordBits: 128, Style: macro.Style3D})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sram, err := macro.NewSRAM(p, macro.SRAMSpec{CapacityBits: bufBits, WordBits: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nl := netlist.New("grouped")
+	var all []*netlist.Instance
+	for g := 1; g <= n; g++ {
+		b := nl.AddMacro("bank", bank.Ref, tech.TierRRAM)
+		s := nl.AddMacro("buf", sram.Ref, tech.TierSiCMOS)
+		b.Group, s.Group = g, g
+		banks, bufs = append(banks, b), append(bufs, s)
+		all = append(all, b, s)
+	}
+	if err := f.PackMacros3D(all); err != nil {
+		t.Fatal(err)
+	}
+	return banks, bufs
+}
+
+// checkTiling asserts that the regions of groups 1..n tile the die and
+// that each holds its share of the free Si area, to within one grid step
+// of the band or column it was cut from.
+func checkTiling(t *testing.T, f *Floorplan, n int, share func(g int) float64) {
+	t.Helper()
+	var area int64
+	for g := 1; g <= n; g++ {
+		r := f.Region(g)
+		if !f.Die.ContainsRect(r) || r.Empty() {
+			t.Fatalf("group %d region %v is empty or leaves the die %v", g, r, f.Die)
+		}
+		area += r.Area()
+		for h := g + 1; h <= n; h++ {
+			if r.Overlaps(f.Region(h)) {
+				t.Errorf("regions %d %v and %d %v overlap", g, r, h, f.Region(h))
+			}
+		}
+		slack := float64(f.PDK.RowHeight*f.Die.W() + f.PDK.SiteWidth*f.Die.H())
+		want := share(g) * float64(f.freeIn(f.Die))
+		if got := float64(f.freeIn(r)); got < want-slack || got > want+slack {
+			t.Errorf("group %d region %v holds %.4g nm² of free Si, want %.4g", g, r, got, want)
+		}
+	}
+	if area != f.Die.Area() {
+		t.Errorf("regions cover %d nm², the die %d", area, f.Die.Area())
+	}
+}
+
+func TestRegionsTileOneShelfInBankOrder(t *testing.T) {
+	f := newFP(t, 4*mm, 2*mm)
+	banks, bufs := packGrouped(t, f, 3, 64<<10)
+	if banks[0].Pos.Y != banks[2].Pos.Y {
+		t.Fatalf("banks should share one shelf: %v %v", banks[0].Pos, banks[2].Pos)
+	}
+	checkTiling(t, f, 3, func(int) float64 { return 1.0 / 3 })
+	for g := 1; g <= 3; g++ {
+		r := f.Region(g)
+		if r.Lo.Y != f.Die.Lo.Y || r.Hi.Y != f.Die.Hi.Y {
+			t.Errorf("one shelf: region %d %v should span the die height", g, r)
+		}
+		if g > 1 && r.Lo.X <= f.Region(g-1).Lo.X {
+			t.Errorf("regions out of bank order: %v after %v", r, f.Region(g-1))
+		}
+		if !r.ContainsRect(bufs[g-1].Bounds(f.PDK)) {
+			t.Errorf("buffer of group %d at %v lies outside its region %v", g, bufs[g-1].Bounds(f.PDK), r)
+		}
+	}
+	if f.Region(0) != f.Die || f.Region(4) != f.Die {
+		t.Error("ungrouped instances and groups without a bank get the die")
+	}
+}
+
+func TestRegionsTileShelvesInProportion(t *testing.T) {
+	// Two banks fit side by side, so three banks pack on two shelves: the
+	// lower band holds two groups' shares and the upper one the third.
+	p := tech.Default130()
+	bank, err := macro.NewRRAMBank(p, macro.RRAMBankSpec{CapacityBits: 4 << 20, WordBits: 128, Style: macro.Style3D})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := 2*(bank.Ref.Width+MacroHalo) + bank.Ref.Width/2
+	f := newFP(t, w, 3*(bank.Ref.Height+MacroHalo))
+	banks, bufs := packGrouped(t, f, 3, 64<<10)
+	if banks[0].Pos.Y == banks[2].Pos.Y || banks[0].Pos.Y != banks[1].Pos.Y {
+		t.Fatalf("want two banks on the lower shelf and one above: %v %v %v",
+			banks[0].Pos, banks[1].Pos, banks[2].Pos)
+	}
+	checkTiling(t, f, 3, func(int) float64 { return 1.0 / 3 })
+	lower, upper := f.Region(1), f.Region(3)
+	if f.Region(2).Lo.Y != lower.Lo.Y || upper.Lo.Y != lower.Hi.Y || upper.W() != f.Die.W() {
+		t.Errorf("want groups 1 and 2 side by side in the lower band, 3 across the upper: %v %v %v",
+			lower, f.Region(2), upper)
+	}
+	for g := 1; g <= 3; g++ {
+		if !f.Region(g).ContainsRect(bufs[g-1].Bounds(p)) {
+			t.Errorf("buffer of group %d at %v lies outside its region %v", g, bufs[g-1].Bounds(p), f.Region(g))
+		}
+	}
+}
+
+func TestOneGroupRegionIsTheDie(t *testing.T) {
+	f := newFP(t, 4*mm, 2*mm)
+	packGrouped(t, f, 1, 64<<10)
+	if f.Region(1) != f.Die {
+		t.Errorf("a single group's region %v should be the die %v", f.Region(1), f.Die)
+	}
+}
+
+func TestBufferFallsBackToDieWhenRegionIsFull(t *testing.T) {
+	// Two banks that leave the Si free split the die into two ~160 µm
+	// columns; a 160 µm buffer plus its halo fits in neither, so packing
+	// falls back to scanning the whole die.
+	p := tech.Default130()
+	f := newFP(t, 320_000, 100_000)
+	bank := &netlist.MacroRef{Kind: "rram", Width: 100_000, Height: 50_000,
+		Blockages: []netlist.Blockage{{Tier: tech.TierCNFET, Rect: geom.R(0, 0, 100_000, 50_000)}}}
+	buf := &netlist.MacroRef{Kind: "sram", Width: 160_000, Height: 20_000,
+		Blockages: []netlist.Blockage{{Tier: tech.TierSiCMOS, Rect: geom.R(0, 0, 160_000, 20_000)}}}
+	nl := netlist.New("fallback")
+	var all, bufs []*netlist.Instance
+	for g := 1; g <= 2; g++ {
+		b := nl.AddMacro("bank", bank, tech.TierRRAM)
+		s := nl.AddMacro("buf", buf, tech.TierSiCMOS)
+		b.Group, s.Group = g, g
+		all, bufs = append(all, b, s), append(bufs, s)
+	}
+	if err := f.PackMacros3D(all); err != nil {
+		t.Fatalf("packing should fall back to the die: %v", err)
+	}
+	for g := 1; g <= 2; g++ {
+		if f.Region(g).W() >= buf.Width+MacroHalo {
+			t.Fatalf("region %d = %v is wide enough for the buffer", g, f.Region(g))
+		}
+	}
+	for g, b := range bufs {
+		if f.Region(g + 1).ContainsRect(b.Bounds(p)) {
+			t.Errorf("buffer %d at %v cannot fit its region %v", g+1, b.Bounds(p), f.Region(g+1))
+		}
+		if !f.Die.ContainsRect(b.Bounds(p)) {
+			t.Errorf("buffer %d at %v left the die", g+1, b.Bounds(p))
+		}
+	}
+	if bufs[0].Bounds(p).Overlaps(bufs[1].Bounds(p)) {
+		t.Error("fallback buffers overlap")
+	}
+}

@@ -143,3 +143,39 @@ func TestFlowEquivalenceGoldensAcrossWidths(t *testing.T) {
 		}
 	}
 }
+
+// TestCaseStudyReportGolden pins the reduced Sec. II case study — the
+// 2D baseline and its iso-footprint two-CS M3D twin from CaseStudy, at
+// the benchmark's scale, for seeds 1 and 2 — to the equivReport line of
+// each design. It is the only flow golden that holds a multi-CS M3D
+// design. Run with -update to rewrite it.
+func TestCaseStudyReportGolden(t *testing.T) {
+	p := tech.Default130()
+	golden := filepath.Join("testdata", "casestudy_report.golden")
+	var got bytes.Buffer
+	for _, spec := range benchSpecs()[:2] {
+		twoD, m3d, err := CaseStudy(p, spec, 2)
+		if err != nil {
+			t.Fatalf("seed %d: %v", spec.Seed, err)
+		}
+		for _, d := range []struct {
+			name string
+			res  *Result
+		}{{"2d", twoD}, {"m3d", m3d}} {
+			fmt.Fprintf(&got, "seed %d %s ", spec.Seed, d.name)
+			got.Write(equivReport([]*Result{d.res}))
+		}
+	}
+	if *update {
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden (regenerate with go test ./internal/flow -run CaseStudyReport -update): %v", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("case-study report differs from golden\n got: %s\nwant: %s", got.Bytes(), want)
+	}
+}

@@ -188,6 +188,9 @@ type Result struct {
 	WLByLayer     []int64
 	Vias, ILVs    int
 	OverflowEdges int
+	// RipupHistory is the router's over-capacity edge count at the start
+	// of each rip-up round (route.Result.RipupHistory).
+	RipupHistory []int
 
 	FmaxHz        float64
 	CriticalPathS float64
@@ -597,6 +600,7 @@ func runWith(ctx context.Context, st *exec.Settings, p *tech.PDK, spec SoCSpec) 
 		Vias:          routes.TotalVias,
 		ILVs:          routes.TotalILVs,
 		OverflowEdges: routes.OverflowEdges,
+		RipupHistory:  routes.RipupHistory,
 		FmaxHz:        opt.Final.FmaxHz,
 		CriticalPathS: opt.Final.CriticalPathS,
 		TimingMet:     opt.Final.Met(),

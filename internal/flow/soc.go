@@ -18,8 +18,6 @@ type socParts struct {
 	srams []*macro.SRAM
 	// bankInsts / sramInsts are the macro instances, in order.
 	bankInsts, sramInsts []*netlist.Instance
-	// csRanges are [first, last) instance-ID ranges of each CS's cells.
-	csRanges [][2]int
 	// csAreaNM2 is the standard-cell area of one CS (average).
 	csAreaNM2 int64
 }
@@ -28,23 +26,37 @@ type socParts struct {
 // systolic computing sub-systems, per-CS SRAM buffer macros, RRAM bank
 // macros in the requested style, per-bank Si peripheral logic, and a top
 // controller.
+//
+// When every CS has its own bank (Banks == NumCS), CS k and bank k form
+// group k+1 (netlist.Instance.Group): the CS's cells, its buffer macro
+// and that macro's interface logic, the bank and its peripheral logic.
+// The clock root, the top controller and the constant-0 tie every CS
+// shares stay ungrouped. With any other bank count nothing is grouped.
 func buildSoC(p *tech.PDK, lib *cell.Library, spec SoCSpec) (*socParts, error) {
 	b := synth.NewBuilder(fmt.Sprintf("soc_%s", spec.Style), lib)
 	parts := &socParts{nl: b.NL}
+	grouped := spec.Banks == spec.NumCS
+	group := func(first, g int) {
+		if grouped {
+			for _, inst := range b.NL.Instances[first:] {
+				inst.Group = g
+			}
+		}
+	}
 
 	// Computing sub-systems.
 	var totalCSArea int64
 	for cs := 0; cs < spec.NumCS; cs++ {
-		res := b.Systolic(fmt.Sprintf("cs%d", cs), synth.SystolicSpec{
+		first := len(b.NL.Instances)
+		b.Systolic(fmt.Sprintf("cs%d", cs), synth.SystolicSpec{
 			Rows: spec.ArrayRows, Cols: spec.ArrayCols,
 			ActBits: spec.ActBits, WeightBits: spec.WeightBits, AccBits: spec.AccBits,
 			Activity: 0.25,
 		})
 		b.FSM(fmt.Sprintf("cs%d_ctl", cs), 8, 3)
-		for id := res.FirstCell; id < len(b.NL.Instances); id++ {
-			totalCSArea += b.NL.Instances[id].AreaNM2(p)
+		for _, inst := range b.NL.Instances[first:] {
+			totalCSArea += inst.AreaNM2(p)
 		}
-		parts.csRanges = append(parts.csRanges, [2]int{res.FirstCell, len(b.NL.Instances)})
 
 		// Per-CS activation buffer macro.
 		sram, err := macro.NewSRAM(p, macro.SRAMSpec{
@@ -58,7 +70,10 @@ func buildSoC(p *tech.PDK, lib *cell.Library, spec SoCSpec) (*socParts, error) {
 		inst := b.NL.AddMacro(fmt.Sprintf("cs%d_buf", cs), sram.Ref, tech.TierSiCMOS)
 		parts.sramInsts = append(parts.sramInsts, inst)
 		connectMacro(b, inst, spec.ActBits*spec.ArrayRows/2)
+		group(first, cs+1)
 	}
+	// The constant-0 tie is created inside CS 0, but every CS uses it.
+	b.Zero().Driver.Inst.Group = 0
 	parts.csAreaNM2 = totalCSArea / int64(spec.NumCS)
 
 	// RRAM banks with Si peripheral/controller logic.
@@ -68,10 +83,12 @@ func buildSoC(p *tech.PDK, lib *cell.Library, spec SoCSpec) (*socParts, error) {
 	}
 	parts.banks = banks
 	for i, bank := range banks {
+		first := len(b.NL.Instances)
 		inst := b.NL.AddMacro(fmt.Sprintf("bank%d", i), bank.Ref, tech.TierRRAM)
 		parts.bankInsts = append(parts.bankInsts, inst)
 		b.BankPeriph(fmt.Sprintf("bank%d_p", i), 16)
 		connectMacro(b, inst, 16)
+		group(first, i+1)
 	}
 
 	// Top-level control.

@@ -62,6 +62,10 @@ type Instance struct {
 	Tier tech.Tier
 	// Pos is the lower-left corner of the instance.
 	Pos geom.Point
+	// Group is the 1-based index of the compute sub-system the instance
+	// belongs to; 0 means ungrouped. Floorplanning derives one placement
+	// region per group and placement keeps each group inside it.
+	Group int
 
 	pins []*Pin
 }
@@ -245,8 +249,13 @@ func (nl *Netlist) AddNet(name string, activity float64) *Net {
 }
 
 // AddPin attaches a new pin to inst and connects it to net. Output pins
-// become the net driver (error if the net already has one).
+// become the net driver; a second driver is refused with an error and
+// the netlist is left unchanged.
 func (nl *Netlist) AddPin(inst *Instance, name string, isOutput bool, capF float64, net *Net) (*Pin, error) {
+	if isOutput && net != nil && net.Driver != nil {
+		return nil, fmt.Errorf("netlist: net %q already driven by %s/%s",
+			net.Name, net.Driver.Inst.Name, net.Driver.Name)
+	}
 	p := &Pin{
 		ID:       len(nl.pins),
 		Inst:     inst,
@@ -257,17 +266,12 @@ func (nl *Netlist) AddPin(inst *Instance, name string, isOutput bool, capF float
 	}
 	nl.pins = append(nl.pins, p)
 	inst.pins = append(inst.pins, p)
-	if net == nil {
-		return p, nil
-	}
-	if isOutput {
-		if net.Driver != nil {
-			return nil, fmt.Errorf("netlist: net %q already driven by %s/%s",
-				net.Name, net.Driver.Inst.Name, net.Driver.Name)
+	if net != nil {
+		if isOutput {
+			net.Driver = p
+		} else {
+			net.Sinks = append(net.Sinks, p)
 		}
-		net.Driver = p
-	} else {
-		net.Sinks = append(net.Sinks, p)
 	}
 	return p, nil
 }

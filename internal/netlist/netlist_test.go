@@ -66,6 +66,29 @@ func TestMultipleDriversRejected(t *testing.T) {
 	}
 }
 
+// TestRefusedDriverLeavesNetlistUnchanged: a refused second driver must
+// not leave its pin behind on the instance or in the pin table.
+func TestRefusedDriverLeavesNetlistUnchanged(t *testing.T) {
+	nl := New("two_macros")
+	ref := &MacroRef{Kind: "sram", Width: 10_000, Height: 10_000}
+	a := nl.AddMacro("a", ref, tech.TierSiCMOS)
+	b := nl.AddMacro("b", ref, tech.TierSiCMOS)
+	n := nl.AddNet("n", 0.1)
+	first := nl.MustPin(a, "Q", true, 0, n)
+	if _, err := nl.AddPin(b, "Q", true, 0, n); err == nil {
+		t.Fatal("second driver should be rejected")
+	}
+	if got := nl.NumPins(); got != 1 {
+		t.Errorf("NumPins = %d after the refused pin, want 1", got)
+	}
+	if got := len(b.Pins()); got != 0 {
+		t.Errorf("refused instance holds %d pins, want 0", got)
+	}
+	if n.Driver != first {
+		t.Errorf("net driver = %v, want the first pin", n.Driver)
+	}
+}
+
 func TestCheckCatchesFloating(t *testing.T) {
 	_, lib := testLib(t)
 

@@ -2,12 +2,17 @@
 // assignment for M3D designs (Fiduccia–Mattheyses style bi-partitioning),
 // force-directed global placement with density spreading around macro
 // blockages, and Tetris-style row legalization.
+//
+// Every stage fences each instance group (netlist.Instance.Group) inside
+// its floorplan region (floorplan.Floorplan.Region); ungrouped cells and
+// every cell of a design with one region get the die.
 package place
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"m3d/internal/floorplan"
@@ -49,7 +54,8 @@ const maxFanoutForForces = 32
 
 // Global places the movable cells of the given tier inside the floorplan
 // using iterative net attraction plus density spreading, then legalizes
-// them onto rows. Fixed instances and macros are respected as blockages.
+// them onto rows. Fixed instances and macros are respected as blockages,
+// and every cell stays inside its group's region.
 func Global(f *floorplan.Floorplan, nl *netlist.Netlist, tier tech.Tier, opt Options) (Result, error) {
 	opt = opt.withDefaults()
 	cells := movableOn(nl, tier)
@@ -59,15 +65,15 @@ func Global(f *floorplan.Floorplan, nl *netlist.Netlist, tier tech.Tier, opt Opt
 	p := f.PDK
 	rng := rand.New(rand.NewSource(opt.Seed))
 
-	// Initial spread: jitter around the die center.
+	// Initial spread: jitter around the centre of each cell's region.
 	die := f.Die
-	cx, cy := die.Center().X, die.Center().Y
 	for _, c := range cells {
+		r := f.Region(c.Group)
 		c.Pos = geom.Pt(
-			cx+int64(rng.NormFloat64()*float64(die.W())/8),
-			cy+int64(rng.NormFloat64()*float64(die.H())/8),
+			r.Center().X+int64(rng.NormFloat64()*float64(r.W())/8),
+			r.Center().Y+int64(rng.NormFloat64()*float64(r.H())/8),
 		)
-		clampInto(c, die, p)
+		clampInto(c, r, p)
 	}
 
 	binPitch := die.W() / 48
@@ -110,7 +116,7 @@ func Global(f *floorplan.Floorplan, nl *netlist.Netlist, tier tech.Tier, opt Opt
 			tx := float64(sx)/float64(n) - float64(c.Pos.X)
 			ty := float64(sy)/float64(n) - float64(c.Pos.Y)
 			c.Pos = geom.Pt(c.Pos.X+int64(alpha*tx), c.Pos.Y+int64(alpha*ty))
-			clampInto(c, die, p)
+			clampInto(c, f.Region(c.Group), p)
 		}
 		// Density spreading: push cells out of over-full / blocked bins.
 		// Serial on purpose: its RNG draws are consumed in sorted-bin
@@ -135,24 +141,33 @@ func movableOn(nl *netlist.Netlist, tier tech.Tier) []*netlist.Instance {
 	return out
 }
 
-func clampInto(c *netlist.Instance, die geom.Rect, p *tech.PDK) {
+// clampInto moves c the least distance that puts it inside r.
+func clampInto(c *netlist.Instance, r geom.Rect, p *tech.PDK) {
 	w, h := c.Width(p), c.Height(p)
-	if c.Pos.X < die.Lo.X {
-		c.Pos.X = die.Lo.X
+	if c.Pos.X < r.Lo.X {
+		c.Pos.X = r.Lo.X
 	}
-	if c.Pos.Y < die.Lo.Y {
-		c.Pos.Y = die.Lo.Y
+	if c.Pos.Y < r.Lo.Y {
+		c.Pos.Y = r.Lo.Y
 	}
-	if c.Pos.X+w > die.Hi.X {
-		c.Pos.X = die.Hi.X - w
+	if c.Pos.X+w > r.Hi.X {
+		c.Pos.X = r.Hi.X - w
 	}
-	if c.Pos.Y+h > die.Hi.Y {
-		c.Pos.Y = die.Hi.Y - h
+	if c.Pos.Y+h > r.Hi.Y {
+		c.Pos.Y = r.Hi.Y - h
 	}
 }
 
+// neighbour is one candidate destination bin of spread.
+type neighbour struct {
+	score float64
+	rect  geom.Rect
+}
+
 // spread relieves over-dense bins by moving cells toward the least dense
-// neighbouring bin.
+// neighbouring bin whose centre lies in the cell's region; a moved cell
+// lands inside both the bin and its region. Density counts every cell,
+// whatever its group.
 func spread(cells []*netlist.Instance, f *floorplan.Floorplan, tier tech.Tier,
 	binPitch int64, blocked *geom.Grid, target float64, rng *rand.Rand) {
 
@@ -174,6 +189,7 @@ func spread(cells []*netlist.Instance, f *floorplan.Floorplan, tier tech.Tier,
 		}
 		return keys[a][0] < keys[b][0]
 	})
+	var nbrs []neighbour
 	for _, key := range keys {
 		cs := byBin[key]
 		ix, iy := key[0], key[1]
@@ -191,7 +207,7 @@ func spread(cells []*netlist.Instance, f *floorplan.Floorplan, tier tech.Tier,
 		if avail <= 0 {
 			moveFrac = 1
 		}
-		bestIx, bestIy, bestScore := ix, iy, math.Inf(1)
+		nbrs = nbrs[:0]
 		for dy := -1; dy <= 1; dy++ {
 			for dx := -1; dx <= 1; dx++ {
 				jx, jy := ix+dx, iy+dy
@@ -204,25 +220,29 @@ func spread(cells []*netlist.Instance, f *floorplan.Floorplan, tier tech.Tier,
 				if navail <= 0 {
 					continue
 				}
-				score := g.At(jx, jy) / navail
-				if score < bestScore {
-					bestScore, bestIx, bestIy = score, jx, jy
-				}
+				nbrs = append(nbrs, neighbour{score: g.At(jx, jy) / navail, rect: nr})
 			}
 		}
-		if bestIx == ix && bestIy == iy {
-			continue
-		}
-		dst := g.CellRect(bestIx, bestIy)
 		for _, c := range cs {
+			r := f.Region(c.Group)
+			best := -1
+			for i, nb := range nbrs {
+				if r.Contains(nb.rect.Center()) && (best < 0 || nb.score < nbrs[best].score) {
+					best = i
+				}
+			}
+			if best < 0 {
+				continue
+			}
 			if rng.Float64() > moveFrac {
 				continue
 			}
+			dst := nbrs[best].rect.Intersect(r)
 			c.Pos = geom.Pt(
 				dst.Lo.X+rng.Int63n(max64(dst.W(), 1)),
 				dst.Lo.Y+rng.Int63n(max64(dst.H(), 1)),
 			)
-			clampInto(c, f.Die, p)
+			clampInto(c, r, p)
 		}
 	}
 }
@@ -242,6 +262,9 @@ type segment struct {
 
 // Legalize snaps the tier's movable cells onto rows and sites, avoiding
 // blockages and overlaps, minimizing displacement greedily (Tetris style).
+// A cell takes the nearest slot inside its group's region; only when the
+// region has no slot left does it take the nearest slot anywhere on the
+// die.
 func Legalize(f *floorplan.Floorplan, nl *netlist.Netlist, tier tech.Tier) error {
 	p := f.PDK
 	cells := movableOn(nl, tier)
@@ -253,8 +276,15 @@ func Legalize(f *floorplan.Floorplan, nl *netlist.Netlist, tier tech.Tier) error
 		return fmt.Errorf("place: floorplan has no rows")
 	}
 	blocks := f.Blockages(tier)
+	var regions []geom.Rect
+	for _, c := range cells {
+		if r := f.Region(c.Group); !slices.Contains(regions, r) {
+			regions = append(regions, r)
+		}
+	}
 
-	// Build free segments per row.
+	// Build free segments per row, split at the region edges that cross
+	// the row so that no segment straddles two regions.
 	segsPerRow := make([][]segment, len(rows))
 	for i, r := range rows {
 		rowRect := geom.R(r.X0, r.Y, r.X1, r.Y+p.RowHeight)
@@ -265,20 +295,34 @@ func Legalize(f *floorplan.Floorplan, nl *netlist.Netlist, tier tech.Tier) error
 			}
 		}
 		sort.Slice(cuts, func(a, b int) bool { return cuts[a].Lo.X < cuts[b].Lo.X })
+		var edges []int64
+		for _, reg := range regions {
+			if reg.Lo.Y <= r.Y && r.Y+p.RowHeight <= reg.Hi.Y {
+				edges = append(edges, reg.Lo.X, reg.Hi.X)
+			}
+		}
+		slices.Sort(edges)
+		free := func(x0, x1 int64) {
+			for _, e := range edges {
+				if x0 < e && e < x1 {
+					segsPerRow[i] = append(segsPerRow[i], segment{x0: x0, x1: e, cursor: x0})
+					x0 = e
+				}
+			}
+			segsPerRow[i] = append(segsPerRow[i], segment{x0: x0, x1: x1, cursor: x0})
+		}
 		x := r.X0
-		var segs []segment
 		for _, cRect := range cuts {
 			if cRect.Lo.X > x {
-				segs = append(segs, segment{x0: x, x1: cRect.Lo.X, cursor: x})
+				free(x, cRect.Lo.X)
 			}
 			if cRect.Hi.X > x {
 				x = cRect.Hi.X
 			}
 		}
 		if x < r.X1 {
-			segs = append(segs, segment{x0: x, x1: r.X1, cursor: x})
+			free(x, r.X1)
 		}
-		segsPerRow[i] = segs
 	}
 
 	// Place cells in x order.
@@ -296,11 +340,13 @@ func Legalize(f *floorplan.Floorplan, nl *netlist.Netlist, tier tech.Tier) error
 		return i
 	}
 
-	for _, c := range order {
+	// nearest returns the cheapest slot for c among the segments inside
+	// area, or bestRow -1 when none has room.
+	nearest := func(c *netlist.Instance, area geom.Rect) (bestRow, bestSeg int) {
 		w := c.Width(p)
 		home := rowOf(c.Pos.Y)
 		bestCost := int64(math.MaxInt64)
-		bestRow, bestSeg := -1, -1
+		bestRow, bestSeg = -1, -1
 		// Expanding row search; break once the row distance alone exceeds
 		// the best cost so far.
 		for d := 0; d < len(rows); d++ {
@@ -311,11 +357,14 @@ func Legalize(f *floorplan.Floorplan, nl *netlist.Netlist, tier tech.Tier) error
 				}
 				progressed = true
 				rowDist := int64(d) * p.RowHeight
-				if rowDist >= bestCost {
+				if rowDist >= bestCost || rows[ri].Y < area.Lo.Y || rows[ri].Y+p.RowHeight > area.Hi.Y {
 					continue
 				}
 				for si := range segsPerRow[ri] {
 					s := &segsPerRow[ri][si]
+					if s.x0 < area.Lo.X || s.x1 > area.Hi.X {
+						continue
+					}
 					x := snapUp(s.cursor-f.Die.Lo.X, p.SiteWidth) + f.Die.Lo.X
 					if s.x1-x < w {
 						continue
@@ -330,13 +379,21 @@ func Legalize(f *floorplan.Floorplan, nl *netlist.Netlist, tier tech.Tier) error
 				break
 			}
 		}
+		return bestRow, bestSeg
+	}
+
+	for _, c := range order {
+		bestRow, bestSeg := nearest(c, f.Region(c.Group))
 		if bestRow < 0 {
-			return fmt.Errorf("place: no legal slot for %s (width %d) on tier %v", c.Name, w, tier)
+			bestRow, bestSeg = nearest(c, f.Die)
+		}
+		if bestRow < 0 {
+			return fmt.Errorf("place: no legal slot for %s (width %d) on tier %v", c.Name, c.Width(p), tier)
 		}
 		s := &segsPerRow[bestRow][bestSeg]
 		x := snapUp(s.cursor-f.Die.Lo.X, p.SiteWidth) + f.Die.Lo.X
 		c.Pos = geom.Pt(x, rows[bestRow].Y)
-		s.cursor = x + w
+		s.cursor = x + c.Width(p)
 	}
 	return nil
 }

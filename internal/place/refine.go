@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"m3d/internal/floorplan"
+	"m3d/internal/geom"
 	"m3d/internal/netlist"
 	"m3d/internal/tech"
 )
@@ -32,7 +33,8 @@ type RefineResult struct {
 // Refine runs simulated-annealing detailed placement on the tier's cells:
 // same-row adjacent-pair swaps and same-width cross-row swaps, preserving
 // legality by construction. It polishes the Tetris legalizer's output (the
-// flow's equivalent of a detailed-placement ECO pass).
+// flow's equivalent of a detailed-placement ECO pass). A swap that would
+// carry either cell out of its group's region is skipped.
 func Refine(f *floorplan.Floorplan, nl *netlist.Netlist, tier tech.Tier, opt RefineOptions) (RefineResult, error) {
 	cells := movableOn(nl, tier)
 	res := RefineResult{HPWLBefore: nl.TotalHPWL()}
@@ -83,6 +85,9 @@ func Refine(f *floorplan.Floorplan, nl *netlist.Netlist, tier tech.Tier, opt Ref
 		if a.Width(p) != b.Width(p) || a.Height(p) != b.Height(p) {
 			continue
 		}
+		if !inRegion(f, a, b.Pos) || !inRegion(f, b, a.Pos) {
+			continue
+		}
 		before := netCost(a, b)
 		a.Pos, b.Pos = b.Pos, a.Pos
 		delta := netCost(a, b) - before
@@ -95,4 +100,11 @@ func Refine(f *floorplan.Floorplan, nl *netlist.Netlist, tier tech.Tier, opt Ref
 	}
 	res.HPWLAfter = nl.TotalHPWL()
 	return res, nil
+}
+
+// inRegion reports whether c placed at pos lies inside its group's
+// region.
+func inRegion(f *floorplan.Floorplan, c *netlist.Instance, pos geom.Point) bool {
+	w, h := c.Width(f.PDK), c.Height(f.PDK)
+	return f.Region(c.Group).ContainsRect(geom.Rect{Lo: pos, Hi: geom.Pt(pos.X+w, pos.Y+h)})
 }

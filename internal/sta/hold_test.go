@@ -120,6 +120,50 @@ func TestHoldMinPropagation(t *testing.T) {
 	}
 }
 
+// TestHoldMinFoldKeepsFirstOnTie pins the min fold's tie rule: when a
+// gate's inputs arrive at exactly the same time, the output keeps the
+// launch class of the first input in pin order. Here a zero-latency
+// macro (A) and a tie cell (B) both arrive at 0 — every pin sits at the
+// origin, every sink has zero capacitance and the wire model is the
+// pre-route estimate — so the gate's capture flip-flop is a macro-launched
+// hold endpoint, not a constant one. A second flip-flop captures the
+// macro directly, so the count is 2; taking the later input on a tie
+// drops the gated endpoint and reads 1.
+func TestHoldMinFoldKeepsFirstOnTie(t *testing.T) {
+	p, lib := libs(t)
+	nl := netlist.New("tie_fold")
+	clk := nl.AddNet("clk", 2)
+	clk.Clock = true
+	cb := nl.AddCell("cb", lib.MustPick(cell.ClkBuf, 4))
+	nl.MustPin(cb, "Y", true, 0, clk)
+
+	mac := nl.AddMacro("mac", &netlist.MacroRef{Kind: "rram", Width: 1000, Height: 1000}, tech.TierRRAM)
+	mq := nl.AddNet("mq", 0.2)
+	nl.MustPin(mac, "Q0", true, 0, mq)
+	tie := nl.AddCell("tie", lib.MustPick(cell.TieLo, 1))
+	z := nl.AddNet("z", 0)
+	nl.MustPin(tie, "Y", true, 0, z)
+
+	and := nl.AddCell("and", lib.MustPick(cell.And2, 1))
+	nl.MustPin(and, "A", false, 0, mq)
+	nl.MustPin(and, "B", false, 0, z)
+	ao := nl.AddNet("ao", 0.2)
+	nl.MustPin(and, "Y", true, 0, ao)
+	for _, d := range []*netlist.Net{ao, mq} {
+		ff := nl.AddCell("ff", lib.MustPick(cell.DFF, 1))
+		nl.MustPin(ff, "D", false, 0, d)
+		nl.MustPin(ff, "CK", false, 0, clk)
+	}
+
+	rep, err := AnalyzeHold(p, nl, NewWireModel(p, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Endpoints != 2 {
+		t.Errorf("hold endpoints = %d, want 2 (the gated capture keeps the macro's launch class)", rep.Endpoints)
+	}
+}
+
 func TestGroupEndpoints(t *testing.T) {
 	p, lib := libs(t)
 	b := synth.NewBuilder("grp", lib)

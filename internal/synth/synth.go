@@ -267,19 +267,10 @@ type SystolicSpec struct {
 	Activity float64
 }
 
-// SystolicResult reports the generated array.
-type SystolicResult struct {
-	Spec SystolicSpec
-	// FirstCell / LastCell delimit the instance ID range of the array
-	// (inclusive/exclusive) for area accounting.
-	FirstCell, LastCell int
-}
-
 // Systolic builds a Rows×Cols weight-stationary systolic array: activations
 // stream left-to-right, partial sums top-to-bottom, exactly the case-study
 // CS organization.
-func (b *Builder) Systolic(prefix string, spec SystolicSpec) SystolicResult {
-	first := len(b.NL.Instances)
+func (b *Builder) Systolic(prefix string, spec SystolicSpec) {
 	// Activation inputs per row, partial-sum seeds per column.
 	psums := make([]Bus, spec.Cols)
 	for c := 0; c < spec.Cols; c++ {
@@ -297,7 +288,6 @@ func (b *Builder) Systolic(prefix string, spec SystolicSpec) SystolicResult {
 	for c := 0; c < spec.Cols; c++ {
 		b.SinkBus(fmt.Sprintf("%s_ps_out_c%d_", prefix, c), psums[c])
 	}
-	return SystolicResult{Spec: spec, FirstCell: first, LastCell: len(b.NL.Instances)}
 }
 
 // FSM builds a control finite-state machine with the given state-register

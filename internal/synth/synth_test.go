@@ -105,14 +105,11 @@ func TestMACCloses(t *testing.T) {
 
 func TestSystolicArray(t *testing.T) {
 	b := newTB(t)
-	res := b.Systolic("cs", SystolicSpec{
+	b.Systolic("cs", SystolicSpec{
 		Rows: 2, Cols: 2, ActBits: 8, WeightBits: 8, AccBits: 24, Activity: 0.25,
 	})
 	if err := b.NL.Check(); err != nil {
 		t.Fatalf("Check: %v", err)
-	}
-	if res.LastCell <= res.FirstCell {
-		t.Fatal("array produced no cells")
 	}
 	st := b.NL.ComputeStats(tech.Default130())
 	// Each 8x8 MAC with 24b accumulator is a few hundred cells; 4 PEs.
