@@ -108,8 +108,8 @@ serve-smoke:
 dse-smoke:
 	$(GO) run ./scripts/dsesmoke
 
-# End-to-end async job tier gate: submit, poll, SIGTERM mid-job, resume
-# from the on-disk checkpoints byte-identically (part of `make check`).
+# End-to-end async job tier gate: submit, poll, SIGTERM mid-job, re-run
+# from the on-disk job store byte-identically (part of `make check`).
 jobs-smoke:
 	$(GO) run ./scripts/jobsmoke
 

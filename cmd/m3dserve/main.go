@@ -1,13 +1,15 @@
 // Command m3dserve serves the m3d evaluation library over HTTP: the
 // Sec. III analytical sweeps (POST /v1/sweep), the RTL-to-GDS flow
-// (POST /v1/flow), a liveness probe (GET /healthz), and the metrics
-// registry (GET /metrics). See DESIGN.md §9 for the request pipeline
+// (POST /v1/flow), heterogeneous sweep/flow batches (POST /v1/batch),
+// the adaptive Pareto design-space explorer (POST /v1/dse), Monte-Carlo
+// timing yield over a built design (POST /v1/yield), async jobs
+// (/v1/jobs), a liveness probe (GET /healthz), and the metrics registry
+// (GET /metrics). See DESIGN.md §9 for the request pipeline
 // (admission → coalesce → pool → response) and README for curl examples.
 //
-// Command m3dserve also serves heterogeneous evaluation batches
-// (POST /v1/batch): an array of sweep/flow items under one admission
-// slot, streamed back as a chunked JSON array with per-item status
-// isolation (DESIGN.md §10).
+// Batches run under one admission slot and stream back as a chunked JSON
+// array with per-item status isolation (DESIGN.md §10); /v1/dse and
+// /v1/yield stream their results the same way.
 //
 // The server sheds load with 429 once the admission queue is full,
 // applies a per-request deadline, bounds its coalescing caches with
@@ -17,14 +19,14 @@
 // then the listener closes.
 //
 // Async jobs (POST /v1/jobs, DESIGN.md §14) run behind their own
-// -jobs/-jobqueue admission gate and checkpoint every completed stage
-// through -jobstore; a restarted m3dserve pointed at the same store
-// resumes unfinished jobs from their last checkpoint. During the drain,
-// running jobs stop at the next stage boundary with their checkpoints
-// persisted. With -peers/-self, the evaluation caches shard across a
-// static fleet by consistent hashing (each key has one owner; the
-// others forward to it and fall back to local evaluation on any peer
-// failure).
+// -jobs/-jobqueue admission gate; each evaluates once, and its record
+// (with the result) and flow artifacts persist through -jobstore. A
+// restarted m3dserve pointed at the same store serves finished jobs and
+// re-runs unfinished ones. During the drain, running jobs are
+// interrupted and parked as queued in the store. With -peers/-self, the
+// evaluation caches shard across a static fleet by consistent hashing
+// (each key has one owner; the others forward to it and fall back to
+// local evaluation on any peer failure).
 package main
 
 import (
@@ -57,7 +59,7 @@ func main() {
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request evaluation deadline (negative = none)")
 	drain := flag.Duration("drain", 15*time.Second, "graceful-drain deadline on SIGINT/SIGTERM")
 	cachecap := flag.Int("cachecap", 0, "memoized responses kept per coalescing cache, LRU-evicted beyond (0 = M3D_CACHE_CAP env, negative = unbounded)")
-	jobstore := flag.String("jobstore", "", "directory persisting async jobs and their checkpoints (empty = in-memory, no resume across restarts)")
+	jobstore := flag.String("jobstore", "", "directory persisting async jobs and their artifacts (empty = in-memory, no resume across restarts)")
 	jobs := flag.Int("jobs", 0, "max concurrently running async jobs (0 = 2)")
 	jobqueue := flag.Int("jobqueue", 0, "max async jobs queued behind the running ones (0 = 16, negative = none)")
 	peers := flag.String("peers", "", "comma-separated fleet base URLs for consistent-hash cache sharding (empty = standalone)")

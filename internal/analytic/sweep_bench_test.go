@@ -30,7 +30,7 @@ func BenchmarkSweepSerial(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepParallel runs the same grid through exec.Grid at the
+// BenchmarkSweepParallel runs the same grid through the exec pool at the
 // default pool width.
 func BenchmarkSweepParallel(b *testing.B) {
 	p, w := benchLoad()

@@ -272,7 +272,7 @@ func Explore(pdk *tech.PDK, space Space, opt Options, onUpdate func(Update), opt
 	if explore == 0 {
 		explore = 8
 	}
-	budget := exec.NewBudget(int64(maxEvals))
+	remaining := maxEvals
 	rng := rand.New(rand.NewSource(opt.Seed))
 	rounds := st.Metrics.Counter("dse.rounds")
 	frontierSize := st.Metrics.Gauge("dse.frontier.size")
@@ -293,7 +293,8 @@ func Explore(pdk *tech.PDK, space Space, opt Options, onUpdate func(Update), opt
 		// Truncate the batch to the remaining budget (canonical order, so
 		// the kept prefix is width-independent), evaluate on the pool, and
 		// commit serially in candidate order.
-		grant := int(budget.Take(int64(len(cands))))
+		grant := min(len(cands), remaining)
+		remaining -= grant
 		if grant < len(cands) {
 			cands = cands[:grant]
 			exhausted = true

@@ -32,7 +32,7 @@ var (
 	// the HTTP service maps it to 429 Too Many Requests).
 	ErrOverloaded = errors.New("m3d: overloaded")
 	// ErrNotFound marks a lookup of an entity that does not exist — an
-	// unknown job ID, a missing checkpoint, an absent artifact (the HTTP
+	// unknown job ID, a missing job record, an absent artifact (the HTTP
 	// service maps it to 404 Not Found).
 	ErrNotFound = errors.New("m3d: not found")
 )

@@ -1,11 +1,12 @@
 // Package exec is the concurrency substrate for design-space sweeps: a
-// context-aware, bounded worker pool (Map, Grid) whose results come back
-// in deterministic input order regardless of goroutine scheduling, plus a
-// concurrency-safe memoization Cache with single-flight semantics for
-// deduplicating repeated evaluations (identical flow specs, identical
-// service requests). The cache is unbounded by default and can opt
-// into an entry-count LRU eviction policy (Cache.Bound, M3D_CACHE_CAP) for
-// long-lived servers; see cache.go.
+// context-aware, bounded worker pool (Map, MapWith, GridWith) whose
+// results come back in deterministic input order regardless of goroutine
+// scheduling, plus a concurrency-safe memoization Cache with
+// single-flight semantics for deduplicating repeated evaluations
+// (identical flow specs, identical service requests). The cache is
+// unbounded by default and can opt into an entry-count LRU eviction
+// policy (Cache.Bound, M3D_CACHE_CAP) for long-lived servers; see
+// cache.go.
 //
 // It also owns the library's shared run-option surface: every public
 // entry point that fans out (flow.Run/RunMany, analytic.SweepBandwidthCS,
@@ -101,7 +102,7 @@ func (s *Settings) instrument(ctx context.Context) context.Context {
 	return ctx
 }
 
-// Option configures one run (a Map/Grid call, a flow run, a sweep, an
+// Option configures one run (a Map call, a flow run, a sweep, an
 // experiment). This is the shared option type re-exported as m3d.Option.
 type Option func(*Settings)
 
@@ -132,11 +133,6 @@ func WithTracer(t obs.Tracer) Option {
 // WithMetrics attaches a metrics registry. nil leaves metrics disabled.
 func WithMetrics(r *obs.Registry) Option {
 	return func(s *Settings) { s.Metrics = r }
-}
-
-// WithLabel names the per-task spans of an instrumented Map call.
-func WithLabel(name string) Option {
-	return func(s *Settings) { s.Label = name }
 }
 
 // WithValue attaches a caller-defined key/value to the settings; layered
@@ -296,14 +292,10 @@ func MapWith[T, R any](st *Settings, items []T, fn func(ctx context.Context, idx
 	return results, nil
 }
 
-// Grid evaluates fn over the cross product as × bs and returns the
-// results flattened row-major (index i*len(bs)+j), matching the nested
-// serial loop `for a { for b { ... } }`.
-func Grid[A, B, R any](as []A, bs []B, fn func(ctx context.Context, a A, b B) (R, error), opts ...Option) ([]R, error) {
-	return GridWith(Resolve(opts...), as, bs, fn)
-}
-
-// GridWith is Grid with pre-resolved settings (see MapWith).
+// GridWith evaluates fn over the cross product as × bs under
+// pre-resolved settings (see MapWith) and returns the results flattened
+// row-major (index i*len(bs)+j), matching the nested serial loop
+// `for a { for b { ... } }`.
 func GridWith[A, B, R any](st *Settings, as []A, bs []B, fn func(ctx context.Context, a A, b B) (R, error)) ([]R, error) {
 	nb := len(bs)
 	idx := make([]int, len(as)*nb)

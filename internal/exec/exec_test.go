@@ -141,9 +141,9 @@ func TestMapWorkerBound(t *testing.T) {
 func TestGridRowMajor(t *testing.T) {
 	as := []int{1, 2, 3}
 	bs := []string{"x", "y"}
-	got, err := Grid(as, bs, func(_ context.Context, a int, b string) (string, error) {
+	got, err := GridWith(Resolve(WithWorkers(4)), as, bs, func(_ context.Context, a int, b string) (string, error) {
 		return fmt.Sprintf("%d%s", a, b), nil
-	}, WithWorkers(4))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,6 +86,3 @@ func (g *Gate) InFlight() int { return len(g.slots) }
 
 // Waiting reports the number of callers queued for a slot.
 func (g *Gate) Waiting() int { return int(g.waiting.Load()) }
-
-// Capacity reports the in-flight limit.
-func (g *Gate) Capacity() int { return cap(g.slots) }

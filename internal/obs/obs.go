@@ -115,14 +115,5 @@ func MetricsFrom(ctx context.Context) *Registry {
 	return r
 }
 
-// StartSpan starts a span on the context's tracer, or returns the no-op
-// span when none is attached.
-func StartSpan(ctx context.Context, name string, attrs ...Attr) Span {
-	if t := TracerFrom(ctx); t != nil {
-		return t.StartSpan(name, attrs...)
-	}
-	return nopSpan
-}
-
 // now is the clock used by tracers without an explicit override.
 func now() time.Time { return time.Now() }

@@ -122,11 +122,6 @@ func TestContextPlumbing(t *testing.T) {
 	if MetricsFrom(ctx) != reg {
 		t.Error("registry did not round-trip")
 	}
-	StartSpan(ctx, "op", Int("i", 1)).End()
-	StartSpan(context.Background(), "dropped").End() // nop path
-	if names := rec.Names(); !reflect.DeepEqual(names, []string{"op"}) {
-		t.Errorf("recorded %v", names)
-	}
 }
 
 func TestRecorderOrderAndAttrs(t *testing.T) {

@@ -69,19 +69,19 @@ func TestOneDesignOneRun(t *testing.T) {
 	}
 }
 
-// TestJobSurvivesJoinedRequestCancel: a job stage that joined an
+// TestJobSurvivesJoinedRequestCancel: a job evaluation that joined an
 // evaluation a synchronous request started must not inherit that
 // request's cancellation when its client leaves. It evaluates again
 // under its own context and finishes done instead of parking queued.
 func TestJobSurvivesJoinedRequestCancel(t *testing.T) {
 	for _, tc := range []struct {
 		name, path, body, job string
-		// joined is the hit counter the job's stage bumps when it joins
+		// joined is the hit counter the job bumps when it joins
 		// the request's in-flight evaluation.
 		joined string
 	}{
 		{"sweep", "/v1/sweep", `{"kind":"delta","deltas":[1.0,1.5]}`,
-			`{"id":"j","sweep":{"kind":"delta","deltas":[1.0,1.5]},"chunks":1}`, "serve.memo.hits"},
+			`{"id":"j","sweep":{"kind":"delta","deltas":[1.0,1.5]}}`, "serve.memo.hits"},
 		{"flow", "/v1/flow", designBody, `{"id":"j","flow":` + designBody + `}`, "serve.design.hits"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -59,7 +59,7 @@ func (q *DSERequest) space() dse.Space {
 }
 
 // options is the dse.Options the request's knobs select, shared by
-// POST /v1/dse and the DSE job's explore stage.
+// POST /v1/dse and DSE jobs.
 func (q *DSERequest) options() dse.Options {
 	return dse.Options{
 		MaxEvals:       q.MaxEvals,
@@ -159,8 +159,8 @@ func (s *Server) handleDSE(ctx context.Context, w http.ResponseWriter, r *http.R
 // parallelism follows the point's N, clamped to the interactive range.
 // Promotion is a physical-design sanity probe of the frontier shape, not
 // a full-scale build, and must land within the request deadline; each
-// point's failure is reported in-band. POST /v1/dse and the DSE job's
-// explore stage both end here.
+// point's failure is reported in-band. POST /v1/dse and DSE jobs both
+// end here.
 func (s *Server) promote(ctx context.Context, req *DSERequest, final dse.Update) DSEUpdate {
 	out := DSEUpdate{Update: final}
 	for _, p := range dse.TopK(final.Frontier, req.Promote) {

@@ -141,10 +141,9 @@ func (s *Server) flowCached(ctx context.Context, req *FlowRequest) (*FlowRespons
 
 // design builds (or recalls) the retained design database of one
 // validated flow request. It is the server's only flow run: the flow
-// response memo, /v1/yield and the flow job's eval stage all derive from
-// the Result it returns. The database is not wire-serializable, so it
-// never forwards to peers, and the cache keeps at most maxDesigns of
-// them.
+// response memo, /v1/yield and flow jobs all derive from the Result it
+// returns. The database is not wire-serializable, so it never forwards
+// to peers, and the cache keeps at most maxDesigns of them.
 func (s *Server) design(ctx context.Context, req *FlowRequest) (*flow.Result, error) {
 	spec, err := req.spec()
 	if err != nil {

@@ -21,21 +21,22 @@ import (
 
 // The async job tier: POST /v1/jobs accepts sweep/flow/dse work and
 // returns a job ID immediately; the work runs behind an exec.Queue over
-// its own admission gate, checkpointing each completed stage through the
-// pluggable JobStore so a restarted server resumes from the last
-// completed stage instead of starting over. GET /v1/jobs/{id} reports
-// status plus progress (completed stages over planned stages, and the
-// innermost live evaluation span while running); GET /v1/jobs/{id}/events
-// streams status snapshots over the shared arrayStream encoder;
-// GET /v1/jobs/{id}/artifacts/{name} serves the persisted flow artifacts
-// (DEF, report); DELETE /v1/jobs/{id} cancels.
+// its own admission gate and evaluates exactly once, through the same
+// evaluator as its synchronous endpoint. The job record in the pluggable
+// JobStore is the only checkpoint: it carries the request, the state and,
+// once done, the result, so a restarted server serves finished jobs from
+// the store and re-runs unfinished ones. GET /v1/jobs/{id} reports the
+// status (and the innermost live evaluation span while running);
+// GET /v1/jobs/{id}/events streams status snapshots over the shared
+// arrayStream encoder; GET /v1/jobs/{id}/artifacts/{name} serves the
+// persisted flow artifacts (DEF, report); DELETE /v1/jobs/{id} cancels.
 //
 // Lifecycle: accepted → queued → running → done | failed | canceled. A
-// drain (SIGTERM) interrupts the running stage, keeps every completed
-// checkpoint, and parks the job back in "queued" — the state a restarted
-// server picks it up from. Stage outputs are deterministic functions of
-// the request (the PR 5/6 byte-identical guarantees), so a resumed job
-// produces byte-identical results and artifacts to an uninterrupted run.
+// drain (SIGTERM) interrupts the running evaluation and parks the job
+// back in "queued" — the state a restarted server picks it up from.
+// Results are deterministic functions of the request (the flow, sweep
+// and DSE byte-identical guarantees), so a re-run job produces
+// byte-identical results and artifacts to an uninterrupted run.
 
 // Job states.
 const (
@@ -52,15 +53,8 @@ func jobTerminal(state string) bool {
 	return state == JobStateDone || state == JobStateFailed || state == JobStateCanceled
 }
 
-// maxJobChunks bounds the sweep checkpoint granularity.
-const maxJobChunks = 32
-
-// defaultJobChunks is the sweep stage count when the request does not
-// pick one (and the primary axis is long enough).
-const defaultJobChunks = 4
-
 // JobRequest is the POST /v1/jobs body: exactly one of Sweep, Flow or
-// DSE, evaluated asynchronously with per-stage checkpoints.
+// DSE, evaluated asynchronously.
 type JobRequest struct {
 	// ID names the job (optional; one is generated when empty).
 	// Resubmitting an existing ID with the identical request is
@@ -70,11 +64,6 @@ type JobRequest struct {
 	Sweep *SweepRequest `json:"sweep,omitempty"`
 	Flow  *FlowRequest  `json:"flow,omitempty"`
 	DSE   *DSERequest   `json:"dse,omitempty"`
-
-	// Chunks splits a sweep job's primary axis into this many
-	// checkpointed stages (0 = 4, 1 = a single stage; capped at the axis
-	// length and maxJobChunks). Only valid on sweep jobs.
-	Chunks int `json:"chunks,omitempty"`
 }
 
 // kind returns the job's work kind.
@@ -100,12 +89,6 @@ func (q *JobRequest) validate() error {
 	}
 	if n != 1 {
 		return badSpec("job needs exactly one of sweep, flow or dse")
-	}
-	if q.Chunks != 0 && q.Sweep == nil {
-		return badSpec("chunks is only valid on sweep jobs")
-	}
-	if q.Chunks < 0 || q.Chunks > maxJobChunks {
-		return badSpec("chunks %d outside [0, %d]", q.Chunks, maxJobChunks)
 	}
 	if len(q.ID) > 64 {
 		return badSpec("job id longer than 64 bytes")
@@ -137,18 +120,11 @@ type JobStatus struct {
 	ID    string `json:"id"`
 	Kind  string `json:"kind"`
 	State string `json:"state"`
-	// Stages is the planned checkpoint sequence; StagesDone the completed
-	// prefix-so-far (checkpoints a restart resumes past).
-	Stages     []string `json:"stages"`
-	StagesDone []string `json:"stages_done,omitempty"`
-	// Stage is the currently-running stage; Span the innermost live
-	// evaluation span inside it (e.g. "flow.route"), derived from the
-	// stage instrumentation the flow already emits.
-	Stage string `json:"stage,omitempty"`
+	// Span is the innermost live evaluation span while running (e.g.
+	// "flow.route"), derived from the instrumentation the evaluators
+	// already emit.
 	Span  string `json:"span,omitempty"`
-	// Progress is completed stages over planned stages in [0, 1].
-	Progress float64 `json:"progress"`
-	Error    string  `json:"error,omitempty"`
+	Error string `json:"error,omitempty"`
 	// Result is the kind's response body (SweepResponse, FlowResponse or
 	// the final DSEUpdate), present once done.
 	Result json.RawMessage `json:"result,omitempty"`
@@ -157,24 +133,17 @@ type JobStatus struct {
 	Artifacts []string `json:"artifacts,omitempty"`
 }
 
-// jobRecord is the persisted form of a job (JobStore's job.json blob).
+// jobRecord is the persisted form of a job (JobStore's job.json blob),
+// and the job's only checkpoint. Records are decoded leniently, so one
+// written with per-stage "stages"/"done" fields still loads.
 type jobRecord struct {
 	ID        string          `json:"id"`
 	Kind      string          `json:"kind"`
 	Request   json.RawMessage `json:"request"`
 	State     string          `json:"state"`
-	Stages    []string        `json:"stages"`
-	Done      []string        `json:"done,omitempty"`
 	Error     string          `json:"error,omitempty"`
 	Result    json.RawMessage `json:"result,omitempty"`
 	Artifacts []string        `json:"artifacts,omitempty"`
-}
-
-// jobStage is one checkpointed unit of work: run computes the stage
-// payload from the job context and the payloads of prior stages.
-type jobStage struct {
-	name string
-	run  func(ctx context.Context, prior map[string][]byte) ([]byte, error)
 }
 
 // job is the in-memory state of one job.
@@ -182,7 +151,6 @@ type job struct {
 	mu       sync.Mutex
 	rec      jobRecord
 	req      *JobRequest
-	current  string             // running stage name
 	tracker  *obs.ActiveTracker // live while running
 	cancel   context.CancelFunc
 	byClient bool // canceled via DELETE
@@ -205,8 +173,6 @@ type jobTier struct {
 	// noPersist simulates a hard kill in tests: once set, nothing is
 	// written to the store anymore, as if the process had died.
 	noPersist bool
-	// stageDone (tests) fires after each checkpoint commits.
-	stageDone func(id, stage string)
 }
 
 func newJobTier(s *Server, store JobStore, maxJobs, maxQueue int) *jobTier {
@@ -284,23 +250,15 @@ func (j *job) status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	st := JobStatus{
-		ID:         j.rec.ID,
-		Kind:       j.rec.Kind,
-		State:      j.rec.State,
-		Stages:     append([]string(nil), j.rec.Stages...),
-		StagesDone: append([]string(nil), j.rec.Done...),
-		Error:      j.rec.Error,
-		Result:     j.rec.Result,
-		Artifacts:  append([]string(nil), j.rec.Artifacts...),
+		ID:        j.rec.ID,
+		Kind:      j.rec.Kind,
+		State:     j.rec.State,
+		Error:     j.rec.Error,
+		Result:    j.rec.Result,
+		Artifacts: append([]string(nil), j.rec.Artifacts...),
 	}
-	if len(j.rec.Stages) > 0 {
-		st.Progress = float64(len(j.rec.Done)) / float64(len(j.rec.Stages))
-	}
-	if j.rec.State == JobStateRunning {
-		st.Stage = j.current
-		if j.tracker != nil {
-			st.Span = j.tracker.Active()
-		}
+	if j.rec.State == JobStateRunning && j.tracker != nil {
+		st.Span = j.tracker.Active()
 	}
 	return st
 }
@@ -380,14 +338,6 @@ func (t *jobTier) submit(req *JobRequest) (*job, error) {
 		return j, nil
 	}
 
-	stages, err := planStages(t.s, req)
-	if err != nil {
-		return nil, err
-	}
-	names := make([]string, len(stages))
-	for i, st := range stages {
-		names[i] = st.name
-	}
 	j := &job{
 		req: req,
 		rec: jobRecord{
@@ -395,7 +345,6 @@ func (t *jobTier) submit(req *JobRequest) (*job, error) {
 			Kind:    req.kind(),
 			Request: canon,
 			State:   JobStateAccepted,
-			Stages:  names,
 		},
 	}
 	t.mu.Lock()
@@ -412,7 +361,7 @@ func (t *jobTier) submit(req *JobRequest) (*job, error) {
 	if err := t.persistLocked(j); err != nil {
 		j.mu.Unlock()
 		t.drop(id)
-		return nil, fmt.Errorf("serve: persisting job %s: %v: %w", id, err, errs.ErrBadSpec)
+		return nil, fmt.Errorf("serve: persisting job %s: %w", id, err)
 	}
 	j.mu.Unlock()
 
@@ -470,120 +419,100 @@ func (t *jobTier) queuedCanceled(j *job, err error) {
 	t.setState(j, JobStateQueued, nil)
 }
 
-// run executes j's stages, loading checkpointed ones from the store and
-// persisting each newly completed one.
+// run evaluates j once and records the outcome; a job resumed from a
+// persisted record re-decodes its request first.
 func (t *jobTier) run(ctx context.Context, j *job) {
 	defer t.s.reg.Gauge("serve.jobs.active").Add(-1)
 	tracker := obs.NewActiveTracker(t.s.tracer)
 	j.mu.Lock()
 	j.tracker = tracker
-	done := make(map[string]bool, len(j.rec.Done))
-	for _, name := range j.rec.Done {
-		done[name] = true
-	}
-	req := j.req
+	req, raw := j.req, j.rec.Request
 	j.mu.Unlock()
 
 	if req == nil {
-		// Resumed from a persisted record: re-decode the request.
+		// The lenient decode drops fields a stored request may carry that
+		// the strict POST decode refuses, such as an older "chunks" count.
 		req = new(JobRequest)
-		j.mu.Lock()
-		raw := j.rec.Request
-		j.mu.Unlock()
-		if err := json.Unmarshal(raw, req); err == nil {
-			err = req.validate()
-			if err == nil {
-				j.mu.Lock()
-				j.req = req
-				j.mu.Unlock()
-			} else {
-				t.fail(j, err)
-				return
-			}
-		} else {
+		if err := json.Unmarshal(raw, req); err != nil {
 			t.fail(j, badSpec("persisted job request corrupt: %v", err))
 			return
 		}
-	}
-
-	stages, err := planStages(t.s, req)
-	if err != nil {
-		t.fail(j, err)
-		return
+		if err := req.validate(); err != nil {
+			t.fail(j, err)
+			return
+		}
+		j.mu.Lock()
+		j.req = req
+		j.mu.Unlock()
 	}
 
 	t.s.reg.Gauge("serve.jobs.running").Add(1)
 	defer t.s.reg.Gauge("serve.jobs.running").Add(-1)
 	t.setState(j, JobStateRunning, nil)
 
-	ctx = withJobMeta(ctx, j.rec.ID, tracker)
-	prior := make(map[string][]byte, len(stages))
-	for _, st := range stages {
-		if done[st.name] {
-			// Resume past a checkpointed stage: its payload comes from the
-			// store, not from recomputation.
-			payload, err := t.store.GetStage(j.rec.ID, st.name)
-			if err == nil {
-				prior[st.name] = payload
-				continue
-			}
-			// Checkpoint lost (or corrupt store): recompute the stage.
-			done[st.name] = false
-		}
-		j.mu.Lock()
-		j.current = st.name
-		j.notifyLocked()
-		j.mu.Unlock()
-
-		payload, err := st.run(ctx, prior)
-		if err != nil {
-			t.settleError(j, st.name, err)
-			return
-		}
-		prior[st.name] = payload
-		if err := t.putStage(j, st.name, payload); err != nil {
-			t.fail(j, fmt.Errorf("serve: checkpointing %s/%s: %v", j.rec.ID, st.name, err))
-			return
-		}
-		if t.stageDone != nil {
-			t.stageDone(j.rec.ID, st.name)
-		}
+	result, artifacts, err := t.evaluate(withJobTracker(ctx, tracker), j.rec.ID, req)
+	if err != nil {
+		t.settleError(j, err)
+		return
 	}
-
-	final := prior[stages[len(stages)-1].name]
 	t.s.reg.Counter("serve.jobs.done").Add(1)
 	t.setState(j, JobStateDone, func(r *jobRecord) {
-		r.Result = final
-		if req.Flow != nil {
-			r.Artifacts = []string{"def", "report"}
-		}
+		r.Result = result
+		r.Artifacts = artifacts
 	})
 }
 
-// putStage persists one completed stage and appends it to the record.
-func (t *jobTier) putStage(j *job, name string, payload []byte) error {
-	t.mu.Lock()
-	suppressed := t.noPersist
-	t.mu.Unlock()
-	if !suppressed {
-		if err := t.store.PutStage(j.rec.ID, name, payload); err != nil {
-			return err
+// evaluate runs the job's endpoint evaluator once and returns the
+// endpoint's response body and the names of the artifacts it stored.
+// Flow artifacts are written before the terminal record, so a job
+// interrupted between the two re-runs and rewrites identical bytes.
+func (t *jobTier) evaluate(ctx context.Context, id string, req *JobRequest) (json.RawMessage, []string, error) {
+	s := t.s
+	switch {
+	case req.Flow != nil:
+		res, err := s.design(ctx, req.Flow)
+		if err != nil {
+			return nil, nil, err
 		}
+		resp := flowResponseOf(res)
+		var def bytes.Buffer
+		if err := res.WriteDEF(&def); err != nil {
+			return nil, nil, err
+		}
+		if err := t.storeArtifact(id, "def", def.Bytes()); err != nil {
+			return nil, nil, err
+		}
+		if err := t.storeArtifact(id, "report", flowReportText(resp)); err != nil {
+			return nil, nil, err
+		}
+		b, err := json.Marshal(resp)
+		return b, []string{"def", "report"}, err
+	case req.Sweep != nil:
+		resp, err := s.sweepCached(ctx, req.Sweep)
+		if err != nil {
+			return nil, nil, err
+		}
+		b, err := json.Marshal(resp)
+		return b, nil, err
+	default:
+		var final dse.Update
+		_, err := dse.Explore(s.pdk, req.DSE.space(), req.DSE.options(), func(u dse.Update) {
+			if u.Done {
+				final = u
+			}
+		}, s.evalOptions(ctx)...)
+		if err != nil {
+			return nil, nil, err
+		}
+		b, err := json.Marshal(s.promote(ctx, req.DSE, final))
+		return b, nil, err
 	}
-	t.s.reg.Counter("serve.jobs.checkpoints").Add(1)
-	j.mu.Lock()
-	j.rec.Done = append(j.rec.Done, name)
-	j.current = ""
-	t.persistLocked(j)
-	j.notifyLocked()
-	j.mu.Unlock()
-	return nil
 }
 
-// settleError routes a stage failure: cancellation by drain parks the
-// job queued (resumable), cancellation by the client finishes it
+// settleError routes an evaluation failure: cancellation by drain parks
+// the job queued (resumable), cancellation by the client finishes it
 // canceled, anything else fails it.
-func (t *jobTier) settleError(j *job, stage string, err error) {
+func (t *jobTier) settleError(j *job, err error) {
 	if errors.Is(err, errs.ErrCanceled) || errors.Is(err, context.Canceled) ||
 		errors.Is(err, context.DeadlineExceeded) {
 		j.mu.Lock()
@@ -591,29 +520,24 @@ func (t *jobTier) settleError(j *job, stage string, err error) {
 		j.mu.Unlock()
 		if byClient {
 			t.s.reg.Counter("serve.jobs.canceled").Add(1)
-			t.setState(j, JobStateCanceled, func(r *jobRecord) {
-				r.Error = fmt.Sprintf("canceled in stage %s: %v", stage, err)
-			})
+			t.setState(j, JobStateCanceled, func(r *jobRecord) { r.Error = err.Error() })
 			return
 		}
 		t.s.reg.Counter("serve.jobs.interrupted").Add(1)
 		t.setState(j, JobStateQueued, func(r *jobRecord) { r.Error = "" })
 		return
 	}
-	t.s.reg.Counter("serve.jobs.failed").Add(1)
-	t.setState(j, JobStateFailed, func(r *jobRecord) {
-		r.Error = fmt.Sprintf("stage %s: %v", stage, err)
-	})
+	t.fail(j, err)
 }
 
-// fail finishes a job outside any stage.
+// fail finishes a job failed.
 func (t *jobTier) fail(j *job, err error) {
 	t.s.reg.Counter("serve.jobs.failed").Add(1)
 	t.setState(j, JobStateFailed, func(r *jobRecord) { r.Error = err.Error() })
 }
 
 // resume loads every stored job: terminal records become queryable,
-// unfinished ones are re-queued (their completed checkpoints skip).
+// unfinished ones are re-queued to run again from the start.
 func (t *jobTier) resume() {
 	ids, err := t.store.ListJobs()
 	if err != nil {
@@ -639,8 +563,7 @@ func (t *jobTier) resume() {
 }
 
 // interrupt starts the drain: every queued and running job's context is
-// canceled; running stages stop at their next cancellation point with
-// completed checkpoints intact.
+// canceled; running evaluations stop at their next cancellation point.
 func (t *jobTier) interrupt() {
 	t.baseCancel()
 }
@@ -660,17 +583,6 @@ func (t *jobTier) wait(ctx context.Context) error {
 	}
 }
 
-// kill simulates a hard process death for tests: suppress every further
-// store write, cancel all work, and wait for the runners to exit. The
-// store is left exactly as a kill -9 would have.
-func (t *jobTier) kill() {
-	t.mu.Lock()
-	t.noPersist = true
-	t.mu.Unlock()
-	t.baseCancel()
-	t.queue.Wait()
-}
-
 // cancelJob cancels a queued or running job on behalf of the client.
 func (t *jobTier) cancelJob(j *job) {
 	j.mu.Lock()
@@ -683,82 +595,11 @@ func (t *jobTier) cancelJob(j *job) {
 	}
 }
 
-// ---- stage planning ----
-
-// planStages derives the checkpoint sequence of one request. The plan is
-// a pure function of the request, so a restarted server re-derives the
-// identical sequence and resumes from the store's completed prefix.
-func planStages(s *Server, req *JobRequest) ([]jobStage, error) {
-	switch {
-	case req.Flow != nil:
-		return planFlowStages(s, req.Flow), nil
-	case req.Sweep != nil:
-		return planSweepStages(s, req.Sweep, req.Chunks), nil
-	case req.DSE != nil:
-		return planDSEStages(s, req.DSE), nil
-	}
-	return nil, badSpec("job needs exactly one of sweep, flow or dse")
-}
-
-// flowEval is the flow job's eval-stage payload: the response summary.
-// The DEF and report artifacts are persisted alongside it under the
-// artifact.* stage names (written before the eval checkpoint commits, so
-// a crash between them re-runs the deterministic eval and rewrites
-// identical bytes).
-type flowEval struct {
-	Response *FlowResponse `json:"response"`
-}
-
-// artifactStage maps an artifact name to its store stage name.
+// artifactStage maps an artifact name to its store blob name.
 func artifactStage(name string) string { return "artifact." + name }
 
-// planFlowStages: spec → eval → final. "spec" checkpoints the canonical
-// validated request (a cheap early boundary), "eval" runs the physical
-// flow once, persisting the DEF and report artifacts plus the response
-// summary, "final" promotes the summary to the job result.
-func planFlowStages(s *Server, fr *FlowRequest) []jobStage {
-	return []jobStage{
-		{name: "spec", run: func(ctx context.Context, _ map[string][]byte) ([]byte, error) {
-			spec, err := fr.spec()
-			if err != nil {
-				return nil, err
-			}
-			if err := spec.Validate(); err != nil {
-				return nil, err
-			}
-			return json.Marshal(fr)
-		}},
-		{name: "eval", run: func(ctx context.Context, _ map[string][]byte) ([]byte, error) {
-			res, err := s.design(ctx, fr)
-			if err != nil {
-				return nil, err
-			}
-			var def bytes.Buffer
-			if err := res.WriteDEF(&def); err != nil {
-				return nil, err
-			}
-			resp := flowResponseOf(res)
-			id := jobMetaFrom(ctx).id
-			if err := s.jobs.storeArtifact(id, "def", def.Bytes()); err != nil {
-				return nil, err
-			}
-			if err := s.jobs.storeArtifact(id, "report", flowReportText(resp)); err != nil {
-				return nil, err
-			}
-			return json.Marshal(flowEval{Response: resp})
-		}},
-		{name: "final", run: func(_ context.Context, prior map[string][]byte) ([]byte, error) {
-			var ev flowEval
-			if err := json.Unmarshal(prior["eval"], &ev); err != nil {
-				return nil, fmt.Errorf("serve: eval checkpoint corrupt: %v", err)
-			}
-			return json.Marshal(ev.Response)
-		}},
-	}
-}
-
-// storeArtifact persists one artifact blob under its stage name (skipped
-// under the test kill switch, like every other write).
+// storeArtifact persists one artifact blob (skipped under the test kill
+// switch, like every other write).
 func (t *jobTier) storeArtifact(id, name string, blob []byte) error {
 	t.mu.Lock()
 	suppressed := t.noPersist
@@ -788,141 +629,20 @@ func flowReportText(resp *FlowResponse) []byte {
 	return []byte(tb.String())
 }
 
-// sweepChunks splits a sweep request into consecutive sub-requests along
-// its primary axis — the checkpoint granularity of a sweep job. Requests
-// whose primary axis is defaulted (empty) are one chunk.
-func sweepChunks(req *SweepRequest, chunks int) []*SweepRequest {
-	axisLen := sweepAxisLen(req)
-	if chunks == 0 {
-		chunks = defaultJobChunks
-	}
-	if chunks > axisLen {
-		chunks = axisLen
-	}
-	if chunks <= 1 {
-		return []*SweepRequest{req}
-	}
-	out := make([]*SweepRequest, 0, chunks)
-	for i := 0; i < chunks; i++ {
-		lo, hi := i*axisLen/chunks, (i+1)*axisLen/chunks
-		sub := *req
-		switch req.Kind {
-		case KindBandwidthCS:
-			sub.CSCounts = req.CSCounts[lo:hi]
-		case KindRRAMCapacity:
-			sub.CapacitiesMB = req.CapacitiesMB[lo:hi]
-		case KindDelta:
-			sub.Deltas = req.Deltas[lo:hi]
-		case KindBeta:
-			sub.Betas = req.Betas[lo:hi]
-		case KindTierPairs:
-			sub.TierPairs = req.TierPairs[lo:hi]
-		}
-		out = append(out, &sub)
-	}
-	return out
+// jobTrackerKey carries a running job's span tracker to its evaluators
+// (evalOptions reads it through jobTracer); each attempt gets a fresh
+// tracker.
+type jobTrackerKey struct{}
+
+func withJobTracker(ctx context.Context, tr *obs.ActiveTracker) context.Context {
+	return context.WithValue(ctx, jobTrackerKey{}, tr)
 }
 
-// sweepAxisLen is the length of a sweep request's primary axis — the
-// dimension sweepChunks slices and the final stage reassembles.
-func sweepAxisLen(req *SweepRequest) int {
-	switch req.Kind {
-	case KindBandwidthCS:
-		return len(req.CSCounts)
-	case KindRRAMCapacity:
-		return len(req.CapacitiesMB)
-	case KindDelta:
-		return len(req.Deltas)
-	case KindBeta:
-		return len(req.Betas)
-	case KindTierPairs:
-		return len(req.TierPairs)
-	}
-	return 0
-}
-
-// planSweepStages: part.NN per chunk, then final. Each part evaluates
-// its sub-request through the server's coalescing (and, on a fleet,
-// peer-sharded) sweep cache and checkpoints its rows; final concatenates
-// the parts in axis order — byte-identical to the unsplit sweep, since
-// the grid is evaluated in axis-major order.
-func planSweepStages(s *Server, req *SweepRequest, chunks int) []jobStage {
-	subs := sweepChunks(req, chunks)
-	stages := make([]jobStage, 0, len(subs)+1)
-	names := make([]string, len(subs))
-	for i, sub := range subs {
-		name := fmt.Sprintf("part.%02d", i)
-		names[i] = name
-		sub := sub
-		stages = append(stages, jobStage{name: name, run: func(ctx context.Context, _ map[string][]byte) ([]byte, error) {
-			resp, err := s.sweepCached(ctx, sub)
-			if err != nil {
-				return nil, err
-			}
-			return json.Marshal(resp.Rows)
-		}})
-	}
-	stages = append(stages, jobStage{name: "final", run: func(_ context.Context, prior map[string][]byte) ([]byte, error) {
-		out := &SweepResponse{Kind: req.Kind}
-		for _, name := range names {
-			var rows []SweepRow
-			if err := json.Unmarshal(prior[name], &rows); err != nil {
-				return nil, fmt.Errorf("serve: %s checkpoint corrupt: %v", name, err)
-			}
-			out.Rows = append(out.Rows, rows...)
-		}
-		return json.Marshal(out)
-	}})
-	return stages
-}
-
-// planDSEStages: explore → final. A resumed explore stage re-runs the
-// whole exploration: its points are cheap to compute, and the result
-// matches the uninterrupted run because the search is deterministic.
-func planDSEStages(s *Server, req *DSERequest) []jobStage {
-	return []jobStage{
-		{name: "explore", run: func(ctx context.Context, _ map[string][]byte) ([]byte, error) {
-			var final dse.Update
-			_, err := dse.Explore(s.pdk, req.space(), req.options(), func(u dse.Update) {
-				if u.Done {
-					final = u
-				}
-			}, s.evalOptions(ctx)...)
-			if err != nil {
-				return nil, err
-			}
-			return json.Marshal(s.promote(ctx, req, final))
-		}},
-		{name: "final", run: func(_ context.Context, prior map[string][]byte) ([]byte, error) {
-			return prior["explore"], nil
-		}},
-	}
-}
-
-// jobMetaKey carries the running job's id and span tracker to its
-// stages — planStages closes over the request, but the tracker is
-// per-attempt (a resumed job gets a fresh one), so it rides the context.
-type jobMetaKey struct{}
-
-type jobMeta struct {
-	id      string
-	tracker *obs.ActiveTracker
-}
-
-func withJobMeta(ctx context.Context, id string, tr *obs.ActiveTracker) context.Context {
-	return context.WithValue(ctx, jobMetaKey{}, jobMeta{id: id, tracker: tr})
-}
-
-// jobMetaFrom returns the running job's metadata (zero outside a job).
-func jobMetaFrom(ctx context.Context) jobMeta {
-	m, _ := ctx.Value(jobMetaKey{}).(jobMeta)
-	return m
-}
-
-// jobTracer resolves the evaluation tracer for a stage context.
+// jobTracer resolves the evaluation tracer for a context: the job's
+// span tracker inside a job, the server tracer otherwise.
 func jobTracer(ctx context.Context, s *Server) obs.Tracer {
-	if m := jobMetaFrom(ctx); m.tracker != nil {
-		return m.tracker
+	if tr, ok := ctx.Value(jobTrackerKey{}).(*obs.ActiveTracker); ok {
+		return tr
 	}
 	return s.tracer
 }

@@ -8,9 +8,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
+	"time"
 
 	"m3d/internal/errs"
+	"m3d/internal/obs"
 )
 
 // fetchArtifact reads one job artifact, requiring 200.
@@ -23,14 +26,56 @@ func fetchArtifact(t *testing.T, baseURL, id, name string) []byte {
 	return b
 }
 
+// midFlowTracer parks the first flow that reaches placement until the
+// test has killed the server, so the kill lands while the flow runs.
+type midFlowTracer struct {
+	once           sync.Once
+	inFlow, killed chan struct{}
+}
+
+func newMidFlowTracer() *midFlowTracer {
+	return &midFlowTracer{inFlow: make(chan struct{}), killed: make(chan struct{})}
+}
+
+func (m *midFlowTracer) StartSpan(name string, attrs ...obs.Attr) obs.Span {
+	if name == "flow.place" {
+		m.once.Do(func() {
+			close(m.inFlow)
+			<-m.killed
+		})
+	}
+	return obs.Nop().StartSpan(name, attrs...)
+}
+
+// killMidFlow submits body to a server over a fresh DirJobStore in dir
+// and hard-kills that server while the job's flow is placing: the store
+// is left exactly as a kill -9 would leave it.
+func killMidFlow(t *testing.T, dir string, width int, body string) *DirJobStore {
+	t.Helper()
+	store, err := NewDirJobStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := newMidFlowTracer()
+	s, ts := newTestServer(t, Config{Workers: width, JobStore: store, Tracer: tr})
+	st := submitJob(t, ts.URL, body)
+	select {
+	case <-tr.inFlow:
+	case <-time.After(60 * time.Second):
+		t.Fatalf("the job's flow never reached placement\n%s", jobDiagnostics(t, ts.URL, getJob(t, ts.URL, st.ID)))
+	}
+	hardKillUnblock(s, tr.killed)
+	return store
+}
+
 // TestJobCrashResumeByteIdentical is the crash/resume end-to-end gate:
-// a flow job is killed hard after its first checkpointed stage, a new
-// server is started against the same store, and the resumed job's
-// result, DEF artifact and report artifact must be byte-identical to an
-// uninterrupted run — at pool widths 1, 2 and 8. This is the serving
-// layer's inheritance of the flow's width-independence guarantee: a
-// checkpointed stage is a pure function of the request, so replaying
-// the remainder reproduces the interrupted run exactly.
+// a flow job is killed hard while its flow runs, a new server is started
+// against the same store, and the re-run job's result, DEF artifact and
+// report artifact must be byte-identical to an uninterrupted run — at
+// pool widths 1, 2 and 8, with exactly one flow run on the restarted
+// server. This is the serving layer's inheritance of the flow's
+// width-independence guarantee: a job's result is a pure function of
+// its request, so re-running it reproduces the interrupted run exactly.
 func TestJobCrashResumeByteIdentical(t *testing.T) {
 	const body = `{"id":"crash","flow":{"style":"M3D","num_cs":1,"array_rows":2,"array_cols":2,"rram_cap_mb":1,"banks":1,"global_sram_bits":65536,"seed":7}}`
 
@@ -44,25 +89,10 @@ func TestJobCrashResumeByteIdentical(t *testing.T) {
 	for _, width := range widths {
 		t.Run(fmt.Sprintf("width=%d", width), func(t *testing.T) {
 			dir := t.TempDir()
-			store1, err := NewDirJobStore(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s1, ts1 := newTestServer(t, Config{Workers: width, JobStore: store1})
-			specDone := make(chan struct{})
-			killed := make(chan struct{})
-			s1.jobs.stageDone = func(id, stage string) {
-				if stage == "spec" {
-					close(specDone)
-					<-killed // hold the runner here so the kill races nothing
-				}
-			}
-			submitJob(t, ts1.URL, body)
-			<-specDone
-			hardKillUnblock(s1, killed)
+			killMidFlow(t, dir, width, body)
 
-			// Restart against the same directory: the job must resume past
-			// the "spec" checkpoint and finish.
+			// Restart against the same directory: the job must re-run and
+			// finish.
 			store2, err := NewDirJobStore(dir)
 			if err != nil {
 				t.Fatal(err)
@@ -72,6 +102,9 @@ func TestJobCrashResumeByteIdentical(t *testing.T) {
 				t.Fatalf("serve.jobs.resumed = %d, want 1", got)
 			}
 			done := waitJob(t, ts2.URL, "crash", JobStateDone)
+			if got := s2.Metrics().Counter("serve.flow.evals").Value(); got != 1 {
+				t.Errorf("serve.flow.evals on the restarted server = %d, want 1", got)
+			}
 
 			if !bytes.Equal(done.Result, ref.Result) {
 				t.Errorf("resumed result drifted from the uninterrupted run\nresumed: %s\nref:     %s",
@@ -88,56 +121,86 @@ func TestJobCrashResumeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestJobSweepResumeSkipsDoneChunks kills a chunked sweep job after its
-// first part checkpointed and proves the restarted server re-evaluates
-// only the remaining chunk: the completed part is loaded from the store
-// (exactly one local sweep evaluation on the second server), and the
-// concatenated rows are byte-identical to the uninterrupted response.
-func TestJobSweepResumeSkipsDoneChunks(t *testing.T) {
-	const body = `{"id":"swres","sweep":{"kind":"delta","deltas":[1.0,1.5,2.0,2.5]},"chunks":2}`
-
-	_, tsRef := newTestServer(t, Config{})
-	submitJob(t, tsRef.URL, body)
-	ref := waitJob(t, tsRef.URL, "swres", JobStateDone)
-
-	dir := t.TempDir()
-	store1, err := NewDirJobStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, ts1 := newTestServer(t, Config{JobStore: store1})
-	partDone := make(chan struct{})
-	killed := make(chan struct{})
-	s1.jobs.stageDone = func(id, stage string) {
-		if stage == "part.00" {
-			close(partDone)
-			<-killed
+// TestJobStoreServesAfterRestart reads jobs back from a DirJobStore on
+// a second server: a finished flow job is served from the store as it
+// stands, without any evaluation, and an unfinished record written by
+// the per-stage checkpoint format (a chunked sweep part-way through)
+// re-runs to the unchunked result.
+func TestJobStoreServesAfterRestart(t *testing.T) {
+	t.Run("finished_flow", func(t *testing.T) {
+		dir := t.TempDir()
+		store1, err := NewDirJobStore(dir)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	submitJob(t, ts1.URL, body)
-	<-partDone
-	hardKillUnblock(s1, killed)
+		_, ts1 := newTestServer(t, Config{JobStore: store1})
+		submitJob(t, ts1.URL, jobFlowBody)
+		want := waitJob(t, ts1.URL, "fljob", JobStateDone)
+		wantDEF := fetchArtifact(t, ts1.URL, "fljob", "def")
+		wantReport := fetchArtifact(t, ts1.URL, "fljob", "report")
 
-	store2, err := NewDirJobStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, ts2 := newTestServer(t, Config{JobStore: store2})
-	done := waitJob(t, ts2.URL, "swres", JobStateDone)
-	if !bytes.Equal(done.Result, ref.Result) {
-		t.Errorf("resumed sweep result drifted\nresumed: %s\nref:     %s", done.Result, ref.Result)
-	}
-	if got := s2.Metrics().Counter("serve.sweep.evals").Value(); got != 1 {
-		t.Errorf("serve.sweep.evals on resume = %d, want 1 (part.00 must load from its checkpoint)", got)
-	}
+		store2, err := NewDirJobStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s2, ts2 := newTestServer(t, Config{JobStore: store2})
+		got := getJob(t, ts2.URL, "fljob")
+		if got.State != JobStateDone || !bytes.Equal(got.Result, want.Result) ||
+			!reflect.DeepEqual(got.Artifacts, want.Artifacts) {
+			t.Fatalf("restarted server serves %+v, want %+v", got, want)
+		}
+		if b := fetchArtifact(t, ts2.URL, "fljob", "def"); !bytes.Equal(b, wantDEF) {
+			t.Errorf("DEF artifact drifted across the restart (%d vs %d bytes)", len(b), len(wantDEF))
+		}
+		if b := fetchArtifact(t, ts2.URL, "fljob", "report"); !bytes.Equal(b, wantReport) {
+			t.Errorf("report artifact drifted across the restart\ngot:\n%s\nwant:\n%s", b, wantReport)
+		}
+		reg := s2.Metrics()
+		if n := reg.Counter("serve.flow.evals").Value(); n != 0 {
+			t.Errorf("serve.flow.evals = %d on the restarted server, want 0", n)
+		}
+		if n := reg.Counter("serve.jobs.resumed").Value(); n != 0 {
+			t.Errorf("serve.jobs.resumed = %d for a finished job, want 0", n)
+		}
+	})
+
+	t.Run("unfinished_stage_record", func(t *testing.T) {
+		const sweep = `{"kind":"delta","deltas":[1,1.5,2,2.5]}`
+		dir := t.TempDir()
+		store, err := NewDirJobStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		record := `{"id":"old","kind":"sweep","request":{"id":"old","sweep":` + sweep + `,"chunks":2},` +
+			`"state":"running","stages":["part.00","part.01","final"],"done":["part.00"]}`
+		if err := store.PutJob("old", []byte(record)); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.PutStage("old", "part.00", []byte(`[{"delta":1,"edp_benefit":1}]`)); err != nil {
+			t.Fatal(err)
+		}
+
+		s, ts := newTestServer(t, Config{JobStore: store})
+		done := waitJob(t, ts.URL, "old", JobStateDone)
+		if n := s.Metrics().Counter("serve.sweep.evals").Value(); n != 1 {
+			t.Errorf("serve.sweep.evals = %d, want 1 (the whole sweep, once)", n)
+		}
+		status, _, want := post(t, ts.URL+"/v1/sweep", sweep)
+		if status != http.StatusOK {
+			t.Fatalf("/v1/sweep status = %d: %s", status, want)
+		}
+		if !bytes.Equal(done.Result, bytes.TrimSpace(want)) {
+			t.Errorf("re-run result differs from the unchunked sweep\njob:  %s\nsync: %s", done.Result, want)
+		}
+	})
 }
 
 // TestDirJobStoreIgnoresTornTemps plants the torn temp files a crash or
-// power loss mid-write leaves behind — a half-written record and
-// checkpoint next to the complete ones, the next stage's partial write,
-// and a job directory whose first record never landed — and requires
-// the store to serve only complete blobs and a restarted server to
-// resume the job byte-identically.
+// power loss mid-write leaves behind — a half-written record next to the
+// complete one, a partial artifact whose rename never happened, and a
+// job directory whose first record never landed — and requires the
+// store to serve only complete blobs and a restarted server to re-run
+// the job byte-identically.
 func TestDirJobStoreIgnoresTornTemps(t *testing.T) {
 	const body = `{"id":"torn","flow":{"style":"M3D","num_cs":1,"array_rows":2,"array_cols":2,"rram_cap_mb":1,"banks":1,"global_sram_bits":65536,"seed":7}}`
 
@@ -148,28 +211,9 @@ func TestDirJobStoreIgnoresTornTemps(t *testing.T) {
 	refReport := fetchArtifact(t, tsRef.URL, "torn", "report")
 
 	dir := t.TempDir()
-	store1, err := NewDirJobStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, ts1 := newTestServer(t, Config{JobStore: store1})
-	specDone := make(chan struct{})
-	killed := make(chan struct{})
-	s1.jobs.stageDone = func(id, stage string) {
-		if stage == "spec" {
-			close(specDone)
-			<-killed
-		}
-	}
-	submitJob(t, ts1.URL, body)
-	<-specDone
-	hardKillUnblock(s1, killed)
+	store1 := killMidFlow(t, dir, 0, body)
 
 	record, err := store1.GetJob("torn")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := store1.GetStage("torn", "spec")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,10 +221,9 @@ func TestDirJobStoreIgnoresTornTemps(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, blob := range map[string][]byte{
-		filepath.Join("torn", "job.json.tmp90"):       record[:len(record)/2],
-		filepath.Join("torn", "stage.spec.bin.tmp91"): spec[:len(spec)/2],
-		filepath.Join("torn", "stage.eval.bin.tmp92"): []byte(`{"response":{"sty`),
-		filepath.Join("ghost", "job.json.tmp93"):      []byte(`{"id":"gh`),
+		filepath.Join("torn", "job.json.tmp90"):               record[:len(record)/2],
+		filepath.Join("torn", "stage.artifact.def.bin.tmp91"): refDEF[:len(refDEF)/2],
+		filepath.Join("ghost", "job.json.tmp93"):              []byte(`{"id":"gh`),
 	} {
 		if err := os.WriteFile(filepath.Join(dir, name), blob, 0o644); err != nil {
 			t.Fatal(err)
@@ -197,11 +240,8 @@ func TestDirJobStoreIgnoresTornTemps(t *testing.T) {
 	if got, err := store2.GetJob("torn"); err != nil || !bytes.Equal(got, record) {
 		t.Errorf("GetJob = %q, %v; want the complete record", got, err)
 	}
-	if got, err := store2.GetStage("torn", "spec"); err != nil || !bytes.Equal(got, spec) {
-		t.Errorf("GetStage(spec) = %q, %v; want the complete checkpoint", got, err)
-	}
-	if _, err := store2.GetStage("torn", "eval"); !errors.Is(err, errs.ErrNotFound) {
-		t.Errorf("GetStage(eval) error = %v; a torn temp must not surface as a checkpoint", err)
+	if _, err := store2.GetStage("torn", artifactStage("def")); !errors.Is(err, errs.ErrNotFound) {
+		t.Errorf("GetStage(artifact.def) error = %v; a torn temp must not surface as an artifact", err)
 	}
 
 	s2, ts2 := newTestServer(t, Config{JobStore: store2})
@@ -220,8 +260,9 @@ func TestDirJobStoreIgnoresTornTemps(t *testing.T) {
 	}
 }
 
-// hardKillUnblock is hardKill for tests whose stageDone hook is parked
-// on a channel: the kill must land before the runner resumes.
+// hardKillUnblock simulates a hard process death: it suppresses every
+// further store write and cancels all work before unblock releases the
+// runner parked on it, then waits for the runners to exit.
 func hardKillUnblock(s *Server, unblock chan struct{}) {
 	s.jobs.mu.Lock()
 	s.jobs.noPersist = true

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -64,14 +65,13 @@ func waitJob(t *testing.T, baseURL, id, want string) JobStatus {
 }
 
 // jobDiagnostics renders what a stuck wait needs to tell a job that
-// never started from one a stage failure parked (settleError re-queues
-// an interrupted job and clears its error): the job record and the
-// server's serve.jobs.* series from /metrics.
+// never started from one an interrupted evaluation parked (settleError
+// re-queues an interrupted job and clears its error): the job status and
+// the server's serve.jobs.* series from /metrics.
 func jobDiagnostics(t *testing.T, baseURL string, st JobStatus) string {
 	t.Helper()
 	var b strings.Builder
-	fmt.Fprintf(&b, "job %s: state %q, error %q, stage %q, span %q, stages done %v of %v\n",
-		st.ID, st.State, st.Error, st.Stage, st.Span, st.StagesDone, st.Stages)
+	fmt.Fprintf(&b, "job %s: state %q, error %q, span %q\n", st.ID, st.State, st.Error, st.Span)
 	_, metrics := get(t, baseURL+"/metrics")
 	for _, line := range strings.Split(string(metrics), "\n") {
 		if f := strings.Fields(line); len(f) > 1 && strings.HasPrefix(f[1], "serve.jobs.") {
@@ -82,15 +82,14 @@ func jobDiagnostics(t *testing.T, baseURL string, st JobStatus) string {
 }
 
 // TestJobDiagnostics pins the report waitJob prints on a timeout: the
-// job record's state and stages, and the serve.jobs.* counters.
+// job's state, and the serve.jobs.* counters.
 func TestJobDiagnostics(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	submitJob(t, ts.URL, jobSweepBody)
 	st := waitJob(t, ts.URL, "swjob", JobStateDone)
 	got := jobDiagnostics(t, ts.URL, st)
 	for _, want := range []string{
-		`job swjob: state "done"`,
-		"stages done [part.00 part.01 final]",
+		`job swjob: state "done", error "", span ""`,
 		"counter serve.jobs.submitted 1\n",
 		"counter serve.jobs.done 1\n",
 	} {
@@ -117,21 +116,21 @@ func deleteJob(t *testing.T, baseURL, id string) (int, []byte) {
 	return resp.StatusCode, buf.Bytes()
 }
 
-const jobSweepBody = `{"id":"swjob","sweep":{"kind":"delta","deltas":[1.0,1.5,2.0,2.5]},"chunks":2}`
+// jobSweep is the 8-point delta sweep jobSweepBody submits.
+const (
+	jobSweep     = `{"kind":"delta","deltas":[1.0,1.2,1.4,1.6,1.8,2.0,2.2,2.4]}`
+	jobSweepBody = `{"id":"swjob","sweep":` + jobSweep + `}`
+)
 
-// TestJobSweepLifecycle submits a chunked sweep job and proves the
-// lifecycle (202 → queued/running → done), the planned stage sequence,
-// and that the final result is byte-identical to the synchronous
-// /v1/sweep response for the same request.
+// TestJobSweepLifecycle submits a sweep job and proves the lifecycle
+// (202 → queued/running → done), that the job evaluates the sweep once,
+// and that its result is the synchronous /v1/sweep response for the same
+// request byte for byte, served from the memo entry the job filled.
 func TestJobSweepLifecycle(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{})
 	st := submitJob(t, ts.URL, jobSweepBody)
 	if st.Kind != "sweep" {
 		t.Fatalf("kind = %q, want sweep", st.Kind)
-	}
-	wantStages := []string{"part.00", "part.01", "final"}
-	if fmt.Sprint(st.Stages) != fmt.Sprint(wantStages) {
-		t.Fatalf("stages = %v, want %v", st.Stages, wantStages)
 	}
 	switch st.State {
 	case JobStateAccepted, JobStateQueued, JobStateRunning, JobStateDone:
@@ -140,20 +139,21 @@ func TestJobSweepLifecycle(t *testing.T) {
 	}
 
 	done := waitJob(t, ts.URL, "swjob", JobStateDone)
-	if done.Progress != 1 {
-		t.Fatalf("done progress = %v, want 1", done.Progress)
-	}
-	if fmt.Sprint(done.StagesDone) != fmt.Sprint(wantStages) {
-		t.Fatalf("stages_done = %v, want %v", done.StagesDone, wantStages)
+	evals := s.Metrics().Counter("serve.sweep.evals")
+	if n := evals.Value(); n != 1 {
+		t.Fatalf("serve.sweep.evals = %d after the job, want 1", n)
 	}
 
-	status, _, syncBody := post(t, ts.URL+"/v1/sweep", `{"kind":"delta","deltas":[1.0,1.5,2.0,2.5]}`)
+	status, _, syncBody := post(t, ts.URL+"/v1/sweep", jobSweep)
 	if status != http.StatusOK {
 		t.Fatalf("/v1/sweep status = %d", status)
 	}
 	if !bytes.Equal(done.Result, bytes.TrimSpace(syncBody)) {
-		t.Fatalf("chunked job result drifted from the synchronous sweep\njob:  %s\nsync: %s",
+		t.Fatalf("job result drifted from the synchronous sweep\njob:  %s\nsync: %s",
 			done.Result, syncBody)
+	}
+	if n := evals.Value(); n != 1 {
+		t.Fatalf("serve.sweep.evals = %d after /v1/sweep, want 1 (the job's memo entry)", n)
 	}
 }
 
@@ -164,11 +164,7 @@ const jobFlowBody = `{"id":"fljob","flow":{"style":"M3D","num_cs":1,"array_rows"
 // and report artifacts are served back.
 func TestJobFlowArtifacts(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	st := submitJob(t, ts.URL, jobFlowBody)
-	wantStages := []string{"spec", "eval", "final"}
-	if fmt.Sprint(st.Stages) != fmt.Sprint(wantStages) {
-		t.Fatalf("stages = %v, want %v", st.Stages, wantStages)
-	}
+	submitJob(t, ts.URL, jobFlowBody)
 	done := waitJob(t, ts.URL, "fljob", JobStateDone)
 	if fmt.Sprint(done.Artifacts) != fmt.Sprint([]string{"def", "report"}) {
 		t.Fatalf("artifacts = %v, want [def report]", done.Artifacts)
@@ -204,8 +200,9 @@ func TestJobFlowArtifacts(t *testing.T) {
 }
 
 // TestJobEventsStream reads GET /v1/jobs/{id}/events as the job runs:
-// the stream must be a well-formed JSON array of status snapshots with
-// monotone non-decreasing progress, ending on the terminal element.
+// the stream must be a well-formed JSON array of status snapshots whose
+// states never move back along the lifecycle, ending on the terminal
+// element.
 func TestJobEventsStream(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	release := make(chan struct{})
@@ -257,12 +254,14 @@ func TestJobEventsStream(t *testing.T) {
 	if last.State != JobStateDone {
 		t.Fatalf("final event state = %q (error %q), want done", last.State, last.Error)
 	}
-	prev := -1.0
+	rank := map[string]int{JobStateAccepted: 0, JobStateQueued: 1, JobStateRunning: 2, JobStateDone: 3}
+	prev := 0
 	for i, ev := range events {
-		if ev.Progress < prev {
-			t.Fatalf("event %d progress %v regressed below %v", i, ev.Progress, prev)
+		r, ok := rank[ev.State]
+		if !ok || r < prev {
+			t.Fatalf("event %d state %q after rank %d: lifecycle regressed", i, ev.State, prev)
 		}
-		prev = ev.Progress
+		prev = r
 		if ev.ID != "swjob" {
 			t.Fatalf("event %d id = %q", i, ev.ID)
 		}
@@ -310,12 +309,14 @@ func TestJobNotFound(t *testing.T) {
 }
 
 // TestJobBadRequests exercises the request validator: every rejection is
-// a 400 before any job state is created.
+// a 400 before any job state is created. A job request has no "chunks"
+// field: it is refused as unknown wherever it appears.
 func TestJobBadRequests(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	for _, tc := range []struct{ name, body string }{
 		{"empty", `{}`},
 		{"two_kinds", `{"sweep":{"kind":"delta"},"flow":{"num_cs":1}}`},
+		{"chunks_on_sweep", `{"sweep":{"kind":"delta"},"chunks":1}`},
 		{"chunks_on_flow", `{"flow":{"num_cs":1},"chunks":2}`},
 		{"chunks_negative", `{"sweep":{"kind":"delta"},"chunks":-1}`},
 		{"chunks_huge", `{"sweep":{"kind":"delta"},"chunks":99}`},
@@ -330,10 +331,45 @@ func TestJobBadRequests(t *testing.T) {
 			if status != http.StatusBadRequest {
 				t.Fatalf("status = %d, want 400 (%s)", status, body)
 			}
+			if strings.HasPrefix(tc.name, "chunks_") && !strings.Contains(string(body), `unknown field \"chunks\"`) {
+				t.Fatalf("chunks rejected for another reason: %s", body)
+			}
 		})
 	}
 	if got := s.Metrics().Counter("serve.jobs.submitted").Value(); got != 0 {
 		t.Fatalf("serve.jobs.submitted = %d after rejections, want 0", got)
+	}
+}
+
+// failingPutStore is a JobStore whose record writes all fail, as on a
+// full or read-only disk.
+type failingPutStore struct{ *MemJobStore }
+
+func (failingPutStore) PutJob(string, []byte) error { return errors.New("disk full") }
+
+// TestJobStoreWriteFailure: a store that cannot persist a job is the
+// server's failure (500), not the client's; an id the store itself
+// refuses stays a 400. Neither leaves the job behind.
+func TestJobStoreWriteFailure(t *testing.T) {
+	_, ts := newTestServer(t, Config{JobStore: failingPutStore{NewMemJobStore()}})
+	status, _, body := post(t, ts.URL+"/v1/jobs", `{"id":"full","sweep":{"kind":"delta","deltas":[1.0]}}`)
+	if status != http.StatusInternalServerError || !strings.Contains(string(body), "disk full") {
+		t.Fatalf("status = %d (%s), want 500 naming the store error", status, body)
+	}
+	if status, body := get(t, ts.URL+"/v1/jobs/full"); status != http.StatusNotFound {
+		t.Fatalf("failed submit left the job behind: GET status = %d (%s)", status, body)
+	}
+
+	store, err := NewDirJobStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts = newTestServer(t, Config{JobStore: store})
+	if status, _, body := post(t, ts.URL+"/v1/jobs", `{"id":"a..b","sweep":{"kind":"delta","deltas":[1.0]}}`); status != http.StatusBadRequest {
+		t.Fatalf("store-refused id status = %d (%s), want 400", status, body)
+	}
+	if status, body := get(t, ts.URL+"/v1/jobs/a..b"); status == http.StatusOK {
+		t.Fatalf("refused id left the job behind: %s", body)
 	}
 }
 
@@ -396,7 +432,7 @@ func TestJobQueueShedAndCancel(t *testing.T) {
 	}
 }
 
-// TestJobCancelRunning cancels a job mid-stage: the evaluation context
+// TestJobCancelRunning cancels a running job: the evaluation context
 // ends, the job settles canceled, and the slot frees for later jobs.
 func TestJobCancelRunning(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxJobs: 1})
@@ -424,15 +460,15 @@ func TestJobCancelRunning(t *testing.T) {
 }
 
 // TestJobDrainParksAndResumes extends the drain choreography to
-// in-flight jobs: Drain interrupts the running stage and parks both the
-// running and the queued job back in "queued" with their checkpoints
-// intact; a new server over the same store resumes both to completion.
+// in-flight jobs: Drain interrupts the running evaluation and parks both
+// the running and the queued job back in "queued" in the store; a new
+// server over the same store runs both to completion.
 func TestJobDrainParksAndResumes(t *testing.T) {
 	store := NewMemJobStore()
 	s, ts := newTestServer(t, Config{MaxJobs: 1, JobStore: store})
 	s.evalBlock = func(ctx context.Context) { <-ctx.Done() }
 
-	submitJob(t, ts.URL, `{"id":"d1","sweep":{"kind":"delta","deltas":[1.0,1.5]},"chunks":2}`)
+	submitJob(t, ts.URL, `{"id":"d1","sweep":{"kind":"delta","deltas":[1.0,1.5]}}`)
 	waitJob(t, ts.URL, "d1", JobStateRunning)
 	submitJob(t, ts.URL, `{"id":"d2","sweep":{"kind":"delta","deltas":[2.0]}}`)
 

@@ -4,7 +4,7 @@
 // batches of both with per-item isolation and streamed results
 // (POST /v1/batch), the adaptive Pareto design-space explorer with
 // streamed frontier updates (POST /v1/dse), Monte-Carlo timing yield
-// over a built design (POST /v1/yield), async checkpointed jobs
+// over a built design (POST /v1/yield), async resumable jobs
 // (/v1/jobs), a liveness probe (GET /healthz), and the metrics registry
 // (GET /metrics, the sorted text dump of obs.Registry.WriteText).
 // cmd/m3dserve is the binary.
@@ -113,10 +113,10 @@ type Config struct {
 	// nil means time.Now.
 	Now func() time.Time
 
-	// JobStore persists async jobs (POST /v1/jobs) and their per-stage
-	// checkpoints; a restarted server built over the same store resumes
-	// every unfinished job from its last completed stage. nil keeps jobs
-	// in memory for the process lifetime (no resume across restarts).
+	// JobStore persists async jobs (POST /v1/jobs) and their artifacts;
+	// a restarted server built over the same store serves every finished
+	// job and re-runs every unfinished one. nil keeps jobs in memory for
+	// the process lifetime (no resume across restarts).
 	JobStore JobStore
 	// MaxJobs bounds concurrently running jobs (≤ 0 = 2). Jobs draw from
 	// their own gate, not the request-admission gate.
@@ -240,8 +240,7 @@ func New(cfg Config) *Server {
 	s.mux.Handle("GET /v1/jobs/{id}/artifacts/{name}", s.handler("jobs.artifact", false, s.handleJobArtifact))
 	s.mux.Handle("DELETE /v1/jobs/{id}", s.handler("jobs.cancel", false, s.handleJobCancel))
 
-	// Resume every unfinished job the store holds: the queue re-runs them
-	// from their last completed checkpoint.
+	// Resume every unfinished job the store holds: the queue re-runs them.
 	s.jobs.resume()
 	return s
 }
@@ -281,9 +280,8 @@ func (s *Server) leave() {
 
 // Drain puts the server into drain mode — every new request is refused
 // with 503 — interrupts the async job tier (running jobs stop at their
-// next cancellation point with every completed checkpoint persisted and
-// park back in "queued", the state a restarted server resumes them
-// from), and waits for in-flight requests and interrupted jobs to
+// next cancellation point and park back in "queued", the state a
+// restarted server re-runs them from), and waits for in-flight requests and interrupted jobs to
 // settle. It returns nil once the server is idle, or an error matching
 // errs.ErrCanceled (and ctx.Err()) when ctx ends first. Drain is
 // idempotent; the server stays refusing after it returns.

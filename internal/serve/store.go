@@ -12,16 +12,17 @@ import (
 )
 
 // JobStore is the pluggable persistence behind the async job tier: one
-// record per job (the request plus its lifecycle state) and one blob per
-// completed stage (the checkpoint a restarted server resumes from). All
-// methods must be safe for concurrent use; a missing job or stage is
+// record per job (the request, its lifecycle state and, once done, its
+// result) and one blob per artifact (a flow job's DEF and report). All
+// methods must be safe for concurrent use; a missing job or blob is
 // reported with an error matching errs.ErrNotFound.
 //
 // The contract the resume path relies on: PutJob and PutStage are
 // atomic at the entry level — a reader (or a server restarted after a
 // crash) sees either the previous blob or the new one, never a torn
-// write. Stage blobs are immutable once written: the runner writes each
-// stage exactly once and never rewrites a checkpoint.
+// write. A job writes its artifacts before its terminal record, so a
+// job interrupted in between re-runs and may rewrite an artifact, always
+// with identical bytes.
 type JobStore interface {
 	// PutJob durably writes the job record for id.
 	PutJob(id string, record []byte) error
@@ -29,12 +30,12 @@ type JobStore interface {
 	GetJob(id string) ([]byte, error)
 	// ListJobs returns every stored job id (any order).
 	ListJobs() ([]string, error)
-	// PutStage durably writes one stage checkpoint.
+	// PutStage durably writes one named blob of job id.
 	PutStage(id, stage string, payload []byte) error
-	// GetStage reads one stage checkpoint.
+	// GetStage reads one named blob of job id.
 	GetStage(id, stage string) ([]byte, error)
-	// DeleteJob removes the record and every checkpoint of id (no error
-	// when absent).
+	// DeleteJob removes the record and every blob of id (no error when
+	// absent).
 	DeleteJob(id string) error
 }
 
@@ -124,12 +125,12 @@ func (m *MemJobStore) DeleteJob(id string) error {
 }
 
 // DirJobStore is the filesystem JobStore: one directory per job holding
-// job.json plus one stage.<name>.bin per checkpoint. Every write lands
-// via create-temp + fsync + rename + directory fsync, so a crash or a
-// power loss mid-write leaves either the old entry or the new one —
-// never a torn blob — which is what lets a restarted server trust
-// whatever checkpoints it finds. This is the store cmd/m3dserve mounts
-// with -jobstore.
+// job.json plus one stage.<name>.bin per blob. Every write lands via
+// create-temp + fsync + rename + directory fsync, so a crash or a power
+// loss mid-write leaves either the old entry or the new one — never a
+// torn blob — which is what lets a restarted server trust whatever
+// records it finds. This is the store cmd/m3dserve mounts with
+// -jobstore.
 type DirJobStore struct {
 	dir string
 	mu  sync.Mutex // serializes temp-name generation per process
@@ -262,8 +263,8 @@ func (d *DirJobStore) ListJobs() ([]string, error) {
 	return ids, nil
 }
 
-// stagePath maps a stage name to its checkpoint file, refusing names
-// that would escape the job directory.
+// stagePath maps a blob name to its file, refusing names that would
+// escape the job directory.
 func (d *DirJobStore) stagePath(id, stage string) (string, error) {
 	dir, err := d.jobDir(id)
 	if err != nil {

@@ -348,25 +348,24 @@ type (
 func NewService(cfg ServiceConfig) *Service { return serve.New(cfg) }
 
 // Async job tier (POST /v1/jobs; DESIGN.md §14): long-running flow,
-// sweep and DSE work submitted for background execution with per-stage
-// checkpoints persisted through a JobStore, so a restarted Service
-// resumes interrupted jobs from their last completed stage and
-// reproduces the uninterrupted results byte for byte.
+// sweep and DSE work submitted for background execution. Each job
+// evaluates once and its record, result included, persists through a
+// JobStore, so a restarted Service serves finished jobs and re-runs
+// interrupted ones, reproducing the uninterrupted results byte for byte.
 type (
 	// ServiceJobRequest is the POST /v1/jobs body: exactly one of
-	// Sweep/Flow/DSE, an optional client-chosen idempotency ID, and an
-	// optional chunk count for sweep checkpoint granularity.
+	// Sweep/Flow/DSE and an optional client-chosen idempotency ID.
 	ServiceJobRequest = serve.JobRequest
 	// ServiceJobStatus is the job envelope returned by every jobs
-	// endpoint: state machine position, per-stage progress, and — once
-	// done — the result payload and artifact names.
+	// endpoint: state machine position, the live evaluation span while
+	// running, and — once done — the result payload and artifact names.
 	ServiceJobStatus = serve.JobStatus
-	// ServiceJobStore persists job records and stage checkpoints;
-	// MemJobStore and DirJobStore are the built-ins.
+	// ServiceJobStore persists job records and artifacts; MemJobStore
+	// and DirJobStore are the built-ins.
 	ServiceJobStore = serve.JobStore
 	// ServiceMemJobStore is the in-process JobStore (tests, single run).
 	ServiceMemJobStore = serve.MemJobStore
-	// ServiceDirJobStore is the on-disk JobStore (atomic per-stage
+	// ServiceDirJobStore is the on-disk JobStore (atomic per-blob
 	// files; survives restarts and powers crash/resume).
 	ServiceDirJobStore = serve.DirJobStore
 )

@@ -62,7 +62,7 @@ make serve-smoke
 
 echo "== jobs smoke =="
 # Boot cmd/m3dserve with an on-disk job store, run a flow job to done,
-# SIGTERM mid-job (the drain parks it checkpointed), then restart on the
+# SIGTERM mid-job (the drain parks it in the store), then restart on the
 # same store and require byte-identical resumed artifacts.
 make jobs-smoke
 
