@@ -446,23 +446,14 @@ func runSweep(args []string) {
 			GlobalSRAMBits: 64 << 10,
 			Seed:           1,
 		}
-		spec2 := base
-		spec2.Style = macro.Style2D
-		spec2.NumCS = 1
-		spec2.Banks = 1
 		log.Printf("running 2D baseline flow (%dx%d PEs/CS)...", *side, *side)
-		twoD, err := flow.Run(p, spec2, pool...)
+		twoD, err := flow.Run(p, flow.Baseline2D(base), pool...)
 		if err != nil {
 			log.Fatal(err)
 		}
 		specs := make([]flow.SoCSpec, len(csCounts))
 		for i, n := range csCounts {
-			s := base
-			s.Style = macro.Style3D
-			s.NumCS = n
-			s.Banks = n
-			s.Die = twoD.Die
-			specs[i] = s
+			specs[i] = flow.IsoFootprintM3D(base, n, twoD.Die)
 		}
 		log.Printf("running %d iso-footprint M3D variants...", len(specs))
 		results, err := flow.RunMany(p, specs, pool...)

@@ -18,7 +18,6 @@ import (
 	"m3d/internal/cliutil"
 	"m3d/internal/exec"
 	"m3d/internal/flow"
-	"m3d/internal/macro"
 	"m3d/internal/report"
 	"m3d/internal/tech"
 )
@@ -55,11 +54,7 @@ func main() {
 	}
 
 	log.Printf("running 2D baseline flow (%dx%d PEs, %d MB RRAM)...", *side, *side, *rramMB)
-	spec2 := spec
-	spec2.Style = macro.Style2D
-	spec2.NumCS = 1
-	spec2.Banks = 1
-	twoD, err := flow.Run(p, spec2, obsOpts...)
+	twoD, err := flow.Run(p, flow.Baseline2D(spec), obsOpts...)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -67,12 +62,7 @@ func main() {
 	log.Printf("running %d iso-footprint M3D flow variant(s) (CS counts %v)...", len(csCounts), csCounts)
 	specs := make([]flow.SoCSpec, len(csCounts))
 	for i, cs := range csCounts {
-		s := spec
-		s.Style = macro.Style3D
-		s.NumCS = cs
-		s.Banks = cs
-		s.Die = twoD.Die
-		specs[i] = s
+		specs[i] = flow.IsoFootprintM3D(spec, cs, twoD.Die)
 	}
 	variants, err := flow.RunMany(p, specs, append([]exec.Option{exec.WithWorkers(*workers)}, obsOpts...)...)
 	if err != nil {

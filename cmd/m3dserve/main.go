@@ -13,10 +13,10 @@
 //
 // The server sheds load with 429 once the admission queue is full,
 // applies a per-request deadline, bounds its coalescing caches with
-// -cachecap / M3D_CACHE_CAP (LRU eviction keeps memory flat under
-// varied traffic), and drains gracefully on SIGINT/SIGTERM: in-flight
-// requests complete (up to -drain), new requests are refused with 503,
-// then the listener closes.
+// -cachecap (LRU eviction keeps memory flat under varied traffic; 0, the
+// default, leaves them unbounded), and drains gracefully on
+// SIGINT/SIGTERM: in-flight requests complete (up to -drain), new
+// requests are refused with 503, then the listener closes.
 //
 // Async jobs (POST /v1/jobs, DESIGN.md §14) run behind their own
 // -jobs/-jobqueue admission gate; each evaluates once, and its record
@@ -58,7 +58,7 @@ func main() {
 	queue := flag.Int("queue", 0, "max requests waiting for admission (0 = same as -inflight, negative = none)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request evaluation deadline (negative = none)")
 	drain := flag.Duration("drain", 15*time.Second, "graceful-drain deadline on SIGINT/SIGTERM")
-	cachecap := flag.Int("cachecap", 0, "memoized responses kept per coalescing cache, LRU-evicted beyond (0 = M3D_CACHE_CAP env, negative = unbounded)")
+	cachecap := flag.Int("cachecap", 0, "memoized responses kept per coalescing cache, LRU-evicted beyond (0 or negative = unbounded)")
 	jobstore := flag.String("jobstore", "", "directory persisting async jobs and their artifacts (empty = in-memory, no resume across restarts)")
 	jobs := flag.Int("jobs", 0, "max concurrently running async jobs (0 = 2)")
 	jobqueue := flag.Int("jobqueue", 0, "max async jobs queued behind the running ones (0 = 16, negative = none)")

@@ -149,23 +149,38 @@ func Fig7(p *tech.PDK, opts ...exec.Option) ([]Fig7Row, error) {
 	return rows, nil
 }
 
+// Fig8Machine is the Fig. 8 reference machine: the case-study 2D baseline
+// evaluated against its single-CS self, so a sweep's N and bandwidth come
+// entirely from the swept axes.
+func Fig8Machine() analytic.Params {
+	a2d := arch.CaseStudy2D()
+	return Params(a2d, a2d.WithParallelCS(1))
+}
+
+// Fig. 8's compute-bound load and axes, the defaults of the served
+// bandwidth_cs sweep. Callers must not modify the slices.
+var (
+	// Fig8ComputeBound is the compute-bound load (16 ops/bit).
+	Fig8ComputeBound = analytic.Load{F0: 16e6, D0: 1e6, NPart: 64}
+	// Fig8CSCounts is the CS-count axis.
+	Fig8CSCounts = []int{1, 2, 4, 8, 16}
+	// Fig8BWScales is the bandwidth-scale axis.
+	Fig8BWScales = []float64{1, 2, 4, 8, 16}
+)
+
 // Fig8 reproduces the Fig. 8 sweeps: EDP benefit vs (CS count, bandwidth
 // scale) for a compute-bound (16 ops/bit) and a memory-bound (16 bits/op)
 // workload. Both grids run on the exec worker pool (exec.Option controls
 // width/cancellation) with deterministic, serial-identical output order.
 func Fig8(p *tech.PDK, opts ...exec.Option) (computeBound, memoryBound []analytic.SweepPoint, err error) {
 	defer span(exec.Resolve(opts...), "core.fig8")()
-	a2d := arch.CaseStudy2D()
-	params := Params(a2d, a2d.WithParallelCS(1))
-	cs := []int{1, 2, 4, 8, 16}
-	bw := []float64{1, 2, 4, 8, 16}
-	cb := analytic.Load{F0: 16e6, D0: 1e6, NPart: 64}
+	params := Fig8Machine()
 	mb := analytic.Load{F0: 1e6, D0: 16e6, NPart: 64}
-	computeBound, err = analytic.SweepBandwidthCS(params, cb, cs, bw, opts...)
+	computeBound, err = analytic.SweepBandwidthCS(params, Fig8ComputeBound, Fig8CSCounts, Fig8BWScales, opts...)
 	if err != nil {
 		return nil, nil, err
 	}
-	memoryBound, err = analytic.SweepBandwidthCS(params, mb, cs, bw, opts...)
+	memoryBound, err = analytic.SweepBandwidthCS(params, mb, Fig8CSCounts, Fig8BWScales, opts...)
 	if err != nil {
 		return nil, nil, err
 	}

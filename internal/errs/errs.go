@@ -4,7 +4,7 @@
 // with %w, so callers classify failures with errors.Is instead of
 // string-matching:
 //
-//	_, err := m3d.RunFlowContext(ctx, pdk, spec)
+//	_, err := m3d.RunFlow(pdk, spec, m3d.WithContext(ctx))
 //	switch {
 //	case errors.Is(err, m3d.ErrCanceled):     // ctx cancelled / deadline
 //	case errors.Is(err, m3d.ErrBadSpec):      // invalid spec or parameters

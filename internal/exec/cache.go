@@ -1,29 +1,10 @@
 package exec
 
 import (
-	"os"
-	"strconv"
 	"sync"
 
 	"m3d/internal/obs"
 )
-
-// CacheCapEnv is the environment variable that sets the entry capacity of
-// the serve coalescing response caches for deployments that opt into
-// bounded memory. Unset, empty, or non-positive leaves them unbounded
-// (the seed behaviour).
-const CacheCapEnv = "M3D_CACHE_CAP"
-
-// CacheCapFromEnv returns the M3D_CACHE_CAP capacity, or 0 when the
-// variable is unset or not a positive integer (meaning: stay unbounded).
-func CacheCapFromEnv() int {
-	if s := os.Getenv(CacheCapEnv); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 0
-}
 
 // Cache is a concurrency-safe memoization table with single-flight
 // semantics: for each key the compute function runs exactly once, even

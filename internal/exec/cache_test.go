@@ -195,21 +195,6 @@ func TestLRUHammerWithForget(t *testing.T) {
 	}
 }
 
-// TestCacheCapFromEnv pins the knob's parse contract.
-func TestCacheCapFromEnv(t *testing.T) {
-	for _, tc := range []struct {
-		val  string
-		want int
-	}{
-		{"", 0}, {"0", 0}, {"-3", 0}, {"junk", 0}, {"128", 128},
-	} {
-		t.Setenv(CacheCapEnv, tc.val)
-		if got := CacheCapFromEnv(); got != tc.want {
-			t.Errorf("M3D_CACHE_CAP=%q → %d, want %d", tc.val, got, tc.want)
-		}
-	}
-}
-
 // TestCacheResetBounded proves Reset clears the LRU bookkeeping, not just
 // the map.
 func TestCacheResetBounded(t *testing.T) {

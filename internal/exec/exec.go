@@ -3,18 +3,18 @@
 // results come back in deterministic input order regardless of goroutine
 // scheduling, plus a concurrency-safe memoization Cache with
 // single-flight semantics for deduplicating repeated evaluations
-// (identical flow specs, identical service requests). The cache is
-// unbounded by default and can opt into an entry-count LRU eviction
-// policy (Cache.Bound, M3D_CACHE_CAP) for long-lived servers; see
-// cache.go.
+// (identical service requests, retained designs). The cache is unbounded
+// by default and can opt into an entry-count LRU eviction policy
+// (Cache.Bound) for long-lived servers; see cache.go.
 //
-// It also owns the library's shared run-option surface: every public
-// entry point that fans out (flow.Run/RunMany, analytic.SweepBandwidthCS,
-// the core experiments) accepts the same Option type, so pool width
-// (WithWorkers), cancellation (WithContext), tracing (WithTracer),
-// metrics (WithMetrics) and caller-defined values (WithValue) thread
-// uniformly through the whole stack. When a tracer or registry is
-// attached, Map emits one span per task, maintains pool-width and
+// It also owns the library's only run-configuration surface: every
+// public entry point that fans out (flow.Run/RunMany,
+// analytic.SweepBandwidthCS, the core experiments) accepts the same
+// Option type, so pool width (WithWorkers), cancellation (WithContext),
+// tracing (WithTracer) and metrics (WithMetrics) thread uniformly through
+// the whole stack; layered packages attach their own settings with
+// Settings.SetValue (flow's thermal sign-off). When a tracer or registry
+// is attached, Map emits one span per task, maintains pool-width and
 // queue-depth gauges, and counts tasks and errors; the memo cache counts
 // hits and misses. With neither attached the instrumentation is skipped
 // entirely (nil checks only).
@@ -59,7 +59,7 @@ func DefaultWorkers() int {
 }
 
 // Settings is the resolved configuration of one run: pool width, context,
-// observability sinks, and caller-defined values (see WithValue). Build
+// observability sinks, and caller-defined values (see SetValue). Build
 // one with Resolve; packages layered on exec (flow, analytic, core) use
 // it to share a single option surface.
 type Settings struct {
@@ -92,14 +92,6 @@ func (s *Settings) Value(key any) any {
 		return nil
 	}
 	return s.vals[key]
-}
-
-// instrument returns ctx carrying the settings' tracer and registry so
-// nested instrumented code (flow stages under Map) can find them.
-func (s *Settings) instrument(ctx context.Context) context.Context {
-	ctx = obs.ContextWithTracer(ctx, s.Tracer)
-	ctx = obs.ContextWithMetrics(ctx, s.Metrics)
-	return ctx
 }
 
 // Option configures one run (a Map call, a flow run, a sweep, an
@@ -135,17 +127,8 @@ func WithMetrics(r *obs.Registry) Option {
 	return func(s *Settings) { s.Metrics = r }
 }
 
-// WithValue attaches a caller-defined key/value to the settings; layered
-// packages use this to extend the shared option surface (e.g. flow's
-// thermal sign-off) without exec knowing their types.
-func WithValue(key, val any) Option {
-	return func(s *Settings) { s.SetValue(key, val) }
-}
-
 // Resolve applies opts over defaults: background context, DefaultWorkers
-// width, and — when no explicit sink was given — the tracer/registry
-// carried by the resolved context (so context-first callers need no
-// extra options).
+// width, and no observability sinks.
 func Resolve(opts ...Option) *Settings {
 	s := &Settings{Ctx: context.Background()}
 	for _, o := range opts {
@@ -155,12 +138,6 @@ func Resolve(opts ...Option) *Settings {
 	}
 	if s.Workers <= 0 {
 		s.Workers = DefaultWorkers()
-	}
-	if s.Tracer == nil {
-		s.Tracer = obs.TracerFrom(s.Ctx)
-	}
-	if s.Metrics == nil {
-		s.Metrics = obs.MetricsFrom(s.Ctx)
 	}
 	return s
 }
@@ -172,10 +149,10 @@ func canceled(err error) error {
 }
 
 // Map evaluates fn over every item with a bounded worker pool and returns
-// the results in input order. fn receives the cancellation context (which
-// carries the settings' tracer/registry when set), the item's input
-// index, and the item. The first error (lowest failing input index)
-// aborts dispatch and is returned with a nil result slice.
+// the results in input order. fn receives the pool's cancellation
+// context, the item's input index, and the item. The first error (lowest
+// failing input index) aborts dispatch and is returned with a nil result
+// slice.
 func Map[T, R any](items []T, fn func(ctx context.Context, idx int, item T) (R, error), opts ...Option) ([]R, error) {
 	return MapWith(Resolve(opts...), items, fn)
 }
@@ -206,7 +183,6 @@ func MapWith[T, R any](st *Settings, items []T, fn func(ctx context.Context, idx
 		label = "exec.task"
 	}
 	if workers == 1 {
-		ctx := st.instrument(st.Ctx)
 		for i, item := range items {
 			if err := st.Ctx.Err(); err != nil {
 				return nil, canceled(err)
@@ -217,7 +193,7 @@ func MapWith[T, R any](st *Settings, items []T, fn func(ctx context.Context, idx
 				sp = st.Tracer.StartSpan(label, obs.Int("idx", i))
 			}
 			tasks.Add(1)
-			r, err := fn(ctx, i, item)
+			r, err := fn(st.Ctx, i, item)
 			if sp != nil {
 				sp.End()
 			}
@@ -232,7 +208,6 @@ func MapWith[T, R any](st *Settings, items []T, fn func(ctx context.Context, idx
 
 	ctx, cancel := context.WithCancel(st.Ctx)
 	defer cancel()
-	fnCtx := st.instrument(ctx)
 	errors := make([]error, n)
 	var next atomic.Int64
 	// Contiguous chunk dispatch amortizes the counter for cheap per-point
@@ -265,7 +240,7 @@ func MapWith[T, R any](st *Settings, items []T, fn func(ctx context.Context, idx
 						sp = st.Tracer.StartSpan(label, obs.Int("idx", i))
 					}
 					tasks.Add(1)
-					r, err := fn(fnCtx, i, items[i])
+					r, err := fn(ctx, i, items[i])
 					if sp != nil {
 						sp.End()
 					}

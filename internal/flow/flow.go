@@ -6,13 +6,13 @@
 // banks (Si access FETs) and once with M3D-style banks on the same die —
 // reproduces the paper's Sec. II physical-design case study.
 //
-// API shape: RunContext/RunManyContext are the context-first entry
-// points; Run/RunMany are thin wrappers over context.Background(). All
-// of them accept the shared exec.Option surface (m3d.Option):
-// WithWorkers, WithContext, WithTracer, WithMetrics, plus this package's
-// WithThermalCheck. A run returns a Result that retains the design
-// database; the interchange exports (GDS, Verilog, DEF) are written from
-// it with Result.WriteGDS/WriteVerilog/WriteDEF.
+// API shape: Run, RunMany and CaseStudy are configured only through the
+// shared exec.Option surface (m3d.Option): WithWorkers, WithContext,
+// WithTracer, WithMetrics, plus this package's WithThermalCheck.
+// Baseline2D and IsoFootprintM3D build the case study's two specs. A run
+// returns a Result that retains the design database; the interchange
+// exports (GDS, Verilog, DEF) are written from it with
+// Result.WriteGDS/WriteVerilog/WriteDEF.
 // When a tracer is attached, every run emits one "flow.<stage>" span per
 // stage — synth, floorplan, place, cts, route, sta, power, signoff
 // (skipped stages carry skipped="true") — under a "flow.run" root span;
@@ -56,7 +56,7 @@ import (
 
 // SoCSpec describes one accelerator SoC implementation run. A spec is a
 // pure value: two equal specs describe the same design, which is what
-// lets RunMany memoize repeated configurations.
+// lets the service key its design cache on one.
 type SoCSpec struct {
 	// Style selects 2D (Si access FETs under RRAM) or M3D (CNFET access
 	// FETs above RRAM).
@@ -310,36 +310,12 @@ func checkCtx(ctx context.Context) error {
 	return nil
 }
 
-// resolve builds run settings with an explicit context override (the
-// context-first entry points win over a WithContext option).
-func resolve(ctx context.Context, opts []exec.Option) *exec.Settings {
-	st := exec.Resolve(opts...)
-	if ctx != nil {
-		st.Ctx = ctx
-		if st.Tracer == nil {
-			st.Tracer = obs.TracerFrom(ctx)
-		}
-		if st.Metrics == nil {
-			st.Metrics = obs.MetricsFrom(ctx)
-		}
-	}
-	return st
-}
-
-// Run executes the full flow for one SoC spec. It is RunContext over
-// context.Background(); cancellation can still be supplied via
-// exec.WithContext.
+// Run executes the full flow for one SoC spec. A context given with
+// exec.WithContext abandons the run between stages once it is cancelled
+// (error matches errs.ErrCanceled); a tracer or registry given with
+// exec.WithTracer/WithMetrics instruments the stages.
 func Run(p *tech.PDK, spec SoCSpec, opts ...exec.Option) (*Result, error) {
 	st := exec.Resolve(opts...)
-	return runWith(st.Ctx, st, p, spec)
-}
-
-// RunContext executes the full flow for one SoC spec under ctx: the run
-// is abandoned between stages once ctx is cancelled (error matches
-// errs.ErrCanceled), and any tracer/metrics attached to ctx (or passed
-// as options) instrument the stages.
-func RunContext(ctx context.Context, p *tech.PDK, spec SoCSpec, opts ...exec.Option) (*Result, error) {
-	st := resolve(ctx, opts)
 	return runWith(st.Ctx, st, p, spec)
 }
 
@@ -631,30 +607,43 @@ func runWith(ctx context.Context, st *exec.Settings, p *tech.PDK, spec SoCSpec) 
 	return res, nil
 }
 
-// CaseStudy runs the paper's Sec. II comparison at the given scale: the 2D
-// baseline (1 CS, 2D-style banks) sized automatically, then the M3D design
-// (numCS CSs, M3D-style banks, numCS× banks) on the identical die —
-// iso-footprint, iso-on-chip-memory-capacity by construction. Options
-// (context, tracer, metrics) apply to both runs.
+// Baseline2D is the Sec. II case study's 2D baseline at the given scale:
+// one CS under one 2D-style bank (Si access FETs).
+func Baseline2D(scale SoCSpec) SoCSpec {
+	s := scale
+	s.Style = macro.Style2D
+	s.NumCS = 1
+	s.Banks = 1
+	return s
+}
+
+// IsoFootprintM3D is the baseline's M3D twin at the given scale: numCS
+// CSs under M3D-style banks, one bank per CS (the Banks == NumCS rule the
+// per-CS placement fence keys on), on the baseline's die. With the same
+// RRAM capacity as the baseline, the pair is iso-footprint and
+// iso-on-chip-memory-capacity by construction.
+func IsoFootprintM3D(scale SoCSpec, numCS int, die geom.Rect) SoCSpec {
+	s := scale
+	s.Style = macro.Style3D
+	s.NumCS = numCS
+	s.Banks = numCS
+	s.Die = die
+	return s
+}
+
+// CaseStudy runs the paper's Sec. II comparison at the given scale: the
+// Baseline2D spec sized automatically, then its IsoFootprintM3D twin on
+// the identical die. Options (context, tracer, metrics) apply to both
+// runs.
 func CaseStudy(p *tech.PDK, scale SoCSpec, numCS int, opts ...exec.Option) (twoD, m3d *Result, err error) {
 	st := exec.Resolve(opts...)
 	scale = scale.withDefaults()
 
-	spec2 := scale
-	spec2.Style = macro.Style2D
-	spec2.NumCS = 1
-	spec2.Banks = 1
-	twoD, err = runWith(st.Ctx, st, p, spec2)
+	twoD, err = runWith(st.Ctx, st, p, Baseline2D(scale))
 	if err != nil {
 		return nil, nil, fmt.Errorf("flow: 2D baseline: %w", err)
 	}
-
-	spec3 := scale
-	spec3.Style = macro.Style3D
-	spec3.NumCS = numCS
-	spec3.Banks = numCS
-	spec3.Die = twoD.Die // iso-footprint
-	m3d, err = runWith(st.Ctx, st, p, spec3)
+	m3d, err = runWith(st.Ctx, st, p, IsoFootprintM3D(scale, numCS, twoD.Die))
 	if err != nil {
 		return nil, nil, fmt.Errorf("flow: M3D design: %w", err)
 	}

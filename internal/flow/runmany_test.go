@@ -66,20 +66,6 @@ func TestRunManyMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRunManyDedupesIdenticalSpecs checks the single-flight memo: two
-// identical cacheable specs share one evaluation (and one *Result).
-func TestRunManyDedupesIdenticalSpecs(t *testing.T) {
-	p := tech.Default130()
-	spec := runManySpecs()[0]
-	results, err := RunMany(p, []SoCSpec{spec, spec}, exec.WithWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[0] != results[1] {
-		t.Error("identical specs were evaluated separately (cache miss)")
-	}
-}
-
 func TestRunManyPropagatesError(t *testing.T) {
 	p := tech.Default130()
 	bad := runManySpecs()[0]

@@ -5,18 +5,16 @@
 // in-memory Recorder for tests, and a JSON-lines event writer for the
 // CLIs. Everything here is stdlib-only and safe for concurrent use.
 //
-// The package is wired through the public option surface
+// The package is wired through the public option surface only
 // (exec.WithTracer / exec.WithMetrics, re-exported as m3d.WithTracer /
-// m3d.WithMetrics) and through context values (ContextWithTracer /
-// TracerFrom), so instrumented code deep inside the flow needs neither a
-// global nor a new parameter. Disabled instrumentation is the default and
-// is engineered to be near-free: a nil Tracer skips span allocation
-// entirely, and every Registry/Counter/Gauge/Histogram method is
-// nil-receiver-safe so call sites need no guards.
+// m3d.WithMetrics): a run resolves its sinks once into exec.Settings and
+// hands them to the code it instruments. Disabled instrumentation is the
+// default and is engineered to be near-free: a nil Tracer skips span
+// allocation entirely, and every Registry/Counter/Gauge/Histogram method
+// is nil-receiver-safe so call sites need no guards.
 package obs
 
 import (
-	"context"
 	"strconv"
 	"time"
 )
@@ -70,50 +68,6 @@ var nopSpan Span = nopSpanT{}
 // Nop returns the no-op tracer: spans cost two interface calls and no
 // allocation.
 func Nop() Tracer { return nopTracer{} }
-
-// Context plumbing. A nil tracer/registry is never stored; TracerFrom and
-// MetricsFrom return nil when nothing is attached, which every
-// instrumentation site treats as "disabled".
-
-type tracerKey struct{}
-
-type metricsKey struct{}
-
-// ContextWithTracer returns a context carrying t. A nil t returns ctx
-// unchanged.
-func ContextWithTracer(ctx context.Context, t Tracer) context.Context {
-	if t == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, tracerKey{}, t)
-}
-
-// TracerFrom returns the tracer attached to ctx, or nil.
-func TracerFrom(ctx context.Context) Tracer {
-	if ctx == nil {
-		return nil
-	}
-	t, _ := ctx.Value(tracerKey{}).(Tracer)
-	return t
-}
-
-// ContextWithMetrics returns a context carrying r. A nil r returns ctx
-// unchanged.
-func ContextWithMetrics(ctx context.Context, r *Registry) context.Context {
-	if r == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, metricsKey{}, r)
-}
-
-// MetricsFrom returns the registry attached to ctx, or nil.
-func MetricsFrom(ctx context.Context) *Registry {
-	if ctx == nil {
-		return nil
-	}
-	r, _ := ctx.Value(metricsKey{}).(*Registry)
-	return r
-}
 
 // now is the clock used by tracers without an explicit override.
 func now() time.Time { return time.Now() }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -102,25 +101,6 @@ func TestHistogramBuckets(t *testing.T) {
 	// Upper-bound buckets: ≤1, ≤10, overflow.
 	if want := []int64{2, 2, 1}; !reflect.DeepEqual(snap.Counts, want) {
 		t.Errorf("bucket counts = %v, want %v", snap.Counts, want)
-	}
-}
-
-func TestContextPlumbing(t *testing.T) {
-	if TracerFrom(context.Background()) != nil {
-		t.Error("empty context returned a tracer")
-	}
-	if MetricsFrom(nil) != nil {
-		t.Error("nil context returned a registry")
-	}
-	rec := NewRecorder()
-	reg := NewRegistry()
-	ctx := ContextWithTracer(context.Background(), rec)
-	ctx = ContextWithMetrics(ctx, reg)
-	if TracerFrom(ctx) != Tracer(rec) {
-		t.Error("tracer did not round-trip")
-	}
-	if MetricsFrom(ctx) != reg {
-		t.Error("registry did not round-trip")
 	}
 }
 

@@ -6,12 +6,15 @@ import (
 	"encoding/json"
 	"net/http"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"m3d/internal/exec"
 	"m3d/internal/flow"
+	"m3d/internal/obs"
+	"m3d/internal/tech"
 )
 
 // designBody is the small M3D design the evaluator tests serve (the
@@ -20,6 +23,20 @@ const designBody = `{"style":"M3D","num_cs":1,"array_rows":2,"array_cols":2,"rra
 
 // hotDesignBody is designBody with a thermal budget no design can meet.
 const hotDesignBody = `{"style":"M3D","num_cs":1,"array_rows":2,"array_cols":2,"rram_cap_mb":1,"banks":1,"global_sram_bits":65536,"seed":1,"thermal_check":true,"max_temp_rise_k":1e-6}`
+
+// designSpec is designBody's flow spec.
+func designSpec(t *testing.T) flow.SoCSpec {
+	t.Helper()
+	var req FlowRequest
+	if err := json.Unmarshal([]byte(designBody), &req); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := req.spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec
+}
 
 // TestOneDesignOneRun serves one design as a flow response, then a
 // yield run, then a flow job: the flow runs once, and the job's DEF
@@ -44,15 +61,7 @@ func TestOneDesignOneRun(t *testing.T) {
 		t.Errorf("serve.flow.evals = %d, want 1", n)
 	}
 
-	var req FlowRequest
-	if err := json.Unmarshal([]byte(designBody), &req); err != nil {
-		t.Fatal(err)
-	}
-	spec, err := req.spec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := flow.Run(s.pdk, spec, exec.WithWorkers(1))
+	fresh, err := flow.Run(s.pdk, designSpec(t), exec.WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,6 +75,82 @@ func TestOneDesignOneRun(t *testing.T) {
 	}
 	if !bytes.Equal(got, want.Bytes()) {
 		t.Fatalf("def artifact (%d bytes) differs from a fresh run's DEF (%d bytes)", len(got), want.Len())
+	}
+}
+
+// holdPlaceTracer holds the first flow that reaches placement until that
+// flow's request context ends, so the flow is still running when its
+// deadline expires, and counts the flow.route spans that start. The
+// server's evalBlock hook hands it each evaluation's context.
+type holdPlaceTracer struct {
+	evalCtx chan context.Context
+	once    sync.Once
+	routes  atomic.Int64
+}
+
+func newHoldPlaceTracer() *holdPlaceTracer {
+	return &holdPlaceTracer{evalCtx: make(chan context.Context, 1)}
+}
+
+// offer passes an evaluation's context to the hold; only the first is
+// ever waited on.
+func (h *holdPlaceTracer) offer(ctx context.Context) {
+	select {
+	case h.evalCtx <- ctx:
+	default:
+	}
+}
+
+func (h *holdPlaceTracer) StartSpan(name string, attrs ...obs.Attr) obs.Span {
+	switch name {
+	case "flow.place":
+		h.once.Do(func() { <-(<-h.evalCtx).Done() })
+	case "flow.route":
+		h.routes.Add(1)
+	}
+	return obs.Nop().StartSpan(name, attrs...)
+}
+
+// TestFlowDeadlineStopsRunningFlow: a /v1/flow request's deadline
+// reaches a flow in progress through the evaluation options. The flow is
+// held in placement past the deadline, stops at the next stage boundary
+// without routing, and the request answers 408. The canceled build is
+// not cached: the next request builds the design again and answers 200.
+func TestFlowDeadlineStopsRunningFlow(t *testing.T) {
+	// The deadline is 100 ms, or five direct builds of the design when
+	// that is longer (the race detector slows the flow several-fold), so
+	// the unheld rebuild always fits inside it.
+	timeout := 100 * time.Millisecond
+	start := time.Now()
+	if _, err := flow.Run(tech.Default130(), designSpec(t), exec.WithWorkers(1)); err != nil {
+		t.Fatal(err)
+	}
+	if d := 5 * time.Since(start); d > timeout {
+		timeout = d
+	}
+
+	tr := newHoldPlaceTracer()
+	s, ts := newTestServer(t, Config{Workers: 1, RequestTimeout: timeout, Tracer: tr})
+	s.evalBlock = tr.offer
+	if status, _, body := post(t, ts.URL+"/v1/flow", designBody); status != http.StatusRequestTimeout {
+		t.Fatalf("held flow status = %d (%s), want 408", status, body)
+	}
+	if n := tr.routes.Load(); n != 0 {
+		t.Fatalf("%d flow.route spans started after the deadline, want 0", n)
+	}
+	reg := s.Metrics()
+	if n := reg.Counter("serve.flow.evals").Value(); n != 1 {
+		t.Fatalf("serve.flow.evals = %d after the canceled build, want 1", n)
+	}
+
+	if status, _, body := post(t, ts.URL+"/v1/flow", designBody); status != http.StatusOK {
+		t.Fatalf("unheld flow status = %d (%s), want 200", status, body)
+	}
+	if n := reg.Counter("serve.flow.evals").Value(); n != 2 {
+		t.Fatalf("serve.flow.evals = %d, want 2: the canceled build was cached", n)
+	}
+	if n := tr.routes.Load(); n != 1 {
+		t.Fatalf("%d flow.route spans, want 1 from the rebuild", n)
 	}
 }
 

@@ -11,9 +11,9 @@ import (
 )
 
 // FlowRequest is the POST /v1/flow body: one RTL-to-GDS run, evaluated
-// through flow.RunContext (m3d.RunFlowContext) under the request
-// deadline. Zero fields take the SoCSpec defaults (paper scale — pass
-// small arrays for interactive latency).
+// through flow.Run (m3d.RunFlow) under the request deadline. Zero fields
+// take the SoCSpec defaults (paper scale — pass small arrays for
+// interactive latency).
 type FlowRequest struct {
 	// Style is "2D" (Si access FETs) or "M3D" (CNFET access FETs over
 	// logic); empty selects "2D".
@@ -162,6 +162,6 @@ func (s *Server) design(ctx context.Context, req *FlowRequest) (*flow.Result, er
 			if req.ThermalCheck {
 				opts = append(opts, flow.WithThermalCheck(req.MaxTempRiseK))
 			}
-			return flow.RunContext(ctx, s.pdk, spec, opts...)
+			return flow.Run(s.pdk, spec, opts...)
 		})
 }

@@ -382,22 +382,27 @@ func (t *jobTier) drop(id string) {
 	t.mu.Unlock()
 }
 
-// enqueue submits j to the queue and transitions it to queued.
+// enqueue transitions j to queued and submits it to the queue. The
+// queued state and the active gauge come first: Submit may start the job
+// at once, and a job that finishes before Submit returns must not be
+// reset to queued. A shed job gives its gauge back; its caller deletes
+// or fails the record.
 func (t *jobTier) enqueue(j *job) error {
 	ctx, cancel := context.WithCancel(t.baseCtx)
 	j.mu.Lock()
 	j.cancel = cancel
 	j.mu.Unlock()
+	t.setState(j, JobStateQueued, nil)
+	active := t.s.reg.Gauge("serve.jobs.active")
+	active.Add(1)
 	err := t.queue.Submit(ctx,
 		func(ctx context.Context) { t.run(ctx, j) },
 		func(err error) { t.queuedCanceled(j, err) })
 	if err != nil {
+		active.Add(-1)
 		cancel()
-		return err
 	}
-	t.setState(j, JobStateQueued, nil)
-	t.s.reg.Gauge("serve.jobs.active").Add(1)
-	return nil
+	return err
 }
 
 // queuedCanceled settles a job whose context ended while it waited for

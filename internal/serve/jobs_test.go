@@ -7,7 +7,9 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -371,6 +373,62 @@ func TestJobStoreWriteFailure(t *testing.T) {
 	if status, body := get(t, ts.URL+"/v1/jobs/a..b"); status == http.StatusOK {
 		t.Fatalf("refused id left the job behind: %s", body)
 	}
+}
+
+// recordingStore is a JobStore that records the state of every job
+// record written, in write order.
+type recordingStore struct {
+	*MemJobStore
+	mu     sync.Mutex
+	states map[string][]string
+}
+
+func (r *recordingStore) PutJob(id string, record []byte) error {
+	var rec jobRecord
+	if err := json.Unmarshal(record, &rec); err != nil {
+		return err
+	}
+	r.mu.Lock()
+	r.states[id] = append(r.states[id], rec.State)
+	r.mu.Unlock()
+	return r.MemJobStore.PutJob(id, record)
+}
+
+func (r *recordingStore) written(id string) []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]string(nil), r.states[id]...)
+}
+
+// TestJobStatesPersistInOrder: a job may start, and finish, before the
+// queue's Submit returns, so a job must be persisted queued before it is
+// submitted, never after. Sweep jobs that hit the memo finish in
+// microseconds; each, submitted after the previous one settled, must
+// persist exactly accepted, queued, running, done and end done. The
+// interleaving cannot be forced, so this pins the order rather than
+// reproducing the race.
+func TestJobStatesPersistInOrder(t *testing.T) {
+	store := &recordingStore{MemJobStore: NewMemJobStore(), states: make(map[string][]string)}
+	s, ts := newTestServer(t, Config{Workers: 1, JobStore: store})
+	const sweep = `{"kind":"delta","deltas":[1.0,1.5]}`
+	if status, _, body := post(t, ts.URL+"/v1/sweep", sweep); status != http.StatusOK {
+		t.Fatalf("warm-up sweep status = %d (%s)", status, body)
+	}
+	want := []string{JobStateAccepted, JobStateQueued, JobStateRunning, JobStateDone}
+	for i := 0; i < 20; i++ {
+		id := fmt.Sprintf("memo%d", i)
+		submitJob(t, ts.URL, `{"id":"`+id+`","sweep":`+sweep+`}`)
+		waitJob(t, ts.URL, id, JobStateDone)
+		if got := store.written(id); !reflect.DeepEqual(got, want) {
+			t.Fatalf("job %s persisted states %v, want %v", id, got, want)
+		}
+	}
+	if got := s.Metrics().Counter("serve.sweep.evals").Value(); got != 1 {
+		t.Fatalf("serve.sweep.evals = %d, want 1: the jobs missed the memo", got)
+	}
+	waitFor(t, "serve.jobs.active back to 0", func() bool {
+		return s.Metrics().Gauge("serve.jobs.active").Value() == 0
+	})
 }
 
 // TestJobQueueShedAndCancel pins the Gate/queue interaction: with one

@@ -21,11 +21,11 @@
 //     the serve.memo.hits / serve.memo.misses registry counters. Failed
 //     evaluations are forgotten so a canceled request never poisons its
 //     key, and a caller that only inherited another caller's
-//     cancellation evaluates again under its own context. With
-//     Config.CacheCap (or M3D_CACHE_CAP) set, the response caches are
-//     entry-bounded LRUs: memory stays flat under sustained varied
-//     traffic at the price of re-evaluating evicted keys (cache.entries
-//     gauge, cache.evictions counter).
+//     cancellation evaluates again under its own context. With a
+//     positive Config.CacheCap, the response caches are entry-bounded
+//     LRUs: memory stays flat under sustained varied traffic at the
+//     price of re-evaluating evicted keys (cache.entries gauge,
+//     cache.evictions counter).
 //   - One design evaluator: every flow run goes through Server.design,
 //     which single-flights a retained flow.Result (serve.design.hits /
 //     serve.design.misses, serve.flow.evals per real run). The flow
@@ -98,10 +98,9 @@ type Config struct {
 	// CacheCap bounds each response cache (sweep and flow responses,
 	// shared with /v1/batch items) at this many memoized responses,
 	// evicting least-recently-used entries beyond it; the caches feed the
-	// registry's cache.entries gauge and cache.evictions counter. 0 reads
-	// the M3D_CACHE_CAP environment variable (unset = unbounded);
-	// negative forces unbounded. The design cache is not affected: it
-	// always keeps maxDesigns retained designs.
+	// registry's cache.entries gauge and cache.evictions counter (≤ 0 =
+	// unbounded). The design cache is not affected: it always keeps
+	// maxDesigns retained designs.
 	CacheCap int
 	// Tracer receives one span per request and the evaluation's inner
 	// spans; nil disables tracing.
@@ -210,13 +209,9 @@ func New(cfg Config) *Server {
 	}
 	s.gate = exec.NewGate(maxInFlight, maxQueue)
 
-	cacheCap := cfg.CacheCap
-	if cacheCap == 0 {
-		cacheCap = exec.CacheCapFromEnv()
-	}
-	if cacheCap > 0 {
-		s.sweeps.Bound(cacheCap)
-		s.flows.Bound(cacheCap)
+	if cfg.CacheCap > 0 {
+		s.sweeps.Bound(cfg.CacheCap)
+		s.flows.Bound(cfg.CacheCap)
 	}
 	s.designs.Bound(maxDesigns)
 	s.sweeps.Instrument(s.reg)

@@ -7,7 +7,6 @@ import (
 	"net/http"
 
 	"m3d/internal/analytic"
-	"m3d/internal/arch"
 	"m3d/internal/core"
 	"m3d/internal/errs"
 )
@@ -208,21 +207,6 @@ func (s *Server) sweepCached(ctx context.Context, req *SweepRequest) (*SweepResp
 		})
 }
 
-// caseStudyMachine returns the Fig. 8 reference machine: the case-study
-// 2D baseline evaluated against its single-CS self, so the sweep's N and
-// bandwidth come entirely from the swept axes.
-func caseStudyMachine() analytic.Params {
-	a2d := arch.CaseStudy2D()
-	return core.Params(a2d, a2d.WithParallelCS(1))
-}
-
-// Fig. 8 defaults (compute-bound reference load and axes).
-var (
-	defaultSweepLoad = analytic.Load{F0: 16e6, D0: 1e6, NPart: 64}
-	defaultCSCounts  = []int{1, 2, 4, 8, 16}
-	defaultBWScales  = []float64{1, 2, 4, 8, 16}
-)
-
 // evalSweep dispatches one validated request onto the analytic/core
 // evaluators under the server's exec options.
 func (s *Server) evalSweep(ctx context.Context, q *SweepRequest) (*SweepResponse, error) {
@@ -230,7 +214,7 @@ func (s *Server) evalSweep(ctx context.Context, q *SweepRequest) (*SweepResponse
 	resp := &SweepResponse{Kind: q.Kind}
 	switch q.Kind {
 	case KindBandwidthCS:
-		params := caseStudyMachine()
+		params := core.Fig8Machine()
 		if q.Params != nil {
 			params = analytic.Params{
 				PPeak: q.Params.PPeak, B2D: q.Params.B2D, B3D: q.Params.B3D, N: q.Params.N,
@@ -239,16 +223,16 @@ func (s *Server) evalSweep(ctx context.Context, q *SweepRequest) (*SweepResponse
 				EMIdle2D: q.Params.EMIdle2D, EMIdle3D: q.Params.EMIdle3D,
 			}
 		}
-		load := defaultSweepLoad
+		load := core.Fig8ComputeBound
 		if q.Load != nil {
 			load = analytic.Load{F0: q.Load.F0, D0: q.Load.D0, NPart: q.Load.NPart}
 		}
 		cs, bw := q.CSCounts, q.BWScales
 		if len(cs) == 0 {
-			cs = defaultCSCounts
+			cs = core.Fig8CSCounts
 		}
 		if len(bw) == 0 {
-			bw = defaultBWScales
+			bw = core.Fig8BWScales
 		}
 		points, err := analytic.SweepBandwidthCS(params, load, cs, bw, opts...)
 		if err != nil {

@@ -14,8 +14,6 @@
 package m3d
 
 import (
-	"context"
-
 	"m3d/internal/analytic"
 	"m3d/internal/arch"
 	"m3d/internal/core"
@@ -202,25 +200,18 @@ const (
 
 // RunFlow executes the RTL-to-GDS flow for one SoC spec. Options control
 // pool width, cancellation, observability and the thermal sign-off
-// (WithWorkers, WithContext, WithTracer, WithMetrics, WithThermalCheck).
-// The returned result retains the design database: write the GDS,
-// Verilog and DEF from it with its WriteGDS, WriteVerilog and WriteDEF
-// methods.
+// (WithWorkers, WithContext, WithTracer, WithMetrics, WithThermalCheck);
+// a context given with WithContext stops the run between stages (error
+// matches ErrCanceled). The returned result retains the design database:
+// write the GDS, Verilog and DEF from it with its WriteGDS, WriteVerilog
+// and WriteDEF methods.
 func RunFlow(p *PDK, spec SoCSpec, opts ...Option) (*FlowResult, error) {
 	return flow.Run(p, spec, opts...)
 }
 
-// RunFlowContext is RunFlow under an explicit context: cancellation stops
-// the run between stages (error matches ErrCanceled), and a tracer or
-// metrics registry attached to ctx (ContextWithTracer/ContextWithMetrics)
-// instruments it.
-func RunFlowContext(ctx context.Context, p *PDK, spec SoCSpec, opts ...Option) (*FlowResult, error) {
-	return flow.RunContext(ctx, p, spec, opts...)
-}
-
-// Shared run-option surface. Every fan-out entry point — RunFlow,
-// RunFlowMany, SweepBandwidthCS, the experiment functions — accepts the
-// same Option set.
+// Shared run-option surface, the only way to configure a run. Every
+// fan-out entry point — RunFlow, RunFlowMany, SweepBandwidthCS, the
+// experiment functions — accepts the same Option set.
 type (
 	// Option configures one run: pool width, cancellation, tracing,
 	// metrics, the thermal sign-off.
@@ -272,10 +263,6 @@ var (
 	NewJSONLTracer = obs.NewJSONL
 	// NewMetrics returns an empty metrics registry.
 	NewMetrics = obs.NewRegistry
-	// ContextWithTracer / ContextWithMetrics attach observability sinks to
-	// a context for the context-first entry points.
-	ContextWithTracer  = obs.ContextWithTracer
-	ContextWithMetrics = obs.ContextWithMetrics
 )
 
 // SweepBandwidthCS evaluates the Fig. 8 (CS count × bandwidth) grid on
@@ -285,16 +272,10 @@ func SweepBandwidthCS(p Params, w Load, csCounts []int, bwScales []float64, opts
 }
 
 // RunFlowMany executes the RTL-to-GDS flow for every spec on the worker
-// pool, returning results in spec order. Identical specs are evaluated
-// once and share a *FlowResult; write exports from the results.
+// pool, returning results in spec order. Every spec runs, duplicates
+// included; write exports from the results.
 func RunFlowMany(p *PDK, specs []SoCSpec, opts ...Option) ([]*FlowResult, error) {
 	return flow.RunMany(p, specs, opts...)
-}
-
-// RunFlowManyContext is RunFlowMany under an explicit context (see
-// RunFlowContext).
-func RunFlowManyContext(ctx context.Context, p *PDK, specs []SoCSpec, opts ...Option) ([]*FlowResult, error) {
-	return flow.RunManyContext(ctx, p, specs, opts...)
 }
 
 // RunFlowCaseStudy runs the 2D baseline and the iso-footprint M3D design.
@@ -387,12 +368,6 @@ func NewServiceMemJobStore() *ServiceMemJobStore { return serve.NewMemJobStore()
 // NewServiceDirJobStore opens (creating if needed) an on-disk job store
 // rooted at dir, for ServiceConfig.JobStore.
 func NewServiceDirJobStore(dir string) (*ServiceDirJobStore, error) { return serve.NewDirJobStore(dir) }
-
-// CacheCapEnv is the environment variable (M3D_CACHE_CAP) that bounds
-// the service's coalescing response caches, unless ServiceConfig.CacheCap
-// overrides it, at that many entries with least-recently-used eviction.
-// Unset or non-positive keeps them unbounded.
-const CacheCapEnv = exec.CacheCapEnv
 
 // Adaptive multi-objective design-space exploration (internal/dse;
 // DESIGN.md §13): a Pareto search over the combined Case 1 × Case 3
