@@ -34,7 +34,7 @@ race-equiv:
 	$(GO) test -race -shuffle=on -count=2 -timeout 45m ./internal/sta/ ./internal/flow/ ./internal/vary/
 
 fuzz:
-	for pkg in verilog def lef liberty; do \
+	for pkg in verilog def lef liberty gds; do \
 		$(GO) test -fuzz=FuzzRead -fuzztime=$(FUZZTIME) ./internal/$$pkg/ || exit 1; \
 	done
 	$(GO) test -fuzz=FuzzSweepRequest -fuzztime=$(FUZZTIME) ./internal/serve/
@@ -58,13 +58,15 @@ invariants:
 benchdiff:
 	./scripts/benchdiff.sh
 
-# CPU + heap profile of the reduced flow pipeline. Writes prof/cpu.out,
-# prof/mem.out and prints the top entries; dig deeper with
+# CPU + heap profile of one flow-casestudy benchmark operation: the
+# reduced 2D/M3D case-study pair, then the GDS and DEF of both designs.
+# Writes prof/cpu.out, prof/mem.out and prints the top entries; dig
+# deeper with
 #   go tool pprof prof/flow.test prof/cpu.out
 #   go tool pprof -sample_index=alloc_objects prof/flow.test prof/mem.out
 profile:
 	mkdir -p prof
-	$(GO) test -run '^$$' -bench 'BenchmarkRunFlowReduced$$' -benchtime 3x -benchmem \
+	$(GO) test -run '^$$' -bench 'BenchmarkCaseStudyPair$$' -benchtime 3x -benchmem \
 		-cpuprofile prof/cpu.out -memprofile prof/mem.out \
 		-o prof/flow.test ./internal/flow/
 	$(GO) tool pprof -top -nodecount 15 prof/flow.test prof/cpu.out

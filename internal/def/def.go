@@ -11,6 +11,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"m3d/internal/geom"
 	"m3d/internal/netlist"
@@ -18,58 +19,115 @@ import (
 )
 
 // Write emits the design's floorplan and placement as DEF. die is the die
-// area; distance units are nm (DEF DBU = 1000 per micron).
+// area; distance units are nm (DEF DBU = 1000 per micron). Each line is
+// built in one reused buffer, so the export allocates the same few
+// objects whatever the design's size.
 func Write(w io.Writer, nl *netlist.Netlist, die geom.Rect) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "VERSION 5.8 ;\n")
-	fmt.Fprintf(bw, "DESIGN %s ;\n", ident(nl.Name))
-	fmt.Fprintf(bw, "UNITS DISTANCE MICRONS 1000 ;\n")
-	fmt.Fprintf(bw, "DIEAREA ( %d %d ) ( %d %d ) ;\n", die.Lo.X, die.Lo.Y, die.Hi.X, die.Hi.Y)
-
-	fmt.Fprintf(bw, "COMPONENTS %d ;\n", len(nl.Instances))
+	b := make([]byte, 0, 256)
+	b = append(b, "VERSION 5.8 ;\nDESIGN "...)
+	b = appendIdent(b, nl.Name)
+	b = append(b, " ;\nUNITS DISTANCE MICRONS 1000 ;\nDIEAREA"...)
+	b = appendPoint(b, die.Lo)
+	b = appendPoint(b, die.Hi)
+	b = append(b, " ;\nCOMPONENTS "...)
+	b = strconv.AppendInt(b, int64(len(nl.Instances)), 10)
+	b = append(b, " ;\n"...)
+	if _, err := bw.Write(b); err != nil {
+		return err
+	}
 	for _, inst := range nl.Instances {
-		master := ""
+		b = append(b[:0], "  - "...)
+		b = appendIdent(b, inst.Name)
+		b = append(b, ' ')
 		status := "PLACED"
 		if inst.IsMacro() {
-			master = ident(inst.Macro.Kind)
+			b = appendIdent(b, inst.Macro.Kind)
 			status = "FIXED"
 		} else {
-			master = ident(inst.Cell.Name)
+			b = appendIdent(b, inst.Cell.Name)
 			if inst.Fixed {
 				status = "FIXED"
 			}
 		}
-		fmt.Fprintf(bw, "  - %s %s + %s ( %d %d ) N ;\n",
-			ident(inst.Name), master, status, inst.Pos.X, inst.Pos.Y)
-	}
-	fmt.Fprintf(bw, "END COMPONENTS\n")
-
-	fmt.Fprintf(bw, "NETS %d ;\n", len(nl.Nets))
-	for _, n := range nl.Nets {
-		fmt.Fprintf(bw, "  - %s", ident(n.Name))
-		for _, p := range n.Pins() {
-			fmt.Fprintf(bw, " ( %s %s )", ident(p.Inst.Name), ident(p.Name))
+		b = append(b, " + "...)
+		b = append(b, status...)
+		b = appendPoint(b, inst.Pos)
+		b = append(b, " N ;\n"...)
+		if _, err := bw.Write(b); err != nil {
+			return err
 		}
-		fmt.Fprintf(bw, " ;\n")
 	}
-	fmt.Fprintf(bw, "END NETS\n")
-	fmt.Fprintf(bw, "END DESIGN\n")
+
+	b = append(b[:0], "END COMPONENTS\nNETS "...)
+	b = strconv.AppendInt(b, int64(len(nl.Nets)), 10)
+	b = append(b, " ;\n"...)
+	if _, err := bw.Write(b); err != nil {
+		return err
+	}
+	for _, n := range nl.Nets {
+		b = append(b[:0], "  - "...)
+		b = appendIdent(b, n.Name)
+		if n.Driver != nil {
+			b = appendPin(b, n.Driver)
+		}
+		for _, p := range n.Sinks {
+			b = appendPin(b, p)
+		}
+		b = append(b, " ;\n"...)
+		if _, err := bw.Write(b); err != nil {
+			return err
+		}
+	}
+	if _, err := bw.WriteString("END NETS\nEND DESIGN\n"); err != nil {
+		return err
+	}
 	return bw.Flush()
 }
 
-func ident(s string) string {
+// appendPoint appends " ( x y )".
+func appendPoint(b []byte, p geom.Point) []byte {
+	b = append(b, " ( "...)
+	b = strconv.AppendInt(b, p.X, 10)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, p.Y, 10)
+	return append(b, " )"...)
+}
+
+// appendPin appends a NETS connection, " ( instance pin )".
+func appendPin(b []byte, p *netlist.Pin) []byte {
+	b = append(b, " ( "...)
+	b = appendIdent(b, p.Inst.Name)
+	b = append(b, ' ')
+	b = appendIdent(b, p.Name)
+	return append(b, " )"...)
+}
+
+// appendIdent appends s as a DEF identifier: every character outside
+// [A-Za-z0-9_[]/] (a multi-byte rune, or an invalid UTF-8 byte, counts as
+// one) becomes '_', and the empty name becomes "_".
+func appendIdent(b []byte, s string) []byte {
 	if s == "" {
-		return "_"
+		return append(b, '_')
 	}
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '_', r == '[', r == ']', r == '/':
-			return r
-		default:
-			return '_'
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			_, size := utf8.DecodeRuneInString(s[i:])
+			b = append(b, '_')
+			i += size
+			continue
 		}
-	}, s)
+		switch {
+		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
+			c == '_', c == '[', c == ']', c == '/':
+		default:
+			c = '_'
+		}
+		b = append(b, c)
+		i++
+	}
+	return b
 }
 
 // Placement is one component location parsed from a DEF.
@@ -166,8 +224,10 @@ func numbers(fields []string) []int64 {
 // instances were placed; errors if a placed instance is missing.
 func Apply(nl *netlist.Netlist, parsed *Parsed, p *tech.PDK) (int, error) {
 	byName := make(map[string]*netlist.Instance, len(nl.Instances))
+	var key []byte
 	for _, inst := range nl.Instances {
-		byName[ident(inst.Name)] = inst
+		key = appendIdent(key[:0], inst.Name)
+		byName[string(key)] = inst
 	}
 	placed := 0
 	for _, pl := range parsed.Placements {

@@ -2,6 +2,8 @@ package def
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -122,6 +124,7 @@ func TestReadErrors(t *testing.T) {
 }
 
 func TestIdent(t *testing.T) {
+	ident := func(s string) string { return string(appendIdent(nil, s)) }
 	if ident("") != "_" {
 		t.Error("empty ident")
 	}
@@ -130,5 +133,60 @@ func TestIdent(t *testing.T) {
 	}
 	if ident("bus[3]/x") != "bus[3]/x" {
 		t.Errorf("ident clobbered legal chars: %q", ident("bus[3]/x"))
+	}
+	// A rune maps to one '_' however many bytes encode it, and so does
+	// each byte of invalid UTF-8: the rule strings.Map applies.
+	oracle := func(s string) string {
+		if s == "" {
+			return "_"
+		}
+		return strings.Map(func(r rune) rune {
+			switch {
+			case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
+				r == '_', r == '[', r == ']', r == '/':
+				return r
+			default:
+				return '_'
+			}
+		}, s)
+	}
+	for _, s := range []string{"µm", "a\xffb", "日本/x[0]", "\xe6\x97", "tab\there", "ok_[1]/Z9"} {
+		if got, want := ident(s), oracle(s); got != want {
+			t.Errorf("ident(%q) = %q, want %q", s, got, want)
+		}
+	}
+}
+
+// TestWriteAllocs bounds the DEF writer's allocations: every line is built
+// in one reused buffer, so a hundredfold larger design must not allocate
+// more.
+func TestWriteAllocs(t *testing.T) {
+	p := tech.Default130()
+	lib, err := cell.NewLibrary(p, tech.TierSiCMOS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inv := lib.MustPick(cell.Inv, 1)
+	for _, n := range []int{10, 1000} {
+		nl := netlist.New("synthetic")
+		insts := make([]*netlist.Instance, n)
+		for i := range insts {
+			insts[i] = nl.AddCell(fmt.Sprintf("u%d", i), inv)
+			insts[i].Pos = geom.Pt(int64(i%100)*2000, int64(i/100)*4000)
+		}
+		for i, inst := range insts {
+			net := nl.AddNet(fmt.Sprintf("n%d", i), 0.1)
+			nl.MustPin(inst, "Y", true, 0, net)
+			nl.MustPin(insts[(i+1)%n], "A", false, inv.InputCapF, net)
+		}
+		die := geom.R(0, 0, 400_000, 400_000)
+		allocs := testing.AllocsPerRun(5, func() {
+			if err := Write(io.Discard, nl, die); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 16 {
+			t.Errorf("%d instances: Write made %.0f allocations, want at most 16", n, allocs)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package flow
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
@@ -177,5 +178,47 @@ func TestCaseStudyReportGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Errorf("case-study report differs from golden\n got: %s\nwant: %s", got.Bytes(), want)
+	}
+}
+
+// TestCaseStudyExportsGolden pins the interchange exports of the same
+// reduced case study — the sha256 of the GDS and of the DEF of both
+// designs, seeds 1 and 2 — so an export or placement change that moves a
+// byte of a multi-CS M3D layout shows. Run with -update to rewrite it.
+func TestCaseStudyExportsGolden(t *testing.T) {
+	p := tech.Default130()
+	golden := filepath.Join("testdata", "casestudy_exports.golden")
+	var got bytes.Buffer
+	for _, spec := range benchSpecs()[:2] {
+		twoD, m3d, err := CaseStudy(p, spec, 2)
+		if err != nil {
+			t.Fatalf("seed %d: %v", spec.Seed, err)
+		}
+		for _, d := range []struct {
+			name string
+			res  *Result
+		}{{"2d", twoD}, {"m3d", m3d}} {
+			g, df := sha256.New(), sha256.New()
+			if err := d.res.WriteGDS(g); err != nil {
+				t.Fatalf("seed %d %s: GDS export: %v", spec.Seed, d.name, err)
+			}
+			if err := d.res.WriteDEF(df); err != nil {
+				t.Fatalf("seed %d %s: DEF export: %v", spec.Seed, d.name, err)
+			}
+			fmt.Fprintf(&got, "seed %d %s gds %x\n", spec.Seed, d.name, g.Sum(nil))
+			fmt.Fprintf(&got, "seed %d %s def %x\n", spec.Seed, d.name, df.Sum(nil))
+		}
+	}
+	if *update {
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden (regenerate with go test ./internal/flow -run CaseStudyExports -update): %v", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("case-study exports differ from golden\n got: %s\nwant: %s", got.Bytes(), want)
 	}
 }

@@ -255,12 +255,8 @@ func (r *Result) WriteGDS(w io.Writer) error {
 	if r == nil || r.nl == nil || r.routes == nil {
 		return fmt.Errorf("flow: result holds no routed design")
 	}
-	lib, err := gds.FromDesign(r.pdk, r.nl, r.Die, r.routes)
-	if err != nil {
+	if err := gds.WriteDesign(w, r.pdk, r.nl, r.Die, r.routes); err != nil {
 		return fmt.Errorf("flow: gds: %w", err)
-	}
-	if err := lib.Encode(w); err != nil {
-		return fmt.Errorf("flow: gds encode: %w", err)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"crypto/sha256"
 	"testing"
 
 	"m3d/internal/exec"
@@ -35,6 +36,34 @@ func BenchmarkRunFlowReduced(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(p, spec); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCaseStudyPair is one operation of the benchmark's
+// flow-casestudy workload: the reduced Sec. II case study (the 2D
+// baseline and its two-CS M3D twin), then the GDS and DEF of both
+// designs streamed into sha256. `make profile` profiles it, so the
+// exports show next to the flow stages.
+func BenchmarkCaseStudyPair(b *testing.B) {
+	p := tech.Default130()
+	spec := benchSpecs()[0]
+	h := sha256.New()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		twoD, m3d, err := CaseStudy(p, spec, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, res := range []*Result{twoD, m3d} {
+			h.Reset()
+			if err := res.WriteGDS(h); err != nil {
+				b.Fatal(err)
+			}
+			h.Reset()
+			if err := res.WriteDEF(h); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

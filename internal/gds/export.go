@@ -2,6 +2,7 @@ package gds
 
 import (
 	"fmt"
+	"io"
 
 	"m3d/internal/geom"
 	"m3d/internal/netlist"
@@ -12,25 +13,26 @@ import (
 // dieOutlineLayer is the GDS layer for the die boundary.
 const dieOutlineLayer = 0
 
-// FromDesign exports a placed-and-routed design to a GDS library: the die
-// outline, every instance as a boundary on its tier's device layer, and
-// (when routes are given) every routed segment as a path on its metal
-// layer. This is the flow's final "GDS" deliverable (Fig. 4b).
-func FromDesign(p *tech.PDK, nl *netlist.Netlist, die geom.Rect, routes *route.Result) (*Library, error) {
+// WriteDesign streams a placed-and-routed design to w as a GDSII library
+// named after the netlist, holding one structure, TOP: the die outline,
+// every instance as a boundary on its tier's device layer (macros with
+// datatype 1), and, when routes are given, every routed segment as a path
+// on its metal layer. This is the flow's final "GDS" deliverable
+// (Fig. 4b). Records go from the design to w through one reused buffer,
+// so the export allocates the same few objects whatever the design's
+// size.
+func WriteDesign(w io.Writer, p *tech.PDK, nl *netlist.Netlist, die geom.Rect, routes *route.Result) error {
 	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("gds: invalid PDK: %w", err)
+		return fmt.Errorf("gds: invalid PDK: %w", err)
 	}
-	lib := NewLibrary(nl.Name)
-	top := lib.AddStruct("TOP")
-	top.Elements = append(top.Elements, RectBoundary(dieOutlineLayer, 0, die))
-
-	deviceLayer := func(t tech.Tier) int16 {
-		for _, l := range p.Stack {
-			if l.Kind == tech.LayerDevice && l.Tier == t {
-				return l.GDSLayer
-			}
-		}
-		return dieOutlineLayer
+	if nl.Name == "" {
+		return fmt.Errorf("gds: library needs a name")
+	}
+	rw := newRecordWriter(w)
+	rw.beginLib(nl.Name, userUnitPerDBU, metersPerDBU)
+	rw.beginStruct("TOP")
+	if err := rw.rect(dieOutlineLayer, 0, die); err != nil {
+		return err
 	}
 
 	for _, inst := range nl.Instances {
@@ -38,12 +40,13 @@ func FromDesign(p *tech.PDK, nl *netlist.Netlist, die geom.Rect, routes *route.R
 		if b.Empty() {
 			continue
 		}
-		layer := deviceLayer(inst.Tier)
 		dt := int16(0)
 		if inst.IsMacro() {
 			dt = 1 // macros distinguishable by datatype
 		}
-		top.Elements = append(top.Elements, RectBoundary(layer, dt, b))
+		if err := rw.rect(deviceLayer(p, inst.Tier), dt, b); err != nil {
+			return err
+		}
 	}
 
 	if routes != nil {
@@ -61,13 +64,24 @@ func FromDesign(p *tech.PDK, nl *netlist.Netlist, die geom.Rect, routes *route.R
 					continue // via; omitted from stream for size
 				}
 				L := metals[s.LayerIdx]
-				top.Elements = append(top.Elements, &Path{
-					Layer: L.GDSLayer,
-					Width: int32(L.Pitch / 2),
-					XY:    []geom.Point{s.A, s.B},
-				})
+				xy := [2]geom.Point{s.A, s.B}
+				if err := rw.path(L.GDSLayer, 0, int32(L.Pitch/2), xy[:]); err != nil {
+					return err
+				}
 			}
 		}
 	}
-	return lib, nil
+	rw.empty(recENDSTR)
+	return rw.finish()
+}
+
+// deviceLayer is the GDS layer of tier t's device layer, or the die
+// outline's layer when the stack has none.
+func deviceLayer(p *tech.PDK, t tech.Tier) int16 {
+	for _, l := range p.Stack {
+		if l.Kind == tech.LayerDevice && l.Tier == t {
+			return l.GDSLayer
+		}
+	}
+	return dieOutlineLayer
 }

@@ -3,6 +3,10 @@
 // set needed for placed-and-routed layout export: HEADER, BGNLIB, LIBNAME,
 // UNITS, BGNSTR, STRNAME, BOUNDARY, PATH, LAYER, DATATYPE, WIDTH, XY,
 // ENDEL, ENDSTR, ENDLIB. Coordinates are database units (1 nm).
+//
+// WriteDesign streams a routed design straight to the output, and
+// Library.Encode writes a library built element by element; both go
+// through one record writer.
 package gds
 
 import (
@@ -57,12 +61,13 @@ type Boundary struct {
 
 // RectBoundary builds a Boundary from a rectangle.
 func RectBoundary(layer, datatype int16, r geom.Rect) *Boundary {
-	return &Boundary{
-		Layer: layer, Datatype: datatype,
-		XY: []geom.Point{
-			r.Lo, {X: r.Hi.X, Y: r.Lo.Y}, r.Hi, {X: r.Lo.X, Y: r.Hi.Y},
-		},
-	}
+	xy := rectOutline(r)
+	return &Boundary{Layer: layer, Datatype: datatype, XY: xy[:]}
+}
+
+// rectOutline is r's open outline, counter-clockwise from its low corner.
+func rectOutline(r geom.Rect) [4]geom.Point {
+	return [4]geom.Point{r.Lo, {X: r.Hi.X, Y: r.Lo.Y}, r.Hi, {X: r.Lo.X, Y: r.Hi.Y}}
 }
 
 // Path is a wire centerline with a width on a layer.
@@ -89,9 +94,15 @@ type Library struct {
 	Structs        []*Struct
 }
 
+// The default units: 1 DBU = 1 nm = 0.001 µm.
+const (
+	userUnitPerDBU = 1e-3
+	metersPerDBU   = 1e-9
+)
+
 // NewLibrary creates a library with nm database units.
 func NewLibrary(name string) *Library {
-	return &Library{Name: name, UserUnitPerDBU: 1e-3, MetersPerDBU: 1e-9}
+	return &Library{Name: name, UserUnitPerDBU: userUnitPerDBU, MetersPerDBU: metersPerDBU}
 }
 
 // AddStruct appends and returns a new named structure.
@@ -101,64 +112,91 @@ func (l *Library) AddStruct(name string) *Struct {
 	return s
 }
 
-// recordWriter emits GDS records.
+// recordWriter emits GDS records through one reused record buffer. Its
+// error is sticky: after the first failure every call is a no-op, and the
+// element writers return it.
 type recordWriter struct {
 	w   *bufio.Writer
+	rec []byte // the record being built: 4-byte header, then payload
 	err error
 }
 
-func (rw *recordWriter) record(recType, dataType byte, payload []byte) {
+func newRecordWriter(w io.Writer) *recordWriter {
+	return &recordWriter{w: bufio.NewWriter(w), rec: make([]byte, 0, 64)}
+}
+
+// begin starts a record; payload appends follow, and end writes it.
+func (rw *recordWriter) begin(recType, dataType byte) {
+	rw.rec = append(rw.rec[:0], 0, 0, recType, dataType)
+}
+
+// end stamps the record's length into its header and writes it.
+func (rw *recordWriter) end() {
 	if rw.err != nil {
 		return
 	}
-	total := 4 + len(payload)
-	if total > 0xFFFF {
-		rw.err = fmt.Errorf("gds: record 0x%02x payload too large (%d bytes)", recType, len(payload))
+	if len(rw.rec) > 0xFFFF {
+		rw.err = fmt.Errorf("gds: record 0x%02x payload too large (%d bytes)", rw.rec[2], len(rw.rec)-4)
 		return
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint16(hdr[0:2], uint16(total))
-	hdr[2] = recType
-	hdr[3] = dataType
-	if _, err := rw.w.Write(hdr[:]); err != nil {
-		rw.err = err
-		return
+	binary.BigEndian.PutUint16(rw.rec, uint16(len(rw.rec)))
+	if _, err := rw.w.Write(rw.rec); err != nil {
+		rw.err = fmt.Errorf("gds: write: %w", err)
 	}
-	if _, err := rw.w.Write(payload); err != nil {
-		rw.err = err
-	}
+}
+
+func (rw *recordWriter) empty(recType byte) {
+	rw.begin(recType, dtNone)
+	rw.end()
 }
 
 func (rw *recordWriter) int16s(recType byte, vals ...int16) {
-	buf := make([]byte, 2*len(vals))
-	for i, v := range vals {
-		binary.BigEndian.PutUint16(buf[2*i:], uint16(v))
+	rw.begin(recType, dtInt16)
+	for _, v := range vals {
+		rw.rec = binary.BigEndian.AppendUint16(rw.rec, uint16(v))
 	}
-	rw.record(recType, dtInt16, buf)
-}
-
-func (rw *recordWriter) int32s(recType byte, vals ...int32) {
-	buf := make([]byte, 4*len(vals))
-	for i, v := range vals {
-		binary.BigEndian.PutUint32(buf[4*i:], uint32(v))
-	}
-	rw.record(recType, dtInt32, buf)
+	rw.end()
 }
 
 func (rw *recordWriter) ascii(recType byte, s string) {
-	b := []byte(s)
-	if len(b)%2 == 1 {
-		b = append(b, 0) // GDS pads strings to even length
+	rw.begin(recType, dtASCII)
+	rw.rec = append(rw.rec, s...)
+	if len(s)%2 == 1 {
+		rw.rec = append(rw.rec, 0) // GDS pads strings to even length
 	}
-	rw.record(recType, dtASCII, b)
+	rw.end()
 }
 
 func (rw *recordWriter) reals(recType byte, vals ...float64) {
-	buf := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.BigEndian.PutUint64(buf[8*i:], float64ToGDSReal(v))
+	rw.begin(recType, dtReal64)
+	for _, v := range vals {
+		rw.rec = binary.BigEndian.AppendUint64(rw.rec, float64ToGDSReal(v))
 	}
-	rw.record(recType, dtReal64, buf)
+	rw.end()
+}
+
+// xy writes an XY record; a closed loop repeats the first point, as a
+// GDSII boundary requires.
+func (rw *recordWriter) xy(pts []geom.Point, closeLoop bool) {
+	rw.begin(recXY, dtInt32)
+	for _, p := range pts {
+		rw.point(p)
+	}
+	if closeLoop && len(pts) > 0 {
+		rw.point(pts[0])
+	}
+	rw.end()
+}
+
+func (rw *recordWriter) point(p geom.Point) {
+	if p.X < math.MinInt32 || p.X > math.MaxInt32 || p.Y < math.MinInt32 || p.Y > math.MaxInt32 {
+		if rw.err == nil {
+			rw.err = fmt.Errorf("gds: coordinate %v exceeds 32-bit range", p)
+		}
+		return
+	}
+	rw.rec = binary.BigEndian.AppendUint32(rw.rec, uint32(int32(p.X)))
+	rw.rec = binary.BigEndian.AppendUint32(rw.rec, uint32(int32(p.Y)))
 }
 
 // float64ToGDSReal converts to the GDSII 8-byte excess-64 base-16 real.
@@ -199,91 +237,98 @@ func gdsRealToFloat64(bits uint64) float64 {
 	return sign * mant * math.Pow(16, float64(exp))
 }
 
-func xyPayload(pts []geom.Point, closeLoop bool) ([]int32, error) {
-	out := make([]int32, 0, 2*(len(pts)+1))
-	add := func(p geom.Point) error {
-		if p.X < math.MinInt32 || p.X > math.MaxInt32 || p.Y < math.MinInt32 || p.Y > math.MaxInt32 {
-			return fmt.Errorf("gds: coordinate %v exceeds 32-bit range", p)
-		}
-		out = append(out, int32(p.X), int32(p.Y))
-		return nil
+// boundary writes one BOUNDARY element with the open outline xy.
+func (rw *recordWriter) boundary(layer, datatype int16, xy []geom.Point) error {
+	if len(xy) < 3 {
+		return fmt.Errorf("gds: boundary needs at least 3 points, got %d", len(xy))
 	}
-	for _, p := range pts {
-		if err := add(p); err != nil {
-			return nil, err
-		}
+	rw.empty(recBOUNDARY)
+	rw.int16s(recLAYER, layer)
+	rw.int16s(recDATATYPE, datatype)
+	rw.xy(xy, true)
+	rw.empty(recENDEL)
+	return rw.err
+}
+
+// rect writes r as a four-point BOUNDARY element.
+func (rw *recordWriter) rect(layer, datatype int16, r geom.Rect) error {
+	xy := rectOutline(r)
+	return rw.boundary(layer, datatype, xy[:])
+}
+
+// path writes one PATH element along the centerline xy.
+func (rw *recordWriter) path(layer, datatype int16, width int32, xy []geom.Point) error {
+	if len(xy) < 2 {
+		return fmt.Errorf("gds: path needs at least 2 points, got %d", len(xy))
 	}
-	if closeLoop && len(pts) > 0 {
-		if err := add(pts[0]); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	rw.empty(recPATH)
+	rw.int16s(recLAYER, layer)
+	rw.int16s(recDATATYPE, datatype)
+	rw.begin(recWIDTH, dtInt32)
+	rw.rec = binary.BigEndian.AppendUint32(rw.rec, uint32(width))
+	rw.end()
+	rw.xy(xy, false)
+	rw.empty(recENDEL)
+	return rw.err
 }
 
 func (b *Boundary) encode(rw *recordWriter) error {
-	if len(b.XY) < 3 {
-		return fmt.Errorf("gds: boundary needs at least 3 points, got %d", len(b.XY))
-	}
-	rw.record(recBOUNDARY, dtNone, nil)
-	rw.int16s(recLAYER, b.Layer)
-	rw.int16s(recDATATYPE, b.Datatype)
-	xy, err := xyPayload(b.XY, true)
-	if err != nil {
-		return err
-	}
-	rw.int32s(recXY, xy...)
-	rw.record(recENDEL, dtNone, nil)
-	return rw.err
+	return rw.boundary(b.Layer, b.Datatype, b.XY)
 }
 
 func (p *Path) encode(rw *recordWriter) error {
-	if len(p.XY) < 2 {
-		return fmt.Errorf("gds: path needs at least 2 points, got %d", len(p.XY))
-	}
-	rw.record(recPATH, dtNone, nil)
-	rw.int16s(recLAYER, p.Layer)
-	rw.int16s(recDATATYPE, p.Datatype)
-	rw.int32s(recWIDTH, p.Width)
-	xy, err := xyPayload(p.XY, false)
-	if err != nil {
-		return err
-	}
-	rw.int32s(recXY, xy...)
-	rw.record(recENDEL, dtNone, nil)
-	return rw.err
+	return rw.path(p.Layer, p.Datatype, p.Width, p.XY)
 }
 
 // timestamp is the fixed modification time stamped into BGNLIB/BGNSTR
 // (deterministic output).
 var timestamp = [12]int16{2023, 4, 17, 0, 0, 0, 2023, 4, 17, 0, 0, 0}
 
+// beginLib writes the records that open a library: HEADER (stream
+// version 6), BGNLIB, LIBNAME and UNITS.
+func (rw *recordWriter) beginLib(name string, userUnit, meters float64) {
+	rw.int16s(recHEADER, 600)
+	rw.int16s(recBGNLIB, timestamp[:]...)
+	rw.ascii(recLIBNAME, name)
+	rw.reals(recUNITS, userUnit, meters)
+}
+
+// beginStruct writes the records that open a structure: BGNSTR, STRNAME.
+func (rw *recordWriter) beginStruct(name string) {
+	rw.int16s(recBGNSTR, timestamp[:]...)
+	rw.ascii(recSTRNAME, name)
+}
+
+// finish writes ENDLIB and flushes the stream.
+func (rw *recordWriter) finish() error {
+	rw.empty(recENDLIB)
+	if rw.err != nil {
+		return rw.err
+	}
+	if err := rw.w.Flush(); err != nil {
+		return fmt.Errorf("gds: write: %w", err)
+	}
+	return nil
+}
+
 // Encode writes the library as a GDSII stream.
 func (l *Library) Encode(w io.Writer) error {
 	if l.Name == "" {
 		return fmt.Errorf("gds: library needs a name")
 	}
-	rw := &recordWriter{w: bufio.NewWriter(w)}
-	rw.int16s(recHEADER, 600) // stream version 6
-	rw.int16s(recBGNLIB, timestamp[:]...)
-	rw.ascii(recLIBNAME, l.Name)
-	rw.reals(recUNITS, l.UserUnitPerDBU, l.MetersPerDBU)
+	rw := newRecordWriter(w)
+	rw.beginLib(l.Name, l.UserUnitPerDBU, l.MetersPerDBU)
 	for _, s := range l.Structs {
 		if s.Name == "" {
 			return fmt.Errorf("gds: structure needs a name")
 		}
-		rw.int16s(recBGNSTR, timestamp[:]...)
-		rw.ascii(recSTRNAME, s.Name)
+		rw.beginStruct(s.Name)
 		for _, e := range s.Elements {
 			if err := e.encode(rw); err != nil {
 				return err
 			}
 		}
-		rw.record(recENDSTR, dtNone, nil)
+		rw.empty(recENDSTR)
 	}
-	rw.record(recENDLIB, dtNone, nil)
-	if rw.err != nil {
-		return rw.err
-	}
-	return rw.w.Flush()
+	return rw.finish()
 }

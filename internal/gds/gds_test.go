@@ -2,8 +2,12 @@ package gds
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -14,12 +18,12 @@ import (
 	"m3d/internal/tech"
 )
 
-// TestFromDesignRouteStreamDeterministic pins the route-stream ordering:
+// TestWriteDesignRouteStreamDeterministic pins the route-stream ordering:
 // the Routes table is a Go map, so the export must iterate nets in
 // netlist order for the GDS bytes to be a pure function of the design.
 // With map-order iteration this fails with overwhelming probability at
 // 24 nets.
-func TestFromDesignRouteStreamDeterministic(t *testing.T) {
+func TestWriteDesignRouteStreamDeterministic(t *testing.T) {
 	p := tech.Default130()
 	nl := netlist.New("chip")
 	metals := len(p.RoutingLayers())
@@ -34,12 +38,8 @@ func TestFromDesignRouteStreamDeterministic(t *testing.T) {
 	}
 	die := geom.R(0, 0, 500_000, 500_000)
 	encode := func() []byte {
-		g, err := FromDesign(p, nl, die, res)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var buf bytes.Buffer
-		if err := g.Encode(&buf); err != nil {
+		if err := WriteDesign(&buf, p, nl, die, res); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -175,7 +175,7 @@ func TestDeterministicOutput(t *testing.T) {
 	}
 }
 
-func TestFromDesign(t *testing.T) {
+func TestWriteDesign(t *testing.T) {
 	p := tech.Default130()
 	lib, err := cell.NewLibrary(p, tech.TierSiCMOS)
 	if err != nil {
@@ -189,12 +189,8 @@ func TestFromDesign(t *testing.T) {
 	bank.Pos = geom.Pt(200_000, 0)
 
 	die := geom.R(0, 0, 500_000, 500_000)
-	g, err := FromDesign(p, nl, die, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
-	if err := g.Encode(&buf); err != nil {
+	if err := WriteDesign(&buf, p, nl, die, nil); err != nil {
 		t.Fatal(err)
 	}
 	back, err := Decode(&buf)
@@ -217,6 +213,144 @@ func TestFromDesign(t *testing.T) {
 	}
 }
 
+// TestWriteDesignMatchesLibrary checks the streaming export against the
+// same layout built element by element and written by Library.Encode:
+// the two paths share one record writer and must agree byte for byte.
+func TestWriteDesignMatchesLibrary(t *testing.T) {
+	p, nl, die, routes := syntheticDesign(t, 50)
+	var streamed, built bytes.Buffer
+	if err := WriteDesign(&streamed, p, nl, die, routes); err != nil {
+		t.Fatal(err)
+	}
+	lib := NewLibrary(nl.Name)
+	top := lib.AddStruct("TOP")
+	top.Elements = append(top.Elements, RectBoundary(dieOutlineLayer, 0, die))
+	for _, inst := range nl.Instances {
+		top.Elements = append(top.Elements, RectBoundary(deviceLayer(p, inst.Tier), 0, inst.Bounds(p)))
+	}
+	metals := p.RoutingLayers()
+	for _, n := range nl.Nets {
+		for _, s := range routes.Routes[n].Segs {
+			L := metals[s.LayerIdx]
+			top.Elements = append(top.Elements, &Path{
+				Layer: L.GDSLayer, Width: int32(L.Pitch / 2), XY: []geom.Point{s.A, s.B},
+			})
+		}
+	}
+	if err := lib.Encode(&built); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(streamed.Bytes(), built.Bytes()) {
+		t.Fatalf("WriteDesign wrote %d bytes that differ from Library.Encode's %d", streamed.Len(), built.Len())
+	}
+}
+
+// syntheticDesign is a placed-and-routed stand-in with n cells and n
+// two-pin nets, each routed as one segment.
+func syntheticDesign(t testing.TB, n int) (*tech.PDK, *netlist.Netlist, geom.Rect, *route.Result) {
+	t.Helper()
+	p := tech.Default130()
+	lib, err := cell.NewLibrary(p, tech.TierSiCMOS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inv := lib.MustPick(cell.Inv, 1)
+	nl := netlist.New("synthetic")
+	metals := len(p.RoutingLayers())
+	routes := &route.Result{Routes: map[*netlist.Net]*route.NetRoute{}}
+	insts := make([]*netlist.Instance, n)
+	for i := range insts {
+		insts[i] = nl.AddCell(fmt.Sprintf("u%d", i), inv)
+		insts[i].Pos = geom.Pt(int64(i%100)*2000, int64(i/100)*4000)
+	}
+	for i, inst := range insts {
+		net := nl.AddNet(fmt.Sprintf("n%d", i), 0.1)
+		nl.MustPin(inst, "Y", true, 0, net)
+		nl.MustPin(insts[(i+1)%n], "A", false, inv.InputCapF, net)
+		routes.Routes[net] = &route.NetRoute{Net: net, Segs: []route.Seg{{
+			LayerIdx: i % metals,
+			A:        inst.Pos,
+			B:        insts[(i+1)%n].Pos,
+		}}}
+	}
+	return p, nl, geom.R(0, 0, 400_000, 400_000), routes
+}
+
+// TestWriteDesignAllocs bounds the export's allocations: the stream goes
+// through one reused record buffer, so a hundredfold larger design must
+// not allocate more.
+func TestWriteDesignAllocs(t *testing.T) {
+	for _, n := range []int{10, 1000} {
+		p, nl, die, routes := syntheticDesign(t, n)
+		allocs := testing.AllocsPerRun(5, func() {
+			if err := WriteDesign(io.Discard, p, nl, die, routes); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 16 {
+			t.Errorf("%d instances and segments: WriteDesign made %.0f allocations, want at most 16", n, allocs)
+		}
+	}
+}
+
+// failingWriter accepts limit bytes, then fails every write with errFull.
+type failingWriter struct{ limit int }
+
+var errFull = errors.New("disk full")
+
+func (f *failingWriter) Write(b []byte) (int, error) {
+	if len(b) > f.limit {
+		n := f.limit
+		f.limit = 0
+		return n, errFull
+	}
+	f.limit -= len(b)
+	return len(b), nil
+}
+
+func TestWriteDesignErrors(t *testing.T) {
+	beyond := int64(math.MaxInt32) + 10
+	for _, tc := range []struct {
+		name   string
+		mutate func(nl *netlist.Netlist, routes *route.Result)
+		w      io.Writer
+		want   string // a substring of the error
+		is     error
+	}{
+		{name: "instance beyond int32", mutate: func(nl *netlist.Netlist, _ *route.Result) {
+			nl.Instances[3].Pos = geom.Pt(beyond, 0)
+		}, want: "exceeds 32-bit range"},
+		{name: "route segment beyond int32", mutate: func(nl *netlist.Netlist, routes *route.Result) {
+			routes.Routes[nl.Nets[5]].Segs[0].B = geom.Pt(0, -beyond)
+		}, want: "exceeds 32-bit range"},
+		{name: "empty design name", mutate: func(nl *netlist.Netlist, _ *route.Result) {
+			nl.Name = ""
+		}, want: "needs a name"},
+		{name: "writer fails mid-stream", w: &failingWriter{limit: 5000}, want: "gds: write", is: errFull},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, nl, die, routes := syntheticDesign(t, 200)
+			if tc.mutate != nil {
+				tc.mutate(nl, routes)
+			}
+			w := tc.w
+			if w == nil {
+				w = io.Discard
+			}
+			err := WriteDesign(w, p, nl, die, routes)
+			if err == nil {
+				t.Fatal("WriteDesign succeeded, want an error")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q, want one containing %q", err, tc.want)
+			}
+			if tc.is != nil && !errors.Is(err, tc.is) {
+				t.Fatalf("error %v does not wrap %v", err, tc.is)
+			}
+		})
+	}
+}
+
 func TestDecodeErrors(t *testing.T) {
 	if _, err := Decode(bytes.NewReader(nil)); err == nil {
 		t.Error("empty stream should fail")
@@ -228,6 +362,12 @@ func TestDecodeErrors(t *testing.T) {
 	// Record length < 4.
 	if _, err := Decode(bytes.NewReader([]byte{0x00, 0x02, 0, 0})); err == nil {
 		t.Error("undersized record should fail")
+	}
+	// LAYER and DATATYPE records without their 2-byte payload.
+	for _, rec := range []byte{recLAYER, recDATATYPE} {
+		if _, err := Decode(bytes.NewReader([]byte{0x00, 0x04, rec, dtInt16})); err == nil {
+			t.Errorf("record 0x%02x without payload should fail", rec)
+		}
 	}
 }
 

@@ -61,6 +61,9 @@ func Decode(r io.Reader) (*Library, error) {
 		case recPATH:
 			curPath = &Path{}
 		case recLAYER:
+			if len(payload) < 2 {
+				return nil, fmt.Errorf("gds: LAYER record has %d payload bytes, want 2", len(payload))
+			}
 			v := int16(binary.BigEndian.Uint16(payload))
 			if curBoundary != nil {
 				curBoundary.Layer = v
@@ -68,6 +71,9 @@ func Decode(r io.Reader) (*Library, error) {
 				curPath.Layer = v
 			}
 		case recDATATYPE:
+			if len(payload) < 2 {
+				return nil, fmt.Errorf("gds: DATATYPE record has %d payload bytes, want 2", len(payload))
+			}
 			v := int16(binary.BigEndian.Uint16(payload))
 			if curBoundary != nil {
 				curBoundary.Datatype = v

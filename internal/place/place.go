@@ -173,26 +173,35 @@ func spread(cells []*netlist.Instance, f *floorplan.Floorplan, tier tech.Tier,
 
 	p := f.PDK
 	g := geom.NewGrid(f.Die, binPitch)
-	byBin := make(map[[2]int][]*netlist.Instance)
-	for _, c := range cells {
+	nbins := g.NX * g.NY
+	binOf := make([]int, len(cells)) // row-major bin index of each cell
+	start := make([]int, nbins+1)
+	for i, c := range cells {
 		ix, iy := g.CellOf(c.Pos)
 		g.Add(ix, iy, float64(c.AreaNM2(p)))
-		byBin[[2]int{ix, iy}] = append(byBin[[2]int{ix, iy}], c)
+		binOf[i] = iy*g.NX + ix
+		start[binOf[i]+1]++
 	}
-	keys := make([][2]int, 0, len(byBin))
-	for key := range byBin {
-		keys = append(keys, key)
+	// Stable counting sort by bin index: the bins come in (y, x) order and
+	// the cells of a bin in their given order, so the RNG draws below
+	// follow one fixed sequence. Bin b holds binned[start[b]:start[b+1]].
+	for b := 0; b < nbins; b++ {
+		start[b+1] += start[b]
 	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a][1] != keys[b][1] {
-			return keys[a][1] < keys[b][1]
-		}
-		return keys[a][0] < keys[b][0]
-	})
+	binned := make([]*netlist.Instance, len(cells))
+	next := make([]int, nbins)
+	copy(next, start)
+	for i, b := range binOf {
+		binned[next[b]] = cells[i]
+		next[b]++
+	}
 	var nbrs []neighbour
-	for _, key := range keys {
-		cs := byBin[key]
-		ix, iy := key[0], key[1]
+	for b := 0; b < nbins; b++ {
+		cs := binned[start[b]:start[b+1]]
+		if len(cs) == 0 {
+			continue
+		}
+		ix, iy := b%g.NX, b/g.NX
 		cellRect := g.CellRect(ix, iy)
 		capArea := float64(cellRect.Area())
 		// Subtract blocked fraction (sampled from the floorplan grid).

@@ -45,7 +45,6 @@ func routeWork(f *floorplan.Floorplan, nl *netlist.Netlist, opt Options) (*Resul
 	}
 
 	res := &Result{
-		Routes:     make(map[*netlist.Net]*NetRoute),
 		WLByLayer:  make([]int64, len(g.layers)),
 		GCellPitch: g.pitch,
 	}
@@ -139,15 +138,31 @@ func (s *searcher) routeNet(n *netlist.Net, dst [][]int) ([][]int, int) {
 }
 
 // finalize converts the committed paths into the Result's accounting.
+// Every net's segments are carved out of one slice sized for all paths
+// (a path of n nodes makes n-1 segments), and every NetRoute out of one
+// slice, and the Routes table is sized once.
 func finalize(g *grid, f *floorplan.Floorplan, work []*routedNet, res *Result) {
+	nsegs := 0
 	for _, rn := range work {
-		nr := &NetRoute{Net: rn.net, Failed: rn.failed > 0}
 		for _, path := range rn.paths {
-			segs, wl, vias, ilvs := g.describe(path)
-			nr.Segs = append(nr.Segs, segs...)
-			nr.WLdbu += wl
-			nr.Vias += vias
-			nr.ILVs += ilvs
+			nsegs += len(path) - 1
+		}
+	}
+	d := pathDescr{segs: make([]Seg, 0, nsegs)}
+	nrs := make([]NetRoute, len(work))
+	res.Routes = make(map[*netlist.Net]*NetRoute, len(work))
+	for i, rn := range work {
+		first := len(d.segs)
+		d.wl, d.vias, d.ilvs = 0, 0, 0
+		for _, path := range rn.paths {
+			g.applyPath(path, 0, &d)
+		}
+		nr := &nrs[i]
+		*nr = NetRoute{Net: rn.net, WLdbu: d.wl, Vias: d.vias, ILVs: d.ilvs, Failed: rn.failed > 0}
+		if len(d.segs) > first {
+			// Cap the net's slice so an append to it cannot overwrite the
+			// next net's segments.
+			nr.Segs = d.segs[first:len(d.segs):len(d.segs)]
 		}
 		if nr.Failed {
 			res.FailedNets++
@@ -199,14 +214,8 @@ func (g *grid) commitPathUsage(path []int, delta int32) {
 	g.applyPath(path, delta, nil)
 }
 
-// describe converts a committed path into segments and counts without
-// changing usage.
-func (g *grid) describe(path []int) (segs []Seg, wl int64, vias, ilvs int) {
-	out := &pathDescr{}
-	g.applyPath(path, 0, out)
-	return out.segs, out.wl, out.vias, out.ilvs
-}
-
+// pathDescr collects what applyPath walks: segments appended to segs,
+// and the wirelength and via counts.
 type pathDescr struct {
 	segs []Seg
 	wl   int64

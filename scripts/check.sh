@@ -1,6 +1,6 @@
 #!/bin/sh
 # check.sh — the full pre-merge gate: gofmt, vet, build, race-enabled
-# tests, and a short fuzz smoke over every text parser. Steps that have a
+# tests, and a short fuzz smoke over every parser. Steps that have a
 # Makefile target call it, so each package list lives in one place. Run
 # from the repo root:
 #
@@ -96,7 +96,7 @@ make fuzz FUZZTIME="$FUZZTIME"
 
 echo "== profile harness smoke =="
 # The `make profile` pipeline must keep producing parseable pprof
-# profiles of the reduced flow and the yield window; see
+# profiles of the case-study pair and the yield window; see
 # scripts/profilecheck.sh.
 make profilecheck
 

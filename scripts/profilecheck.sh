@@ -1,6 +1,7 @@
 #!/bin/sh
 # profilecheck.sh — smoke test for the profiling harness. Runs one
-# reduced-flow benchmark iteration, one 4096-corner yield benchmark
+# case-study pair benchmark iteration (the reduced 2D/M3D pair and its
+# GDS/DEF exports), one 4096-corner yield benchmark
 # iteration and one corner-batched STA kernel iteration under the CPU
 # and heap profilers (exactly what `make profile` and `make
 # profile-yield` do, at minimum duration) and
@@ -22,7 +23,7 @@ else
 fi
 trap '[ -n "$CLEANUP" ] && rm -rf "$CLEANUP"' EXIT
 
-go test -run '^$' -bench 'BenchmarkRunFlowReduced$' -benchtime 1x \
+go test -run '^$' -bench 'BenchmarkCaseStudyPair$' -benchtime 1x \
     -cpuprofile "$DIR/cpu.out" -memprofile "$DIR/mem.out" \
     -o "$DIR/flow.test" ./internal/flow/ >/dev/null
 
