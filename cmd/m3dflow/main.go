@@ -105,6 +105,7 @@ func main() {
 	row("ILVs", twoD.ILVs, func(r *flow.Result) interface{} { return r.ILVs })
 	row("Overflow edges", twoD.OverflowEdges, func(r *flow.Result) interface{} { return r.OverflowEdges })
 	row("Rip-up overflow/round", ripups(twoD), func(r *flow.Result) interface{} { return ripups(r) })
+	row("DRC violations", len(twoD.Audit.Violations), func(r *flow.Result) interface{} { return len(r.Audit.Violations) })
 	row("Fmax", report.MHz(twoD.FmaxHz), func(r *flow.Result) interface{} { return report.MHz(r.FmaxHz) })
 	row("Timing met @20MHz", twoD.TimingMet, func(r *flow.Result) interface{} { return r.TimingMet })
 	row("Drivers upsized", twoD.Upsized, func(r *flow.Result) interface{} { return r.Upsized })

@@ -1,30 +1,32 @@
 // Command m3dloadgen is a closed-loop load generator for cmd/m3dserve:
-// N concurrent workers each hold one request in flight against a target
-// fleet for a fixed duration, and the run reports sustained throughput,
-// a latency histogram (p50/p90/p99/max) and an error budget. It is the
-// proof harness behind EXPERIMENTS.md's serving numbers: cached sweeps
-// must sustain thousands of requests per second with a bounded p99 and
-// zero hard errors, including while one peer of a fleet restarts.
+// N concurrent workers each hold one request in flight against the
+// target server for a fixed duration, and the run reports sustained
+// throughput, a latency histogram (p50/p90/p99/max) and an error budget.
+// It is the source of the HTTP p50/p99 in EXPERIMENTS.md and of the
+// committed baseline bench/LOADGEN_0.json: cached sweeps must sustain
+// thousands of requests per second with a bounded p99 and zero hard
+// errors.
 //
 // The request mix is seeded and deterministic (-mix, -distinct, -seed):
-// "sweep" items cycle a small set of distinct cached sweep bodies (each
-// evaluates once, then memoizes — and on a fleet, shards to its owner),
-// "flow" items replay one small cached flow, "yield" items stream a
-// 256-corner Monte-Carlo timing-yield run over the same cached design
-// (the steady-state cost is the corner-batched STA kernel), "health"
-// items probe GET /healthz. Responses are classified as ok (2xx), shed (429 —
-// backpressure, allowed), or errors; transport failures and 503s fail
-// over to the next target in the list and only count as errors once
-// every target has refused.
+// "sweep" items cycle -distinct distinct cached sweep bodies (each
+// evaluates once, then memoizes), "flow" items replay one small cached
+// flow, "yield" items stream a 256-corner Monte-Carlo timing-yield run
+// over the same cached design (the steady-state cost is the
+// corner-batched STA kernel), "health" items probe GET /healthz.
+// Responses are classified as ok (2xx), shed (429 — backpressure,
+// allowed), or errors. -targets may list several independent servers:
+// transport failures and 503s (a draining or restarting server) fail
+// over to the next one and only count as errors once every target has
+// refused.
 //
-//	m3dloadgen -targets http://localhost:8080 -c 64 -duration 30s
-//	m3dloadgen -targets http://peerA:8080,http://peerB:8081 \
-//	    -c 128 -duration 30s -minrps 1000 -deadline 250ms -errbudget 0
+//	m3dloadgen -targets http://localhost:8080 -c 64 -duration 30s \
+//	    -minrps 1000 -deadline 250ms -errbudget 0
 //
 // Exit status is 0 only when every enabled gate holds: -minrps
 // (sustained throughput), -deadline (p99 latency), -errbudget (fraction
 // of hard errors over all requests). -json writes the machine-readable
-// summary scripts diff against a checked-in baseline.
+// summary, stamped with the host it ran on, that scripts diff against a
+// checked-in baseline.
 package main
 
 import (
@@ -36,7 +38,9 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
+	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -46,12 +50,12 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("m3dloadgen: ")
-	targets := flag.String("targets", "http://localhost:8080", "comma-separated base URLs of the fleet")
+	targets := flag.String("targets", "http://localhost:8080", "comma-separated server base URLs; a refused request fails over to the next")
 	conc := flag.Int("c", 32, "concurrent closed-loop workers")
 	duration := flag.Duration("duration", 10*time.Second, "measured run length")
 	warmup := flag.Bool("warmup", true, "prime every distinct request once before the clock starts")
 	mix := flag.String("mix", "sweep=1", "weighted request mix, e.g. sweep=9,flow=1,health=1")
-	distinct := flag.Int("distinct", 4, "distinct sweep bodies cycled by the mix (each caches after one evaluation)")
+	distinct := flag.Int("distinct", 4, "distinct sweep bodies cycled by the mix, ≥ 1 (each caches after one evaluation)")
 	seed := flag.Int64("seed", 1, "seed for the per-worker request pick")
 	minRPS := flag.Float64("minrps", 0, "fail the run under this sustained requests/sec (0 = no gate)")
 	deadline := flag.Duration("deadline", 0, "fail the run when p99 latency exceeds this (0 = no gate)")
@@ -123,7 +127,7 @@ type workItem struct {
 // buildMix parses "kind=weight,..." into the cycled request set.
 func buildMix(mix string, distinct int) ([]workItem, error) {
 	if distinct < 1 {
-		distinct = 1
+		return nil, fmt.Errorf("-distinct %d must be ≥ 1", distinct)
 	}
 	var items []workItem
 	for _, part := range strings.Split(mix, ",") {
@@ -140,13 +144,17 @@ func buildMix(mix string, distinct int) ([]workItem, error) {
 		}
 		switch name {
 		case "sweep":
-			// Distinct bodies: truncations of the default Fig. 8 axes. Each
-			// is a separate cache key (a separate owner on a fleet) that
+			// Distinct bodies: bodies 0-3 sweep the four truncations of the
+			// default Fig. 8 axes on both axes; body i ≥ 4 adds bandwidth
+			// scale 16+i/4 to body i%4. Each is a separate cache key that
 			// memoizes after one evaluation.
 			for i := 0; i < distinct; i++ {
-				axis := []string{"1", "2", "4", "8", "16"}[:2+i%4]
-				body := fmt.Sprintf(`{"kind":"bandwidth_cs","cs_counts":[%s],"bw_scales":[%s]}`,
-					strings.Join(axis, ","), strings.Join(axis, ","))
+				axis := strings.Join([]string{"1", "2", "4", "8", "16"}[:2+i%4], ",")
+				scales := axis
+				if i >= 4 {
+					scales += "," + strconv.Itoa(16+i/4)
+				}
+				body := fmt.Sprintf(`{"kind":"bandwidth_cs","cs_counts":[%s],"bw_scales":[%s]}`, axis, scales)
 				items = append(items, workItem{
 					name: "sweep", method: http.MethodPost, path: "/v1/sweep",
 					body: body, weight: weight,
@@ -203,8 +211,40 @@ func prime(client *http.Client, bases []string, items []workItem) error {
 	return nil
 }
 
+// host is the machine a run measured, in bench/BENCH_0.json's form:
+// numbers taken on different hosts do not compare.
+type host struct {
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	CPU        string `json:"cpu"`
+	Go         string `json:"go"`
+}
+
+func stampHost() host {
+	// A host without /proc/cpuinfo stamps its CPU as "unknown".
+	cpuinfo, _ := os.ReadFile("/proc/cpuinfo")
+	return host{
+		NProc:      runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		CPU:        cpuModel(string(cpuinfo)),
+		Go:         runtime.Version(),
+	}
+}
+
+// cpuModel returns the first "model name" of a /proc/cpuinfo text, or
+// "unknown" when it has none.
+func cpuModel(cpuinfo string) string {
+	for _, line := range strings.Split(cpuinfo, "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return "unknown"
+}
+
 // result is the run summary (-json writes it verbatim).
 type result struct {
+	Host      host    `json:"host"`
 	Targets   int     `json:"targets"`
 	Workers   int     `json:"workers"`
 	Seconds   float64 `json:"seconds"`
@@ -287,6 +327,7 @@ func run(client *http.Client, bases []string, items []workItem, conc int, durati
 		return all[int(q*float64(len(all)-1))] * 1e3
 	}
 	res := &result{
+		Host:      stampHost(),
 		Targets:   len(bases),
 		Workers:   conc,
 		Seconds:   elapsed,
@@ -314,7 +355,7 @@ const (
 )
 
 // attemptAll sends one logical request, failing over across the targets:
-// transport errors and 503s (a draining or restarting peer) rotate to
+// transport errors and 503s (a draining or restarting server) rotate to
 // the next target; 429 is backpressure and final; any other non-2xx is a
 // hard error. It returns the outcome, how many failovers happened, and
 // the hard error once every target refused.
@@ -362,7 +403,7 @@ func attempt(client *http.Client, base string, it workItem) (int, error) {
 	}
 	defer resp.Body.Close()
 	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-		// A body cut mid-transfer (e.g. the peer restarting) is a
+		// A body cut mid-transfer (e.g. the server restarting) is a
 		// transport failure, not a served response.
 		return 0, err
 	}

@@ -23,10 +23,7 @@
 // (with the result) and flow artifacts persist through -jobstore. A
 // restarted m3dserve pointed at the same store serves finished jobs and
 // re-runs unfinished ones. During the drain, running jobs are
-// interrupted and parked as queued in the store. With -peers/-self, the
-// evaluation caches shard across a static fleet by consistent hashing
-// (each key has one owner; the others forward to it and fall back to
-// local evaluation on any peer failure).
+// interrupted and parked as queued in the store.
 package main
 
 import (
@@ -39,7 +36,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -62,8 +58,6 @@ func main() {
 	jobstore := flag.String("jobstore", "", "directory persisting async jobs and their artifacts (empty = in-memory, no resume across restarts)")
 	jobs := flag.Int("jobs", 0, "max concurrently running async jobs (0 = 2)")
 	jobqueue := flag.Int("jobqueue", 0, "max async jobs queued behind the running ones (0 = 16, negative = none)")
-	peers := flag.String("peers", "", "comma-separated fleet base URLs for consistent-hash cache sharding (empty = standalone)")
-	self := flag.String("self", "", "this server's own base URL as listed in -peers")
 	obsFlags := cliutil.Register()
 	flag.Parse()
 
@@ -82,17 +76,6 @@ func main() {
 		}
 		store = ds
 	}
-	var peerList []string
-	if *peers != "" {
-		for _, p := range strings.Split(*peers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				peerList = append(peerList, p)
-			}
-		}
-		if *self == "" {
-			log.Fatal("-peers needs -self (this server's own base URL)")
-		}
-	}
 
 	srv := serve.New(serve.Config{
 		PDK:            tech.Default130(),
@@ -106,8 +89,6 @@ func main() {
 		JobStore:       store,
 		MaxJobs:        *jobs,
 		MaxJobQueue:    *jobqueue,
-		Peers:          peerList,
-		Self:           *self,
 	})
 
 	ln, err := net.Listen("tcp", *addr)

@@ -117,20 +117,14 @@ func (s *Server) handleFlow(ctx context.Context, w http.ResponseWriter, r *http.
 
 // flowCached validates one decoded request and answers it from the
 // response memo; /v1/flow bodies, /v1/batch flow items and DSE
-// promotions share this path. On a miss the key's fleet owner answers,
-// or the local design evaluator builds the design.
+// promotions share this path. On a miss the design evaluator builds (or
+// recalls) the design.
 func (s *Server) flowCached(ctx context.Context, req *FlowRequest) (*FlowResponse, error) {
 	if err := req.validate(); err != nil {
 		return nil, err
 	}
-	key := req.key()
-	return coalesce(ctx, &s.flows, key, s.reg.Counter("serve.memo.hits"), s.reg.Counter("serve.memo.misses"),
+	return coalesce(ctx, &s.flows, req.key(), s.reg.Counter("serve.memo.hits"), s.reg.Counter("serve.memo.misses"),
 		func() (*FlowResponse, error) {
-			// Fleet sharding: forward to the key's owner, local fallback on
-			// failure (see peers.go).
-			if out, handled, err := peerFetch[FlowResponse](ctx, s.peers, "/v1/flow", key, peerBody(key, "flow:")); handled {
-				return out, err
-			}
 			res, err := s.design(ctx, req)
 			if err != nil {
 				return nil, err
@@ -142,8 +136,7 @@ func (s *Server) flowCached(ctx context.Context, req *FlowRequest) (*FlowRespons
 // design builds (or recalls) the retained design database of one
 // validated flow request. It is the server's only flow run: the flow
 // response memo, /v1/yield and flow jobs all derive from the Result it
-// returns. The database is not wire-serializable, so it never forwards
-// to peers, and the cache keeps at most maxDesigns of them.
+// returns. The cache keeps at most maxDesigns of them.
 func (s *Server) design(ctx context.Context, req *FlowRequest) (*flow.Result, error) {
 	spec, err := req.spec()
 	if err != nil {

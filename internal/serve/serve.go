@@ -124,19 +124,6 @@ type Config struct {
 	// 16, negative disables queueing (shed once MaxJobs are running).
 	// Beyond both, POST /v1/jobs sheds with 429 + Retry-After.
 	MaxJobQueue int
-
-	// Peers is the static fleet for consistent-hash sharding of the
-	// evaluation caches: every peer's base URL (scheme://host:port),
-	// including this server's own (Self). Empty disables sharding. Each
-	// cache key hashes to one owner; non-owners forward the evaluation to
-	// it and fall back to evaluating locally when the owner is unreachable
-	// or overloaded.
-	Peers []string
-	// Self is this server's own base URL as it appears in Peers.
-	Self string
-	// PeerTransport overrides the HTTP transport used for peer forwards
-	// (tests inject faults here); nil uses http.DefaultTransport.
-	PeerTransport http.RoundTripper
 }
 
 // Server is the HTTP evaluation service. Build with New; it implements
@@ -163,8 +150,7 @@ type Server struct {
 	// output of Server.design; bounded at maxDesigns.
 	designs exec.Cache[string, *flow.Result]
 
-	jobs  *jobTier
-	peers *peerRing
+	jobs *jobTier
 
 	// Test hooks (nil outside tests): evalStarted fires when an
 	// evaluation body begins; evalBlock then blocks it, typically until
@@ -219,7 +205,6 @@ func New(cfg Config) *Server {
 	s.designs.Instrument(s.reg)
 
 	s.jobs = newJobTier(s, cfg.JobStore, cfg.MaxJobs, cfg.MaxJobQueue)
-	s.peers = newPeerRing(s, cfg.Peers, cfg.Self, cfg.PeerTransport)
 
 	s.mux = http.NewServeMux()
 	s.mux.Handle("GET /healthz", s.handler("healthz", false, s.handleHealthz))
@@ -337,10 +322,6 @@ func (s *Server) handler(route string, admit bool, h func(ctx context.Context, w
 			var cancel context.CancelFunc
 			ctx, cancel = context.WithTimeout(ctx, s.timeout)
 			defer cancel()
-		}
-		if r.Header.Get(peerHopHeader) != "" {
-			// Already forwarded once: evaluate here, never re-forward.
-			ctx = withPeerHop(ctx)
 		}
 
 		if admit {

@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -273,16 +274,30 @@ func TestCancellationMidRequest(t *testing.T) {
 	}
 }
 
-// TestCoalescing proves two identical concurrent sweeps perform exactly
-// one evaluation, observed through the Cache.DoMetered hit counter.
+// coalesceBodies are distinct sweep bodies, one of every kind plus a
+// second delta: six cache keys.
+var coalesceBodies = []string{
+	`{"kind":"delta","deltas":[1.0,1.5]}`,
+	`{"kind":"delta","deltas":[2.0]}`,
+	`{"kind":"beta","betas":[1.0,1.2]}`,
+	`{"kind":"rram_capacity","capacities_mb":[12]}`,
+	`{"kind":"tier_pairs","tier_pairs":[1,2],"per_tier_power_w":2.0}`,
+	`{"kind":"bandwidth_cs","cs_counts":[1,2],"bw_scales":[1,2]}`,
+}
+
+// TestCoalescing fires every coalesceBodies key three times at one
+// server, the duplicates while the first evaluations are blocked, and
+// proves single-flight: one evaluation per key (the Cache.DoMetered hit
+// and miss counters agree) and byte-identical duplicate replies.
 func TestCoalescing(t *testing.T) {
-	const body = `{"kind":"bandwidth_cs","cs_counts":[1,2,4],"bw_scales":[1,2]}`
+	const fires = 3
+	keys := int64(len(coalesceBodies))
 	for _, width := range widths {
 		t.Run(fmt.Sprintf("w%d", width), func(t *testing.T) {
-			started := make(chan struct{}, 8)
 			release := make(chan struct{})
+			var releaseOnce sync.Once
+			releaseAll := func() { releaseOnce.Do(func() { close(release) }) }
 			s := New(Config{Workers: width})
-			s.evalStarted = func() { started <- struct{}{} }
 			s.evalBlock = func(ctx context.Context) {
 				select {
 				case <-release:
@@ -291,41 +306,63 @@ func TestCoalescing(t *testing.T) {
 			}
 			ts := httptest.NewServer(s)
 			defer ts.Close()
+			// A failed wait below must not leave the handlers blocked
+			// while Close waits for them.
+			defer releaseAll()
 
-			results := make(chan []byte, 2)
-			fire := func() {
+			type reply struct {
+				body string
+				b    []byte
+			}
+			results := make(chan reply, len(coalesceBodies)*fires)
+			fire := func(body string) {
 				status, _, b := post(t, ts.URL+"/v1/sweep", body)
 				if status != http.StatusOK {
-					t.Errorf("status = %d, body %s", status, b)
+					t.Errorf("%s: status = %d, body %s", body, status, b)
 				}
-				results <- b
+				results <- reply{body, b}
 			}
-			go fire()
-			<-started
-			go fire()
-			// Give the duplicate time to reach the single-flight cache,
-			// then let the one evaluation finish. (Correctness does not
-			// depend on the sleep: however the requests interleave, the
-			// cache admits exactly one evaluation.)
-			time.Sleep(50 * time.Millisecond)
-			close(release)
-			first, second := <-results, <-results
+			reg := s.Metrics()
+			for _, body := range coalesceBodies {
+				go fire(body)
+			}
+			// A request interns its key, counting the miss, before its
+			// evaluation starts, so every later duplicate finds the key.
+			waitFor(t, "one miss per key", func() bool {
+				return reg.Counter("serve.memo.misses").Value() == keys
+			})
+			for _, body := range coalesceBodies {
+				for n := 1; n < fires; n++ {
+					go fire(body)
+				}
+			}
+			// The evaluations stay blocked until every duplicate has
+			// counted its hit, so each one joins an evaluation in flight.
+			waitFor(t, "duplicates to join", func() bool {
+				return reg.Counter("serve.memo.hits").Value() == keys*(fires-1)
+			})
+			releaseAll()
+			first := make(map[string][]byte, len(coalesceBodies))
+			for range len(coalesceBodies) * fires {
+				r := <-results
+				if prev, ok := first[r.body]; !ok {
+					first[r.body] = r.b
+				} else if !bytes.Equal(prev, r.b) {
+					t.Errorf("%s: coalesced responses differ:\n%s\n%s", r.body, prev, r.b)
+				}
+			}
 			if t.Failed() {
 				t.FailNow()
 			}
-			if !bytes.Equal(first, second) {
-				t.Fatalf("coalesced responses differ:\n%s\n%s", first, second)
-			}
 
-			reg := s.Metrics()
-			if got := reg.Counter("serve.sweep.evals").Value(); got != 1 {
-				t.Fatalf("evals = %d, want 1 (coalesced)", got)
+			if got := reg.Counter("serve.sweep.evals").Value(); got != keys {
+				t.Fatalf("evals = %d, want %d (one per key)", got, keys)
 			}
-			if misses := reg.Counter("serve.memo.misses").Value(); misses != 1 {
-				t.Fatalf("memo misses = %d, want 1", misses)
+			if misses := reg.Counter("serve.memo.misses").Value(); misses != keys {
+				t.Fatalf("memo misses = %d, want %d", misses, keys)
 			}
-			if hits := reg.Counter("serve.memo.hits").Value(); hits != 1 {
-				t.Fatalf("memo hits = %d, want 1", hits)
+			if hits := reg.Counter("serve.memo.hits").Value(); hits != keys*(fires-1) {
+				t.Fatalf("memo hits = %d, want %d", hits, keys*(fires-1))
 			}
 		})
 	}

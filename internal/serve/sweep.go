@@ -187,20 +187,13 @@ func (s *Server) sweepCached(ctx context.Context, req *SweepRequest) (*SweepResp
 	if err := req.validate(); err != nil {
 		return nil, err
 	}
-	key := req.key()
-	return coalesce(ctx, &s.sweeps, key, s.reg.Counter("serve.memo.hits"), s.reg.Counter("serve.memo.misses"),
+	return coalesce(ctx, &s.sweeps, req.key(), s.reg.Counter("serve.memo.hits"), s.reg.Counter("serve.memo.misses"),
 		func() (*SweepResponse, error) {
 			if s.evalStarted != nil {
 				s.evalStarted()
 			}
 			if s.evalBlock != nil {
 				s.evalBlock(ctx)
-			}
-			// On a fleet, the key's owner evaluates; everyone else forwards
-			// (inside the compute fn, so concurrent identical requests still
-			// coalesce into one forward) and falls back to local on failure.
-			if out, handled, err := peerFetch[SweepResponse](ctx, s.peers, "/v1/sweep", key, peerBody(key, "sweep:")); handled {
-				return out, err
 			}
 			s.reg.Counter("serve.sweep.evals").Add(1)
 			return s.evalSweep(ctx, req)
