@@ -1,7 +1,8 @@
 // Command m3dloadgen is a closed-loop load generator for cmd/m3dserve:
 // N concurrent workers each hold one request in flight against the
 // target server for a fixed duration, and the run reports sustained
-// throughput, a latency histogram (p50/p90/p99/max) and an error budget.
+// throughput (2xx responses per second), a latency histogram
+// (p50/p90/p99/max) and an error budget.
 // It is the source of the HTTP p50/p99 in EXPERIMENTS.md and of the
 // committed baseline bench/LOADGEN_0.json: cached sweeps must sustain
 // thousands of requests per second with a bounded p99 and zero hard
@@ -23,8 +24,9 @@
 //	    -minrps 1000 -deadline 250ms -errbudget 0
 //
 // Exit status is 0 only when every enabled gate holds: -minrps
-// (sustained throughput), -deadline (p99 latency), -errbudget (fraction
-// of hard errors over all requests). -json writes the machine-readable
+// (sustained throughput: a shed request is an attempt, not throughput),
+// -deadline (p99 latency), -errbudget (fraction of hard errors over all
+// requests). -json writes the machine-readable
 // summary, stamped with the host it ran on, that scripts diff against a
 // checked-in baseline.
 package main
@@ -57,7 +59,7 @@ func main() {
 	mix := flag.String("mix", "sweep=1", "weighted request mix, e.g. sweep=9,flow=1,health=1")
 	distinct := flag.Int("distinct", 4, "distinct sweep bodies cycled by the mix, ≥ 1 (each caches after one evaluation)")
 	seed := flag.Int64("seed", 1, "seed for the per-worker request pick")
-	minRPS := flag.Float64("minrps", 0, "fail the run under this sustained requests/sec (0 = no gate)")
+	minRPS := flag.Float64("minrps", 0, "fail the run under this sustained 2xx responses/sec (0 = no gate)")
 	deadline := flag.Duration("deadline", 0, "fail the run when p99 latency exceeds this (0 = no gate)")
 	errBudget := flag.Float64("errbudget", 0, "allowed fraction of hard errors over all requests")
 	jsonOut := flag.String("json", "", "write the machine-readable summary to this file")
@@ -96,23 +98,31 @@ func main() {
 		}
 	}
 
-	failed := false
-	if *minRPS > 0 && res.RPS < *minRPS {
-		log.Printf("FAIL: %.0f req/s under the -minrps gate %.0f", res.RPS, *minRPS)
-		failed = true
+	failures := res.gates(*minRPS, *deadline, *errBudget)
+	for _, f := range failures {
+		log.Printf("FAIL: %s", f)
 	}
-	if *deadline > 0 && res.P99Ms > float64(*deadline)/1e6 {
-		log.Printf("FAIL: p99 %.2f ms over the -deadline gate %s", res.P99Ms, *deadline)
-		failed = true
-	}
-	if res.Requests > 0 && float64(res.Errors) > *errBudget*float64(res.Requests) {
-		log.Printf("FAIL: %d hard error(s) over the -errbudget gate %.3f (%d requests)",
-			res.Errors, *errBudget, res.Requests)
-		failed = true
-	}
-	if failed {
+	if len(failures) > 0 {
 		os.Exit(1)
 	}
+}
+
+// gates checks the run against the enabled gates (-minrps, -deadline,
+// -errbudget; zero disables the first two) and returns one message per
+// gate that failed.
+func (r *result) gates(minRPS float64, deadline time.Duration, errBudget float64) []string {
+	var failures []string
+	if minRPS > 0 && r.RPS < minRPS {
+		failures = append(failures, fmt.Sprintf("%.0f ok req/s under the -minrps gate %.0f", r.RPS, minRPS))
+	}
+	if deadline > 0 && r.P99Ms > float64(deadline)/1e6 {
+		failures = append(failures, fmt.Sprintf("p99 %.2f ms over the -deadline gate %s", r.P99Ms, deadline))
+	}
+	if r.Requests > 0 && float64(r.Errors) > errBudget*float64(r.Requests) {
+		failures = append(failures, fmt.Sprintf("%d hard error(s) over the -errbudget gate %.3f (%d requests)",
+			r.Errors, errBudget, r.Requests))
+	}
+	return failures
 }
 
 // workItem is one entry of the request mix.
@@ -242,7 +252,8 @@ func cpuModel(cpuinfo string) string {
 	return "unknown"
 }
 
-// result is the run summary (-json writes it verbatim).
+// result is the run summary (-json writes it verbatim). Requests counts
+// every attempt; RPS counts only the ok (2xx) responses per second.
 type result struct {
 	Host      host    `json:"host"`
 	Targets   int     `json:"targets"`
@@ -264,7 +275,7 @@ func (r *result) print(w io.Writer) {
 	fmt.Fprintf(w, "targets %d  workers %d  %.1fs\n", r.Targets, r.Workers, r.Seconds)
 	fmt.Fprintf(w, "requests %d  ok %d  shed %d  failovers %d  errors %d\n",
 		r.Requests, r.OK, r.Shed, r.Failovers, r.Errors)
-	fmt.Fprintf(w, "throughput %.0f req/s\n", r.RPS)
+	fmt.Fprintf(w, "throughput %.0f ok req/s\n", r.RPS)
 	fmt.Fprintf(w, "latency p50 %.2f ms  p90 %.2f ms  p99 %.2f ms  max %.2f ms\n",
 		r.P50Ms, r.P90Ms, r.P99Ms, r.MaxMs)
 }
@@ -344,7 +355,7 @@ func run(client *http.Client, bases []string, items []workItem, conc int, durati
 		res.MaxMs = all[len(all)-1] * 1e3
 	}
 	if elapsed > 0 {
-		res.RPS = float64(requests.Load()) / elapsed
+		res.RPS = float64(res.OK) / elapsed
 	}
 	return res
 }

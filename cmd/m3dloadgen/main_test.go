@@ -2,7 +2,12 @@ package main
 
 import (
 	"fmt"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // firstBodies are the sweep bodies the default -distinct 4 has always
@@ -62,5 +67,42 @@ func TestCPUModel(t *testing.T) {
 		if got := cpuModel(tc.in); got != tc.want {
 			t.Errorf("cpuModel(%q) = %q, want %q", tc.in, got, tc.want)
 		}
+	}
+}
+
+// TestShedIsNotThroughput runs the closed loop against a server that
+// answers 429 to nine of every ten requests: requests must count every
+// attempt, rps must count only the served ones (rps × seconds = ok), and
+// a -minrps gate set at half the attempt rate must fail, as it would not
+// if shed requests counted as throughput.
+func TestShedIsNotThroughput(t *testing.T) {
+	var n atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		if n.Add(1)%10 != 0 {
+			w.WriteHeader(http.StatusTooManyRequests)
+			return
+		}
+		w.WriteHeader(http.StatusOK)
+	}))
+	defer ts.Close()
+	items, err := buildMix("health=1", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := run(ts.Client(), []string{ts.URL}, items, 2, 300*time.Millisecond, 1)
+	if res.OK == 0 || res.Shed == 0 || res.Errors != 0 || res.Requests != res.OK+res.Shed {
+		t.Fatalf("requests %d, ok %d, shed %d, errors %d: want ok and shed requests, no errors, all counted",
+			res.Requests, res.OK, res.Shed, res.Errors)
+	}
+	if got := res.RPS * res.Seconds; math.Abs(got-float64(res.OK)) > 1e-6*float64(res.OK) {
+		t.Errorf("rps %.1f × %.3f s = %.1f, want ok = %d", res.RPS, res.Seconds, got, res.OK)
+	}
+	attempts := float64(res.Requests) / res.Seconds
+	if f := res.gates(attempts/2, 0, 0); len(f) != 1 {
+		t.Errorf("-minrps %.0f (half the attempt rate) with %d of %d requests shed: gates = %q, want one failure",
+			attempts/2, res.Shed, res.Requests, f)
+	}
+	if f := res.gates(res.RPS/2, 0, 0); len(f) != 0 {
+		t.Errorf("-minrps %.0f (half the ok rate): gates = %q, want none", res.RPS/2, f)
 	}
 }

@@ -5,7 +5,9 @@
 package cliutil
 
 import (
+	"bufio"
 	"flag"
+	"io"
 	"log"
 	"net/http"
 	_ "net/http/pprof"
@@ -25,6 +27,7 @@ type ObsFlags struct {
 	trace *obs.JSONL
 	reg   *obs.Registry
 	file  *os.File
+	buf   *bufio.Writer
 }
 
 // Register declares -trace, -metrics and -pprof on the default FlagSet.
@@ -48,14 +51,19 @@ func RegisterOn(fs *flag.FlagSet) *ObsFlags {
 func (f *ObsFlags) Setup() []exec.Option {
 	var opts []exec.Option
 	if f.TracePath != "" {
-		w := os.Stderr
+		var w io.Writer = os.Stderr
 		if f.TracePath != "-" {
 			file, err := os.Create(f.TracePath)
 			if err != nil {
 				log.Fatal(err)
 			}
+			// A traced yield request ends 128 slab spans; buffered, they
+			// cost a write call per buffer instead of one per span.
+			// Close flushes the buffer, so the file is whole only after
+			// Close.
 			f.file = file
-			w = file
+			f.buf = bufio.NewWriter(file)
+			w = f.buf
 		}
 		f.trace = obs.NewJSONL(w)
 		opts = append(opts, exec.WithTracer(f.trace))
@@ -83,8 +91,8 @@ func (f *ObsFlags) Registry() *obs.Registry { return f.reg }
 
 // Close flushes the sinks: the metrics snapshot is appended to the trace
 // (schema event type "metrics") and, with -metrics, printed to stderr;
-// the trace file is closed. Errors are fatal so a truncated trace never
-// passes silently.
+// the trace file's buffer is flushed and the file closed. Errors are
+// fatal so a truncated trace never passes silently.
 func (f *ObsFlags) Close() {
 	if f.trace != nil {
 		f.trace.EmitMetrics(f.reg)
@@ -93,6 +101,9 @@ func (f *ObsFlags) Close() {
 		}
 	}
 	if f.file != nil {
+		if err := f.buf.Flush(); err != nil {
+			log.Fatalf("trace: %v", err)
+		}
 		if err := f.file.Close(); err != nil {
 			log.Fatalf("trace: %v", err)
 		}

@@ -39,13 +39,19 @@ func designSpec(t *testing.T) flow.SoCSpec {
 }
 
 // TestOneDesignOneRun serves one design as a flow response, then a
-// yield run, then a flow job: the flow runs once, and the job's DEF
-// artifact, written from the Result the yield engine re-timed, matches
-// the DEF of an independent run of the same spec byte for byte.
+// yield run, then a flow job: the flow runs once, the yield timing is
+// compiled once and only by the yield (serve.yield.compiles does not
+// exist until then), and the job's DEF artifact, written from the
+// Result the yield engine re-timed, matches the DEF of an independent
+// run of the same spec byte for byte.
 func TestOneDesignOneRun(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2})
+	reg := s.Metrics()
 	if status, _, body := post(t, ts.URL+"/v1/flow", designBody); status != http.StatusOK {
 		t.Fatalf("/v1/flow status = %d: %s", status, body)
+	}
+	if n, ok := reg.Snapshot().Counters["serve.yield.compiles"]; ok {
+		t.Errorf("a /v1/flow miss compiled yield timing: serve.yield.compiles = %d", n)
 	}
 	if status, _, body := post(t, ts.URL+"/v1/yield", `{"flow":`+designBody+`,"samples":32}`); status != http.StatusOK {
 		t.Fatalf("/v1/yield status = %d: %s", status, body)
@@ -53,7 +59,9 @@ func TestOneDesignOneRun(t *testing.T) {
 	submitJob(t, ts.URL, `{"id":"one","flow":`+designBody+`}`)
 	waitJob(t, ts.URL, "one", JobStateDone)
 
-	reg := s.Metrics()
+	if n := reg.Counter("serve.yield.compiles").Value(); n != 1 {
+		t.Errorf("serve.yield.compiles = %d, want 1", n)
+	}
 	if n := reg.Histogram("flow.stage.seconds.route").Count(); n != 1 {
 		t.Errorf("flow ran %d times, want 1", n)
 	}

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"sync"
 
 	"m3d/internal/flow"
 	"m3d/internal/macro"
+	"m3d/internal/vary"
 )
 
 // FlowRequest is the POST /v1/flow body: one RTL-to-GDS run, evaluated
@@ -125,25 +127,36 @@ func (s *Server) flowCached(ctx context.Context, req *FlowRequest) (*FlowRespons
 	}
 	return coalesce(ctx, &s.flows, req.key(), s.reg.Counter("serve.memo.hits"), s.reg.Counter("serve.memo.misses"),
 		func() (*FlowResponse, error) {
-			res, err := s.design(ctx, req)
+			d, err := s.design(ctx, req)
 			if err != nil {
 				return nil, err
 			}
-			return flowResponseOf(res), nil
+			return flowResponseOf(d.res), nil
 		})
 }
 
-// design builds (or recalls) the retained design database of one
-// validated flow request. It is the server's only flow run: the flow
-// response memo, /v1/yield and flow jobs all derive from the Result it
-// returns. The cache keeps at most maxDesigns of them.
-func (s *Server) design(ctx context.Context, req *FlowRequest) (*flow.Result, error) {
+// retained is one entry of the design cache: a finished flow's design
+// database and the yield timing compiled from it. timing runs
+// vary.Compile on its first call, which the first /v1/yield on the
+// design makes, and returns that one result to every later call, so a
+// /v1/flow miss never pays for the compile and a yield never repeats
+// it; serve.yield.compiles counts the compiles.
+type retained struct {
+	res    *flow.Result
+	timing func() (*vary.Timing, error)
+}
+
+// design builds (or recalls) the retained design of one validated flow
+// request. It is the server's only flow run: the flow response memo,
+// /v1/yield and flow jobs all derive from the entry it returns. The
+// cache keeps at most maxDesigns of them.
+func (s *Server) design(ctx context.Context, req *FlowRequest) (*retained, error) {
 	spec, err := req.spec()
 	if err != nil {
 		return nil, err
 	}
 	return coalesce(ctx, &s.designs, req.key(), s.reg.Counter("serve.design.hits"), s.reg.Counter("serve.design.misses"),
-		func() (*flow.Result, error) {
+		func() (*retained, error) {
 			if s.evalStarted != nil {
 				s.evalStarted()
 			}
@@ -155,6 +168,13 @@ func (s *Server) design(ctx context.Context, req *FlowRequest) (*flow.Result, er
 			if req.ThermalCheck {
 				opts = append(opts, flow.WithThermalCheck(req.MaxTempRiseK))
 			}
-			return flow.Run(s.pdk, spec, opts...)
+			res, err := flow.Run(s.pdk, spec, opts...)
+			if err != nil {
+				return nil, err
+			}
+			return &retained{res: res, timing: sync.OnceValues(func() (*vary.Timing, error) {
+				s.reg.Counter("serve.yield.compiles").Add(1)
+				return vary.Compile(res.Design())
+			})}, nil
 		})
 }

@@ -475,10 +475,11 @@ func (t *jobTier) evaluate(ctx context.Context, id string, req *JobRequest) (jso
 	s := t.s
 	switch {
 	case req.Flow != nil:
-		res, err := s.design(ctx, req.Flow)
+		d, err := s.design(ctx, req.Flow)
 		if err != nil {
 			return nil, nil, err
 		}
+		res := d.res
 		resp := flowResponseOf(res)
 		var def bytes.Buffer
 		if err := res.WriteDEF(&def); err != nil {

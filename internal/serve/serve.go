@@ -30,7 +30,9 @@
 //     which single-flights a retained flow.Result (serve.design.hits /
 //     serve.design.misses, serve.flow.evals per real run). The flow
 //     response memo, /v1/yield and the flow job's DEF artifact all derive
-//     from that one Result; the design cache keeps maxDesigns of them.
+//     from that one Result; the design cache keeps maxDesigns of them,
+//     each with the yield timing its first /v1/yield compiles
+//     (serve.yield.compiles).
 //   - Pool: evaluations run on the exec worker pool at the server's
 //     configured width, under a per-request context deadline
 //     (Config.RequestTimeout) derived from the client's context — client
@@ -59,7 +61,6 @@ import (
 
 	"m3d/internal/errs"
 	"m3d/internal/exec"
-	"m3d/internal/flow"
 	"m3d/internal/obs"
 	"m3d/internal/tech"
 )
@@ -68,11 +69,15 @@ import (
 const maxBodyBytes = 1 << 20
 
 // maxDesigns bounds the design cache, independent of Config.CacheCap. A
-// retained design of the reduced 2×2 spec holds ~1.7 MB of heap and
-// every /v1/flow miss builds one, so a stream of cold flows would
-// otherwise keep every dead design alive. Each /v1/yield caller in this
-// repository times one design, which a single slot keeps warm; the price
-// is that a yield on a design evicted by a newer build re-runs its flow.
+// retained design holds the flow's design database (~1.7 MB of heap for
+// the reduced 2×2 spec) and, once a /v1/yield has timed it, the compiled
+// batch timing graph and the slab scratch of its vary.Timing: at most
+// one scratch per pool worker, each 32 float64 arrival lanes per instance
+// (~412 KB for the 1,609-instance yield-4096 design). Every /v1/flow miss
+// builds one, so a stream of cold flows would otherwise keep every dead
+// design alive. Each /v1/yield caller in this repository times one
+// design, which a single slot keeps warm; the price is that a yield on a
+// design evicted by a newer build re-runs its flow and its compile.
 const maxDesigns = 1
 
 // Config configures a Server. The zero value is usable: default PDK,
@@ -146,9 +151,10 @@ type Server struct {
 
 	sweeps exec.Cache[string, *SweepResponse]
 	flows  exec.Cache[string, *FlowResponse]
-	// designs retains full flow.Result databases (netlist + routes), the
-	// output of Server.design; bounded at maxDesigns.
-	designs exec.Cache[string, *flow.Result]
+	// designs retains full flow.Result databases (netlist + routes) with
+	// their lazily compiled yield timing, the output of Server.design;
+	// bounded at maxDesigns.
+	designs exec.Cache[string, *retained]
 
 	jobs *jobTier
 

@@ -149,16 +149,19 @@ func (s *Server) handleYield(ctx context.Context, w http.ResponseWriter, r *http
 	}
 	s.reg.Counter("serve.yield.requests").Add(1)
 
-	res, err := s.design(ctx, &req.Flow)
+	d, err := s.design(ctx, &req.Flow)
 	if err != nil {
 		return err
 	}
-	pdk, nl, routes := res.Design()
+	timing, err := d.timing()
+	if err != nil {
+		return err
+	}
 	v := tech.DefaultVariation()
 	if req.Variation != nil {
 		v = req.Variation.variation()
 	}
-	eng, err := vary.NewEngine(pdk, nl, routes, v, req.Seed)
+	eng, err := timing.Engine(v, req.Seed)
 	if err != nil {
 		return err
 	}

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 
 	"m3d/internal/errs"
@@ -116,36 +119,89 @@ func TestYieldStream(t *testing.T) {
 	}
 }
 
-// TestYieldByteIdentical proves identical requests stream byte-identical
-// replies at every pool width and across cache warmth: corners are
-// sample-indexed, batch boundaries are request-fixed, and the design
-// cache cannot alter re-timed values. The first stream is also pinned
-// absolutely by yield_stream.golden.json (replayed over real HTTP by
-// scripts/yieldsmoke), so a changed corner draw sequence fails here even
-// though every width would still agree with every other.
+// yieldBody is yieldStreamBody with its corner seed replaced: the same
+// design, run shape and variation, another corner stream.
+func yieldBody(seed int64) string {
+	return strings.Replace(yieldStreamBody, `"seed":7}`, fmt.Sprintf(`"seed":%d}`, seed), 1)
+}
+
+// TestYieldByteIdentical proves that one retained design serves every
+// yield stream byte-identically and compiles its timing once. Each
+// corner seed's reference stream comes from a fresh width-1 server;
+// seed 7's is also pinned absolutely by yield_stream.golden.json
+// (replayed over real HTTP by scripts/yieldsmoke), so a changed corner
+// draw sequence fails here even though every server would still agree
+// with every other. At every pool width one server then takes each seed
+// twice, first all at once (so the compile itself is contended) and
+// then in sequence: every stream must equal its reference, and
+// serve.yield.compiles must read 1. A /v1/flow on another seed then
+// evicts the design (maxDesigns = 1), and the next yield must rebuild
+// it, compile again and still stream the same bytes.
 func TestYieldByteIdentical(t *testing.T) {
-	var first []byte
+	seeds := []int64{1, 2, 3, 4, 7}
+	fresh := make(map[int64][]byte, len(seeds))
+	for _, seed := range seeds {
+		_, ts := newTestServer(t, Config{Workers: 1})
+		status, _, body := post(t, ts.URL+"/v1/yield", yieldBody(seed))
+		if status != http.StatusOK {
+			t.Fatalf("seed %d: status = %d, body %s", seed, status, body)
+		}
+		fresh[seed] = body
+	}
+	checkGolden(t, "yield_stream.golden.json", fresh[7])
+
 	for _, w := range widths {
-		_, ts := newTestServer(t, Config{Workers: w})
-		status, _, cold := post(t, ts.URL+"/v1/yield", yieldStreamBody)
-		if status != http.StatusOK {
-			t.Fatalf("width %d: status = %d, body %s", w, status, cold)
+		s, ts := newTestServer(t, Config{Workers: w})
+		var wg sync.WaitGroup
+		for _, seed := range seeds {
+			for rep := 0; rep < 2; rep++ {
+				wg.Add(1)
+				go func(seed int64) {
+					defer wg.Done()
+					resp, err := http.Post(ts.URL+"/v1/yield", "application/json", strings.NewReader(yieldBody(seed)))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					defer resp.Body.Close()
+					body, err := io.ReadAll(resp.Body)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if resp.StatusCode != http.StatusOK || !bytes.Equal(body, fresh[seed]) {
+						t.Errorf("width %d seed %d concurrent: status %d, stream differs from a fresh server's", w, seed, resp.StatusCode)
+					}
+				}(seed)
+			}
 		}
-		// Second hit reuses the cached design database and warm Timers.
-		status, _, warm := post(t, ts.URL+"/v1/yield", yieldStreamBody)
-		if status != http.StatusOK {
-			t.Fatalf("width %d warm: status = %d", w, status)
+		wg.Wait()
+		for _, seed := range seeds {
+			for rep := 0; rep < 2; rep++ {
+				status, _, body := post(t, ts.URL+"/v1/yield", yieldBody(seed))
+				if status != http.StatusOK || !bytes.Equal(body, fresh[seed]) {
+					t.Fatalf("width %d seed %d: status %d, stream differs from a fresh server's", w, seed, status)
+				}
+			}
 		}
-		if !bytes.Equal(cold, warm) {
-			t.Fatalf("width %d: warm reply differs from cold", w)
+		compiles := s.Metrics().Counter("serve.yield.compiles")
+		if got := compiles.Value(); got != 1 {
+			t.Fatalf("width %d: serve.yield.compiles = %d after %d yields on one design, want 1", w, got, 4*len(seeds))
 		}
-		if first == nil {
-			first = cold
-			checkGolden(t, "yield_stream.golden.json", first)
-			continue
+
+		other := strings.Replace(designBody, `"seed":1}`, `"seed":2}`, 1)
+		if status, _, body := post(t, ts.URL+"/v1/flow", other); status != http.StatusOK {
+			t.Fatalf("width %d: /v1/flow status = %d: %s", w, status, body)
 		}
-		if !bytes.Equal(first, cold) {
-			t.Fatalf("width %d stream differs from width %d", w, widths[0])
+		status, _, body := post(t, ts.URL+"/v1/yield", yieldBody(1))
+		if status != http.StatusOK || !bytes.Equal(body, fresh[1]) {
+			t.Fatalf("width %d: yield after eviction: status %d, stream differs from a fresh server's", w, status)
+		}
+		if got := compiles.Value(); got != 2 {
+			t.Fatalf("width %d: serve.yield.compiles = %d after the design was evicted and rebuilt, want 2", w, got)
+		}
+		if got := s.Metrics().Counter("serve.flow.evals").Value(); got != 3 {
+			t.Fatalf("width %d: serve.flow.evals = %d, want 3 (design, other design, rebuild)", w, got)
 		}
 	}
 }

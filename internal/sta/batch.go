@@ -14,13 +14,18 @@ import (
 //   - The Kahn traversal (queue order, pending counts, seen flags) never
 //     reads a delay value, so it is run once here. Launch instances
 //     (launchOf, the rule the Timer seeds from) keep their fixed launch
-//     time; the remaining instances the walk resolves
-//     are listed in the order it resolves them (ready), each with its
-//     counted inputs as (driver instance, net) arcs in pin order.
+//     time; the remaining instances the walk resolves are listed in the
+//     order it resolves them, each with its counted inputs as (driver
+//     slot, net) arcs in pin order.
 //   - netlist.AddPin rejects a second driver, so a sink pin's arrival is
 //     written exactly once, as arr[driver] + d·scale, and every output of
 //     an instance carries the same value. Arrivals are therefore kept per
 //     instance, and a sink's arrival is recomputed where it is read.
+//   - An instance's arrivals live in its slot: its position in the walk's
+//     queue, launches first and then the resolved instances in order. A
+//     pass therefore writes the arrival rows front to back, and reads
+//     drivers resolved shortly before; instances the walk never reaches
+//     take no row.
 //   - Every net a resolved driver reaches has its netDelayParts split
 //     evaluated once: the nominal arc delay and the scale lane it
 //     multiplies by (the driver's tier, or a lane of ones for unscaled
@@ -34,12 +39,10 @@ import (
 // BatchGraph is immutable: any number of goroutines may share one, each
 // with its own BatchTimer.
 type BatchGraph struct {
-	// launchInst/launchT are the launch instances and their launch time.
-	launchInst []int32
-	launchT    []float64
-	// ready lists the resolved non-launch instances in Kahn order; the
-	// inputs of ready[i] are in[inOff[i]:inOff[i+1]].
-	ready []int32
+	// launchT is the launch time of the launch instance in slot i.
+	launchT []float64
+	// The resolved instance in slot len(launchT)+i, the i-th in Kahn
+	// order, has the inputs in[inOff[i]:inOff[i+1]].
 	inOff []int32
 	in    []batchArc
 	// ends are the timing endpoints in report order.
@@ -48,11 +51,10 @@ type BatchGraph struct {
 	// lane, indexed by Net.ID.
 	netD    []float64
 	netLane []int32
-	nInst   int
 }
 
-// batchArc is one timed input: the driving instance and the net it
-// drives the input through.
+// batchArc is one timed input: the driving instance's slot and the net
+// it drives the input through.
 type batchArc struct{ drv, net int32 }
 
 // batchEnd is one timing endpoint: its arc and the setup time the
@@ -87,22 +89,21 @@ func CompileBatch(p *tech.PDK, nl *netlist.Netlist, wm *WireModel) (*BatchGraph,
 		}
 	}
 	g := &BatchGraph{
-		launchInst: make([]int32, 0, n),
-		launchT:    make([]float64, 0, n),
-		ready:      make([]int32, 0, n),
-		inOff:      append(make([]int32, 0, n+1), 0),
-		in:         make([]batchArc, 0, inputs),
-		netD:       make([]float64, len(nl.Nets)),
-		netLane:    make([]int32, len(nl.Nets)),
-		nInst:      n,
+		launchT: make([]float64, 0, n),
+		inOff:   append(make([]int32, 0, n+1), 0),
+		in:      make([]batchArc, 0, inputs),
+		netD:    make([]float64, len(nl.Nets)),
+		netLane: make([]int32, len(nl.Nets)),
 	}
 
 	// Launch points: the package's launch rule, as the Timer seeds it.
+	// slot[id] is the queue position of a queued instance.
 	queue := make([]*netlist.Instance, 0, n)
+	slot := make([]int32, n)
 	for _, inst := range nl.Instances {
 		if at, _, ok := launchOf(inst, pending[inst.ID]); ok {
-			g.launchInst = append(g.launchInst, int32(inst.ID))
 			g.launchT = append(g.launchT, at)
+			slot[inst.ID] = int32(len(queue))
 			queue = append(queue, inst)
 			pending[inst.ID] = -1
 		}
@@ -134,13 +135,13 @@ func CompileBatch(p *tech.PDK, nl *netlist.Netlist, wm *WireModel) (*BatchGraph,
 					// Every counted input is seen once pending reaches 0,
 					// so the worst-input scan reads all of them in pin
 					// order.
-					g.ready = append(g.ready, int32(sid))
 					for _, in := range sink.Inst.Pins() {
 						if timedInput(in) {
-							g.in = append(g.in, batchArc{int32(in.Net.Driver.Inst.ID), int32(in.Net.ID)})
+							g.in = append(g.in, batchArc{slot[in.Net.Driver.Inst.ID], int32(in.Net.ID)})
 						}
 					}
 					g.inOff = append(g.inOff, int32(len(g.in)))
+					slot[sid] = int32(len(queue))
 					queue = append(queue, sink.Inst)
 				}
 			}
@@ -157,7 +158,7 @@ func CompileBatch(p *tech.PDK, nl *netlist.Netlist, wm *WireModel) (*BatchGraph,
 			if !timedInput(pin) || pin.Net.Driver == nil || pending[pin.Net.Driver.Inst.ID] >= 0 {
 				continue
 			}
-			e := batchEnd{batchArc: batchArc{int32(pin.Net.Driver.Inst.ID), int32(pin.Net.ID)}}
+			e := batchEnd{batchArc: batchArc{slot[pin.Net.Driver.Inst.ID], int32(pin.Net.ID)}}
 			if seq {
 				e.setup = inst.Cell.SetupS
 			}
@@ -172,8 +173,8 @@ func CompileBatch(p *tech.PDK, nl *netlist.Netlist, wm *WireModel) (*BatchGraph,
 
 // BatchTimer prices up to MaxCorners process corners per pass over one
 // shared BatchGraph. It is the per-goroutine scratch: arrivals per
-// instance and corner (arr[inst*S + k], S = MaxCorners) and the per-tier
-// scale lanes (scl[tier*S + k]) of the corners being priced.
+// instance slot and corner (arr[slot*S + k], S = MaxCorners) and the
+// per-tier scale lanes (scl[tier*S + k]) of the corners being priced.
 //
 // Corner k of one AnalyzeBatch call is bit-for-bit identical to a
 // serial Timer pass under SetTierDelayScale(scales[k][:]). The graph
@@ -203,15 +204,15 @@ func NewBatchTimer(g *BatchGraph, maxCorners int) (*BatchTimer, error) {
 	S := maxCorners
 	bt := &BatchTimer{
 		g: g, kmax: S,
-		arr: make([]float64, g.nInst*S),
+		arr: make([]float64, (len(g.launchT)+len(g.inOff)-1)*S),
 		scl: make([]float64, (unitLane+1)*S),
 	}
 	// Launch arrivals and the unit lane never change between passes:
-	// passes write only ready instances and the tier lanes.
-	for i, inst := range g.launchInst {
-		lanes := bt.arr[int(inst)*S : int(inst)*S+S]
+	// passes write only resolved instances and the tier lanes.
+	for i, at := range g.launchT {
+		lanes := bt.arr[i*S : i*S+S]
 		for k := range lanes {
-			lanes[k] = g.launchT[i]
+			lanes[k] = at
 		}
 	}
 	for k := range S {
@@ -248,15 +249,30 @@ func (bt *BatchTimer) AnalyzeBatch(scales [][tech.NumTiers]float64, critOut []fl
 		}
 	}
 
-	// Each ready instance's arrival is the >= fold, from 0, of its inputs'
-	// arrivals in pin order. float64(d*s[k]) rounds the product on its
-	// own, as the serial d *= scale does, so it cannot fuse with the add.
-	for i, inst := range g.ready {
-		w := arr[int(inst)*S:][:K]
+	// Each resolved instance's arrival is the >= fold, from 0, of its
+	// inputs' arrivals in pin order. float64(d*s[k]) rounds the product on
+	// its own, as the serial d *= scale does, so it cannot fuse with the
+	// add. A resolved instance has at least one input (the walk resolved
+	// it by counting one down), and the fold's first step from 0 is "t if
+	// t >= 0, else 0" for every t, NaN and −0 included, so the first
+	// input sets the lanes and only the rest are folded. Slots follow
+	// Kahn order, so the rows are written front to back.
+	launches := len(g.launchT)
+	for i := range len(g.inOff) - 1 {
+		w := arr[(launches+i)*S:][:K]
+		ins := g.in[g.inOff[i]:g.inOff[i+1]]
+		a := ins[0]
+		src := arr[int(a.drv)*S:][:len(w)]
+		s := scl[int(g.netLane[a.net])*S:][:len(w)]
+		d := g.netD[a.net]
 		for k := range w {
-			w[k] = 0
+			t := src[k] + float64(d*s[k])
+			if !(t >= 0) {
+				t = 0
+			}
+			w[k] = t
 		}
-		for _, a := range g.in[g.inOff[i]:g.inOff[i+1]] {
+		for _, a := range ins[1:] {
 			src := arr[int(a.drv)*S:][:len(w)]
 			s := scl[int(g.netLane[a.net])*S:][:len(w)]
 			d := g.netD[a.net]

@@ -11,7 +11,8 @@
 //
 // Each Monte-Carlo sample is a Corner: one multiplicative delay scale per
 // tech.Tier, timed in slabs of corners by sta.BatchTimer over a timing
-// graph the yield engine compiles once per design (the per-corner
+// graph compiled once per design (Compile returns it as a Timing, to
+// which each (Variation, seed) binds its own Engine; the per-corner
 // sta.Timer.SetTierDelayScale path is the tests' oracle), plus the
 // matching analytic-model perturbations for EDP bands. Corners
 // are drawn by a seeded, sample-indexed generator — Corner(i) is a pure

@@ -78,7 +78,7 @@ const analyzePeriodS = 1.0
 
 // batchCorners is the engine's internal corner-slab width: every sample
 // window is cut into slabs of this many corners and each slab is priced
-// by ONE sta.BatchTimer pass over the engine's compiled graph. The slab
+// by ONE sta.BatchTimer pass over the design's compiled graph. The slab
 // cut is a fixed function of the sample indices — never of the worker
 // width — and corner i's value is independent of which slab prices it,
 // so results stay bit-identical at any width and across any caller-side
@@ -86,7 +86,7 @@ const analyzePeriodS = 1.0
 const batchCorners = 32
 
 // batchScratch is one worker's reusable slab state: a corner-batched
-// timer (arrival and scale lanes over the engine's shared compiled
+// timer (arrival and scale lanes over the Timing's shared compiled
 // graph), the slab's corner-scale staging slice, and the generator the
 // slab reseeds, in O(1) on its cornerSource, to draw each uncached
 // corner.
@@ -96,36 +96,32 @@ type batchScratch struct {
 	rng    *rand.Rand
 }
 
-// Engine runs Monte-Carlo timing yield over one placed-and-routed
-// netlist. Its timing graph is compiled once, at construction, and
-// shared read-only by every slab. It owns a free list of batchScratch
-// instances — a plain slice-indexed stack, not a sync.Pool, so scratch
-// survives GC cycles, steady-state sampling allocates nothing, and heap
-// profiles of the yield path show the design's timing state once
-// instead of churn.
-// Analyze results are pure in (netlist, corner), so scratch reuse —
-// whatever the stack's warmth — never changes a sample's value.
-type Engine struct {
+// Timing is the design-bound half of a yield engine, built once per
+// finished design by Compile: the nominal STA report every sample is
+// anchored on, the batched timing graph every slab shares read-only,
+// and a free list of batchScratch — a plain slice-indexed stack, not a
+// sync.Pool, so scratch survives GC cycles, steady-state sampling
+// allocates nothing, and heap profiles of the yield path show the
+// design's timing state once instead of churn. Any number of Engines,
+// one per (Variation, seed), may bind to one Timing and run
+// concurrently; they share its graph and its scratch. Analyze results
+// are pure in (netlist, corner), so scratch reuse — whatever the
+// stack's warmth, whichever engine used it last — never changes a
+// sample's value.
+type Timing struct {
 	graph   *sta.BatchGraph
-	sampler *Sampler
 	nominal *sta.Report
 
 	mu   sync.Mutex
 	free []*batchScratch
 }
 
-// NewEngine builds a yield engine for one finished design: the netlist,
-// placement and routes must not change while the engine is in use.
-// routes may be nil (pre-route wire estimates). The variation parameters
-// are validated (errs.ErrBadSpec on violation), the nominal STA runs
-// once here so every later sample is anchored on the same baseline, and
-// the batched timing graph is compiled from the wire model that
-// analysis warmed.
-func NewEngine(p *tech.PDK, nl *netlist.Netlist, routes *route.Result, v tech.Variation, seed int64) (*Engine, error) {
-	s, err := NewSampler(v, seed)
-	if err != nil {
-		return nil, err
-	}
+// Compile builds the yield timing of one finished design: the netlist,
+// placement and routes must not change while the timing is in use.
+// routes may be nil (pre-route wire estimates). The nominal STA runs
+// once here, and the batched timing graph is compiled from the wire
+// model that analysis warmed.
+func Compile(p *tech.PDK, nl *netlist.Netlist, routes *route.Result) (*Timing, error) {
 	wm := sta.NewWireModel(p, routes)
 	nom, err := sta.Analyze(p, nl, wm, analyzePeriodS)
 	if err != nil {
@@ -135,27 +131,35 @@ func NewEngine(p *tech.PDK, nl *netlist.Netlist, routes *route.Result, v tech.Va
 	if err != nil {
 		return nil, fmt.Errorf("vary: batch timing graph: %w", err)
 	}
-	return &Engine{graph: g, sampler: s, nominal: nom}, nil
+	return &Timing{graph: g, nominal: nom}, nil
 }
 
-// Nominal returns the zero-variation STA report computed at construction.
-func (e *Engine) Nominal() *sta.Report { return e.nominal }
+// Nominal returns the zero-variation STA report computed by Compile.
+func (t *Timing) Nominal() *sta.Report { return t.nominal }
 
-// Sampler returns the engine's corner sampler.
-func (e *Engine) Sampler() *Sampler { return e.sampler }
+// Engine binds a corner sampler for (v, seed) to the compiled timing.
+// The variation parameters are validated (errs.ErrBadSpec on
+// violation); nothing design-bound is recomputed.
+func (t *Timing) Engine(v tech.Variation, seed int64) (*Engine, error) {
+	s, err := NewSampler(v, seed)
+	if err != nil {
+		return nil, err
+	}
+	return &Engine{timing: t, sampler: s}, nil
+}
 
 // get pops a scratch off the free list, building one over the shared
 // graph on a cold stack.
-func (e *Engine) get() (*batchScratch, error) {
-	e.mu.Lock()
-	if n := len(e.free); n > 0 {
-		sc := e.free[n-1]
-		e.free = e.free[:n-1]
-		e.mu.Unlock()
+func (t *Timing) get() (*batchScratch, error) {
+	t.mu.Lock()
+	if n := len(t.free); n > 0 {
+		sc := t.free[n-1]
+		t.free = t.free[:n-1]
+		t.mu.Unlock()
 		return sc, nil
 	}
-	e.mu.Unlock()
-	bt, err := sta.NewBatchTimer(e.graph, batchCorners)
+	t.mu.Unlock()
+	bt, err := sta.NewBatchTimer(t.graph, batchCorners)
 	if err != nil {
 		return nil, fmt.Errorf("vary: batch timer: %w", err)
 	}
@@ -166,11 +170,43 @@ func (e *Engine) get() (*batchScratch, error) {
 	}, nil
 }
 
-func (e *Engine) put(sc *batchScratch) {
-	e.mu.Lock()
-	e.free = append(e.free, sc)
-	e.mu.Unlock()
+// put returns a scratch to the free list unless the list already holds
+// width of them, width being the pool width of the returning call; the
+// extras go to the GC. A retained design therefore keeps at most as
+// many scratches as the widest call that times it runs at once.
+func (t *Timing) put(sc *batchScratch, width int) {
+	t.mu.Lock()
+	if len(t.free) < width {
+		t.free = append(t.free, sc)
+	}
+	t.mu.Unlock()
 }
+
+// Engine runs Monte-Carlo timing yield over one placed-and-routed
+// netlist: a corner sampler bound to the design's compiled Timing.
+// Binding is cheap, so a caller that times one design under many
+// (Variation, seed) pairs compiles the Timing once and binds an Engine
+// per pair.
+type Engine struct {
+	timing  *Timing
+	sampler *Sampler
+}
+
+// NewEngine builds a yield engine for one finished design: Compile, then
+// Timing.Engine. See both for the contract.
+func NewEngine(p *tech.PDK, nl *netlist.Netlist, routes *route.Result, v tech.Variation, seed int64) (*Engine, error) {
+	t, err := Compile(p, nl, routes)
+	if err != nil {
+		return nil, err
+	}
+	return t.Engine(v, seed)
+}
+
+// Nominal returns the zero-variation STA report of the engine's design.
+func (e *Engine) Nominal() *sta.Report { return e.timing.nominal }
+
+// Sampler returns the engine's corner sampler.
+func (e *Engine) Sampler() *Sampler { return e.sampler }
 
 // runSlab prices corners [slabLo, slabHi) with one batched timing pass,
 // writing critical paths into out (len slabHi-slabLo). Each corner comes
@@ -245,11 +281,11 @@ func (e *Engine) CriticalPathsInto(st *exec.Settings, lo, hi int, dst []float64)
 	hist := st.Metrics.Histogram("vary.critpath.seconds", critPathBounds...)
 
 	if st.Workers <= 1 {
-		sc, err := e.get()
+		sc, err := e.timing.get()
 		if err != nil {
 			return err
 		}
-		defer e.put(sc)
+		defer e.timing.put(sc, 1)
 		for slabLo := lo; slabLo < hi; slabLo += batchCorners {
 			if err := st.Ctx.Err(); err != nil {
 				return fmt.Errorf("vary: %w: %w", errs.ErrCanceled, err)
@@ -275,11 +311,11 @@ func (e *Engine) CriticalPathsInto(st *exec.Settings, lo, hi int, dst []float64)
 		wins = append(wins, window{slabLo, slabHi})
 	}
 	_, err := exec.MapWith(st, wins, func(_ context.Context, _ int, w window) (struct{}, error) {
-		sc, err := e.get()
+		sc, err := e.timing.get()
 		if err != nil {
 			return struct{}{}, err
 		}
-		defer e.put(sc)
+		defer e.timing.put(sc, st.Workers)
 		// Slabs are disjoint, so the dst sub-slices never overlap.
 		return struct{}{}, e.runSlab(sc, w.lo, w.hi, dst[w.lo-lo:w.hi-lo], samples, hist)
 	})
@@ -355,10 +391,10 @@ func (e *Engine) Analyze(o Options, opts ...exec.Option) (*Result, error) {
 	}
 	periods := o.Periods
 	if len(periods) == 0 {
-		periods = DefaultPeriods(e.nominal.CriticalPathS)
+		periods = DefaultPeriods(e.timing.nominal.CriticalPathS)
 	}
 	return &Result{
-		Nominal:       e.nominal,
+		Nominal:       e.timing.nominal,
 		CritPathS:     crit,
 		Curve:         Curve(crit, periods),
 		CritQuantiles: QuantilesOf(crit),

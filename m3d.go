@@ -438,9 +438,15 @@ type (
 	// indexed by Tier.
 	VariationCorner = vary.Corner
 	// YieldEngine re-times one placed-and-routed design under sampled
-	// corners (a timing graph compiled once, shared by a reusable
-	// scratch pool). The design must not change while it is in use.
+	// corners: a corner sampler bound to the design's YieldTiming. The
+	// design must not change while it is in use.
 	YieldEngine = vary.Engine
+	// YieldTiming is the design-bound half of a YieldEngine, compiled
+	// once per design (nominal STA, the batched timing graph and a
+	// reusable slab-scratch pool); its Engine(v, seed) binds a sampler
+	// without recompiling, so one design is timed under many variation
+	// models and seeds for one compile.
+	YieldTiming = vary.Timing
 	// YieldOptions tune one Monte-Carlo yield analysis (sample count,
 	// seed, clock periods).
 	YieldOptions = vary.Options
@@ -480,6 +486,13 @@ var (
 func NewYieldEngine(res *FlowResult, v Variation, seed int64) (*YieldEngine, error) {
 	pdk, nl, routes := res.Design()
 	return vary.NewEngine(pdk, nl, routes, v, seed)
+}
+
+// CompileYieldTiming compiles the yield timing of a completed flow
+// run's design database once; bind an engine per (variation, seed)
+// with its Engine method.
+func CompileYieldTiming(res *FlowResult) (*YieldTiming, error) {
+	return vary.Compile(res.Design())
 }
 
 // Thermal modeling (Eq. 17).

@@ -2,6 +2,7 @@ package m3d
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -158,6 +159,25 @@ func TestPublicAPI(t *testing.T) {
 	q := QuantilesOf(yres.CritPathS)
 	if !(q.P5 <= q.P50 && q.P50 <= q.P95) {
 		t.Errorf("critical-path quantiles out of order: %+v", q)
+	}
+	// One compiled timing binds an engine per seed; the same seed gives
+	// the same analysis as NewYieldEngine.
+	timing, err := CompileYieldTiming(fres)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range []int64{2, 1} {
+		bound, err := timing.Engine(DefaultVariation(), seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bres, err := bound.Analyze(YieldOptions{Samples: 64}, WithWorkers(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if same := reflect.DeepEqual(bres, yres); same != (seed == 1) {
+			t.Errorf("seed %d on a compiled YieldTiming: equal to NewYieldEngine's seed-1 run = %v", seed, same)
+		}
 	}
 
 	// Experiment entry points return data.
