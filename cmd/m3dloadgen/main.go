@@ -1,7 +1,7 @@
 // Command m3dloadgen is a closed-loop load generator for cmd/m3dserve:
-// N concurrent workers each hold one request in flight against the
-// target server for a fixed duration, and the run reports sustained
-// throughput (2xx responses per second), a latency histogram
+// N concurrent workers each hold one request in flight against one
+// server for a fixed duration, and the run reports sustained throughput
+// (2xx responses per second), the latency of the 2xx responses
 // (p50/p90/p99/max) and an error budget.
 // It is the source of the HTTP p50/p99 in EXPERIMENTS.md and of the
 // committed baseline bench/LOADGEN_0.json: cached sweeps must sustain
@@ -15,20 +15,19 @@
 // over the same cached design (the steady-state cost is the
 // corner-batched STA kernel), "health" items probe GET /healthz.
 // Responses are classified as ok (2xx), shed (429 — backpressure,
-// allowed), or errors. -targets may list several independent servers:
-// transport failures and 503s (a draining or restarting server) fail
-// over to the next one and only count as errors once every target has
-// refused.
+// allowed), or errors: transport failures and every other status, a 503
+// from a draining server included.
 //
-//	m3dloadgen -targets http://localhost:8080 -c 64 -duration 30s \
+//	m3dloadgen -target http://localhost:8080 -c 64 -duration 30s \
 //	    -minrps 1000 -deadline 250ms -errbudget 0
 //
 // Exit status is 0 only when every enabled gate holds: -minrps
 // (sustained throughput: a shed request is an attempt, not throughput),
-// -deadline (p99 latency), -errbudget (fraction of hard errors over all
-// requests). -json writes the machine-readable
-// summary, stamped with the host it ran on, that scripts diff against a
-// checked-in baseline.
+// -deadline (at most 1% of all requests shed, failed or slower than the
+// deadline: a refused request misses any latency limit), -errbudget
+// (fraction of hard errors over all requests). -json writes the
+// machine-readable summary, stamped with the host it ran on, that
+// scripts diff against a checked-in baseline.
 package main
 
 import (
@@ -52,7 +51,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("m3dloadgen: ")
-	targets := flag.String("targets", "http://localhost:8080", "comma-separated server base URLs; a refused request fails over to the next")
+	target := flag.String("target", "http://localhost:8080", "server base URL")
 	conc := flag.Int("c", 32, "concurrent closed-loop workers")
 	duration := flag.Duration("duration", 10*time.Second, "measured run length")
 	warmup := flag.Bool("warmup", true, "prime every distinct request once before the clock starts")
@@ -60,19 +59,14 @@ func main() {
 	distinct := flag.Int("distinct", 4, "distinct sweep bodies cycled by the mix, ≥ 1 (each caches after one evaluation)")
 	seed := flag.Int64("seed", 1, "seed for the per-worker request pick")
 	minRPS := flag.Float64("minrps", 0, "fail the run under this sustained 2xx responses/sec (0 = no gate)")
-	deadline := flag.Duration("deadline", 0, "fail the run when p99 latency exceeds this (0 = no gate)")
+	deadline := flag.Duration("deadline", 0, "fail the run when over 1% of requests are shed, fail or take longer than this (0 = no gate)")
 	errBudget := flag.Float64("errbudget", 0, "allowed fraction of hard errors over all requests")
 	jsonOut := flag.String("json", "", "write the machine-readable summary to this file")
 	flag.Parse()
 
-	var bases []string
-	for _, t := range strings.Split(*targets, ",") {
-		if t = strings.TrimSpace(strings.TrimRight(t, "/")); t != "" {
-			bases = append(bases, t)
-		}
-	}
-	if len(bases) == 0 {
-		log.Fatal("-targets is empty")
+	base := strings.TrimRight(strings.TrimSpace(*target), "/")
+	if base == "" {
+		log.Fatal("-target is empty")
 	}
 	if *conc < 1 {
 		log.Fatal("-c must be ≥ 1")
@@ -84,12 +78,12 @@ func main() {
 
 	client := &http.Client{Timeout: 30 * time.Second}
 	if *warmup {
-		if err := prime(client, bases, reqs); err != nil {
+		if err := prime(client, base, reqs); err != nil {
 			log.Fatalf("warmup: %v", err)
 		}
 	}
 
-	res := run(client, bases, reqs, *conc, *duration, *seed)
+	res := run(client, base, reqs, *conc, *duration, *seed)
 	res.print(os.Stdout)
 	if *jsonOut != "" {
 		b, _ := json.MarshalIndent(res, "", "  ")
@@ -107,6 +101,11 @@ func main() {
 	}
 }
 
+// maxMissFrac is the share of requests the -deadline gate lets miss the
+// deadline: it bounds the p99 over every request, refused ones counted
+// as too slow.
+const maxMissFrac = 0.01
+
 // gates checks the run against the enabled gates (-minrps, -deadline,
 // -errbudget; zero disables the first two) and returns one message per
 // gate that failed.
@@ -115,8 +114,15 @@ func (r *result) gates(minRPS float64, deadline time.Duration, errBudget float64
 	if minRPS > 0 && r.RPS < minRPS {
 		failures = append(failures, fmt.Sprintf("%.0f ok req/s under the -minrps gate %.0f", r.RPS, minRPS))
 	}
-	if deadline > 0 && r.P99Ms > float64(deadline)/1e6 {
-		failures = append(failures, fmt.Sprintf("p99 %.2f ms over the -deadline gate %s", r.P99Ms, deadline))
+	if deadline > 0 && r.Requests > 0 {
+		// Shed and failed requests miss the deadline whatever their
+		// latency; the ok ones miss it when slower.
+		lim := deadline.Seconds()
+		inTime := int64(sort.Search(len(r.okLatencies), func(i int) bool { return r.okLatencies[i] > lim }))
+		if miss := r.Requests - inTime; float64(miss) > maxMissFrac*float64(r.Requests) {
+			failures = append(failures, fmt.Sprintf("%d of %d requests shed, failed or slower than the -deadline gate %s (over %.0f%%)",
+				miss, r.Requests, deadline, maxMissFrac*100))
+		}
 	}
 	if r.Requests > 0 && float64(r.Errors) > errBudget*float64(r.Requests) {
 		failures = append(failures, fmt.Sprintf("%d hard error(s) over the -errbudget gate %.3f (%d requests)",
@@ -210,11 +216,11 @@ func pickTable(items []workItem) []int {
 	return table
 }
 
-// prime sends every distinct request once to the first reachable target
-// so the measured run starts cache-hot.
-func prime(client *http.Client, bases []string, items []workItem) error {
+// prime sends every distinct request once so the measured run starts
+// cache-hot.
+func prime(client *http.Client, base string, items []workItem) error {
 	for _, it := range items {
-		if _, _, err := attemptAll(client, bases, 0, it); err != nil {
+		if _, err := attempt(client, base, it); err != nil {
 			return err
 		}
 	}
@@ -255,42 +261,43 @@ func cpuModel(cpuinfo string) string {
 // result is the run summary (-json writes it verbatim). Requests counts
 // every attempt; RPS counts only the ok (2xx) responses per second.
 type result struct {
-	Host      host    `json:"host"`
-	Targets   int     `json:"targets"`
-	Workers   int     `json:"workers"`
-	Seconds   float64 `json:"seconds"`
-	Requests  int64   `json:"requests"`
-	OK        int64   `json:"ok"`
-	Shed      int64   `json:"shed"`
-	Failovers int64   `json:"failovers"`
-	Errors    int64   `json:"errors"`
-	RPS       float64 `json:"rps"`
-	P50Ms     float64 `json:"p50_ms"`
-	P90Ms     float64 `json:"p90_ms"`
-	P99Ms     float64 `json:"p99_ms"`
-	MaxMs     float64 `json:"max_ms"`
+	Host     host    `json:"host"`
+	Workers  int     `json:"workers"`
+	Seconds  float64 `json:"seconds"`
+	Requests int64   `json:"requests"`
+	OK       int64   `json:"ok"`
+	Shed     int64   `json:"shed"`
+	Errors   int64   `json:"errors"`
+	RPS      float64 `json:"rps"`
+	// P50Ms, P90Ms, P99Ms and MaxMs are taken over the ok (2xx)
+	// responses only; the -deadline gate also counts the refused ones.
+	P50Ms float64 `json:"p50_ms"`
+	P90Ms float64 `json:"p90_ms"`
+	P99Ms float64 `json:"p99_ms"`
+	MaxMs float64 `json:"max_ms"`
+
+	// okLatencies holds every ok response's latency in seconds, sorted.
+	okLatencies []float64
 }
 
 func (r *result) print(w io.Writer) {
-	fmt.Fprintf(w, "targets %d  workers %d  %.1fs\n", r.Targets, r.Workers, r.Seconds)
-	fmt.Fprintf(w, "requests %d  ok %d  shed %d  failovers %d  errors %d\n",
-		r.Requests, r.OK, r.Shed, r.Failovers, r.Errors)
+	fmt.Fprintf(w, "workers %d  %.1fs\n", r.Workers, r.Seconds)
+	fmt.Fprintf(w, "requests %d  ok %d  shed %d  errors %d\n", r.Requests, r.OK, r.Shed, r.Errors)
 	fmt.Fprintf(w, "throughput %.0f ok req/s\n", r.RPS)
-	fmt.Fprintf(w, "latency p50 %.2f ms  p90 %.2f ms  p99 %.2f ms  max %.2f ms\n",
+	fmt.Fprintf(w, "ok latency p50 %.2f ms  p90 %.2f ms  p99 %.2f ms  max %.2f ms\n",
 		r.P50Ms, r.P90Ms, r.P99Ms, r.MaxMs)
 }
 
 // run drives the closed loop: conc workers, each sending one request at
 // a time until the clock runs out.
-func run(client *http.Client, bases []string, items []workItem, conc int, duration time.Duration, seed int64) *result {
+func run(client *http.Client, base string, items []workItem, conc int, duration time.Duration, seed int64) *result {
 	table := pickTable(items)
 	var (
-		stop      atomic.Bool
-		requests  atomic.Int64
-		okCount   atomic.Int64
-		shed      atomic.Int64
-		failovers atomic.Int64
-		errCount  atomic.Int64
+		stop     atomic.Bool
+		requests atomic.Int64
+		okCount  atomic.Int64
+		shed     atomic.Int64
+		errCount atomic.Int64
 	)
 	latencies := make([][]float64, conc)
 	var wg sync.WaitGroup
@@ -305,12 +312,9 @@ func run(client *http.Client, bases []string, items []workItem, conc int, durati
 			for !stop.Load() {
 				it := items[table[rng.Intn(len(table))]]
 				t0 := time.Now()
-				// Workers start on different targets so the load spreads even
-				// when the mix is a single cached key.
-				outcome, retried, err := attemptAll(client, bases, (w+int(requests.Load()))%len(bases), it)
+				outcome, err := attempt(client, base, it)
 				lat := time.Since(t0)
 				requests.Add(1)
-				failovers.Add(int64(retried))
 				switch {
 				case err != nil:
 					errCount.Add(1)
@@ -338,18 +342,17 @@ func run(client *http.Client, bases []string, items []workItem, conc int, durati
 		return all[int(q*float64(len(all)-1))] * 1e3
 	}
 	res := &result{
-		Host:      stampHost(),
-		Targets:   len(bases),
-		Workers:   conc,
-		Seconds:   elapsed,
-		Requests:  requests.Load(),
-		OK:        okCount.Load(),
-		Shed:      shed.Load(),
-		Failovers: failovers.Load(),
-		Errors:    errCount.Load(),
-		P50Ms:     pct(0.50),
-		P90Ms:     pct(0.90),
-		P99Ms:     pct(0.99),
+		Host:        stampHost(),
+		Workers:     conc,
+		Seconds:     elapsed,
+		Requests:    requests.Load(),
+		OK:          okCount.Load(),
+		Shed:        shed.Load(),
+		Errors:      errCount.Load(),
+		P50Ms:       pct(0.50),
+		P90Ms:       pct(0.90),
+		P99Ms:       pct(0.99),
+		okLatencies: all,
 	}
 	if len(all) > 0 {
 		res.MaxMs = all[len(all)-1] * 1e3
@@ -365,37 +368,10 @@ const (
 	outcomeShed
 )
 
-// attemptAll sends one logical request, failing over across the targets:
-// transport errors and 503s (a draining or restarting server) rotate to
-// the next target; 429 is backpressure and final; any other non-2xx is a
-// hard error. It returns the outcome, how many failovers happened, and
-// the hard error once every target refused.
-func attemptAll(client *http.Client, bases []string, first int, it workItem) (int, int, error) {
-	failovers := 0
-	var lastErr error
-	for i := 0; i < len(bases); i++ {
-		base := bases[(first+i)%len(bases)]
-		status, err := attempt(client, base, it)
-		switch {
-		case err != nil || status == http.StatusServiceUnavailable:
-			lastErr = err
-			if lastErr == nil {
-				lastErr = fmt.Errorf("%s%s: status 503", base, it.path)
-			}
-			failovers++
-			continue
-		case status == http.StatusTooManyRequests:
-			return outcomeShed, failovers, nil
-		case status >= 200 && status < 300:
-			return outcomeOK, failovers, nil
-		default:
-			return 0, failovers, fmt.Errorf("%s%s: status %d", base, it.path, status)
-		}
-	}
-	return 0, failovers, fmt.Errorf("all %d target(s) unavailable: %v", len(bases), lastErr)
-}
-
-// attempt sends one request to one target and drains the response.
+// attempt sends one request, drains the response and classifies it:
+// 2xx is ok, 429 is backpressure (shed), and anything else — a transport
+// failure, or any other status, a 503 from a draining server included —
+// is a hard error.
 func attempt(client *http.Client, base string, it workItem) (int, error) {
 	var body io.Reader
 	if it.body != "" {
@@ -418,5 +394,12 @@ func attempt(client *http.Client, base string, it workItem) (int, error) {
 		// transport failure, not a served response.
 		return 0, err
 	}
-	return resp.StatusCode, nil
+	switch status := resp.StatusCode; {
+	case status == http.StatusTooManyRequests:
+		return outcomeShed, nil
+	case status >= 200 && status < 300:
+		return outcomeOK, nil
+	default:
+		return 0, fmt.Errorf("%s%s: status %d", base, it.path, status)
+	}
 }

@@ -70,26 +70,41 @@ func TestCPUModel(t *testing.T) {
 	}
 }
 
-// TestShedIsNotThroughput runs the closed loop against a server that
-// answers 429 to nine of every ten requests: requests must count every
-// attempt, rps must count only the served ones (rps × seconds = ok), and
-// a -minrps gate set at half the attempt rate must fail, as it would not
-// if shed requests counted as throughput.
-func TestShedIsNotThroughput(t *testing.T) {
-	var n atomic.Int64
+// refusingServer answers refusal to all but every n-th request, at
+// once; n = 1 serves every request.
+func refusingServer(t *testing.T, refusal int, n int64) *httptest.Server {
+	t.Helper()
+	var count atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		if n.Add(1)%10 != 0 {
-			w.WriteHeader(http.StatusTooManyRequests)
+		if count.Add(1)%n != 0 {
+			w.WriteHeader(refusal)
 			return
 		}
 		w.WriteHeader(http.StatusOK)
 	}))
-	defer ts.Close()
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// runHealth drives ts with the health mix for 300 ms on two workers.
+func runHealth(t *testing.T, ts *httptest.Server) *result {
+	t.Helper()
 	items, err := buildMix("health=1", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := run(ts.Client(), []string{ts.URL}, items, 2, 300*time.Millisecond, 1)
+	return run(ts.Client(), ts.URL, items, 2, 300*time.Millisecond, 1)
+}
+
+// TestShedIsNotThroughput runs the closed loop against a server that
+// answers 429 to nine of every ten requests: requests must count every
+// attempt, rps must count only the served ones (rps × seconds = ok), and
+// a -minrps gate set at half the attempt rate must fail, as it would not
+// if shed requests counted as throughput. A -deadline of 1 s must fail
+// too, however fast the few served requests were: a shed request misses
+// any latency limit.
+func TestShedIsNotThroughput(t *testing.T) {
+	res := runHealth(t, refusingServer(t, http.StatusTooManyRequests, 10))
 	if res.OK == 0 || res.Shed == 0 || res.Errors != 0 || res.Requests != res.OK+res.Shed {
 		t.Fatalf("requests %d, ok %d, shed %d, errors %d: want ok and shed requests, no errors, all counted",
 			res.Requests, res.OK, res.Shed, res.Errors)
@@ -104,5 +119,34 @@ func TestShedIsNotThroughput(t *testing.T) {
 	}
 	if f := res.gates(res.RPS/2, 0, 0); len(f) != 0 {
 		t.Errorf("-minrps %.0f (half the ok rate): gates = %q, want none", res.RPS/2, f)
+	}
+	if f := res.gates(0, time.Second, 0); len(f) != 1 {
+		t.Errorf("-deadline 1s with %d of %d requests shed (ok p99 %.2f ms): gates = %q, want one failure",
+			res.Shed, res.Requests, res.P99Ms, f)
+	}
+}
+
+// TestDeadlinePassesServedRun: against a server that answers every
+// request at once, -deadline 1s holds.
+func TestDeadlinePassesServedRun(t *testing.T) {
+	res := runHealth(t, refusingServer(t, http.StatusTooManyRequests, 1))
+	if res.OK == 0 || res.OK != res.Requests {
+		t.Fatalf("requests %d, ok %d: want every request served", res.Requests, res.OK)
+	}
+	if f := res.gates(0, time.Second, 0); len(f) != 0 {
+		t.Errorf("-deadline 1s with every request served (p99 %.2f ms): gates = %q, want none", res.P99Ms, f)
+	}
+}
+
+// TestUnavailableIsHardError: a 503 (a draining server) is a hard error,
+// not backpressure, so it spends the error budget.
+func TestUnavailableIsHardError(t *testing.T) {
+	res := runHealth(t, refusingServer(t, http.StatusServiceUnavailable, 2))
+	if res.Errors == 0 || res.Shed != 0 || res.Requests != res.OK+res.Errors {
+		t.Fatalf("requests %d, ok %d, shed %d, errors %d: want every 503 counted as an error",
+			res.Requests, res.OK, res.Shed, res.Errors)
+	}
+	if f := res.gates(0, 0, 0); len(f) != 1 {
+		t.Errorf("-errbudget 0 with %d errors: gates = %q, want one failure", res.Errors, f)
 	}
 }

@@ -19,25 +19,15 @@ import (
 	"m3d/internal/tech"
 )
 
-// Options tunes tree construction.
-type Options struct {
-	// MaxLeafFanout is the sink count a single leaf buffer may drive
-	// (default 16).
-	MaxLeafFanout int
-	// BufferDrive is the library drive of inserted clock buffers
-	// (default 4).
-	BufferDrive int
-}
-
-func (o Options) withDefaults() Options {
-	if o.MaxLeafFanout <= 0 {
-		o.MaxLeafFanout = 16
-	}
-	if o.BufferDrive <= 0 {
-		o.BufferDrive = 4
-	}
-	return o
-}
+// The tree's fixed recipe.
+const (
+	// maxLeafFanout is the sink count one leaf buffer may drive: bisection
+	// stops there, so the tree's depth follows the sink count alone.
+	maxLeafFanout = 16
+	// bufferDrive is the drive of every inserted clock buffer; one size
+	// at every level keeps the branches' delays alike.
+	bufferDrive = 4
+)
 
 // Report summarizes the synthesized tree.
 type Report struct {
@@ -59,8 +49,7 @@ type Report struct {
 // on the root clock net is re-parented under a balanced buffered tree.
 // The inserted buffers are placed at their subtree centroids (legalization
 // can follow). lib provides the clock buffer cells.
-func Synthesize(p *tech.PDK, nl *netlist.Netlist, lib *cell.Library, opt Options) (*Report, error) {
-	opt = opt.withDefaults()
+func Synthesize(p *tech.PDK, nl *netlist.Netlist, lib *cell.Library) (*Report, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("cts: invalid PDK: %w", err)
 	}
@@ -80,9 +69,9 @@ func Synthesize(p *tech.PDK, nl *netlist.Netlist, lib *cell.Library, opt Options
 	root.Sinks = nil
 
 	rep := &Report{Sinks: len(sinks)}
-	bufCell, ok := lib.Pick(cell.ClkBuf, opt.BufferDrive)
+	bufCell, ok := lib.Pick(cell.ClkBuf, bufferDrive)
 	if !ok {
-		return nil, fmt.Errorf("cts: library has no CLKBUF_X%d", opt.BufferDrive)
+		return nil, fmt.Errorf("cts: library has no CLKBUF_X%d", bufferDrive)
 	}
 
 	// Recursive bisection. Each call wires `parent` (a clock net) to the
@@ -94,7 +83,7 @@ func Synthesize(p *tech.PDK, nl *netlist.Netlist, lib *cell.Library, opt Options
 		if level > maxLevel {
 			maxLevel = level
 		}
-		if len(group) <= opt.MaxLeafFanout {
+		if len(group) <= maxLeafFanout {
 			for _, s := range group {
 				s.Net = parent
 				parent.Sinks = append(parent.Sinks, s)

@@ -41,7 +41,7 @@ func clockedDesign(t *testing.T, n int, span int64) (*tech.PDK, *cell.Library, *
 func TestSynthesizeBuildsBalancedTree(t *testing.T) {
 	p, lib, nl := clockedDesign(t, 200, 2_000_000)
 	before := len(nl.Instances)
-	rep, err := Synthesize(p, nl, lib, Options{MaxLeafFanout: 8})
+	rep, err := Synthesize(p, nl, lib)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestSynthesizeBuildsBalancedTree(t *testing.T) {
 		t.Errorf("buffers = %d, instances %d -> %d", rep.Buffers, before, len(nl.Instances))
 	}
 	if rep.Levels < 3 {
-		t.Errorf("levels = %d, want a multi-level tree for %d sinks at fanout 8", rep.Levels, rep.Sinks)
+		t.Errorf("levels = %d, want a multi-level tree for %d sinks at fanout %d", rep.Levels, rep.Sinks, maxLeafFanout)
 	}
 	if err := nl.Check(); err != nil {
 		t.Fatalf("netlist broken after CTS: %v", err)
@@ -71,15 +71,15 @@ func TestSynthesizeBuildsBalancedTree(t *testing.T) {
 				ffSinks++
 			}
 		}
-		if ffSinks > 8 {
-			t.Fatalf("net %s drives %d FFs, cap is 8", n.Name, ffSinks)
+		if ffSinks > maxLeafFanout {
+			t.Fatalf("net %s drives %d FFs, cap is %d", n.Name, ffSinks, maxLeafFanout)
 		}
 	}
 }
 
 func TestSkewBounded(t *testing.T) {
 	p, lib, nl := clockedDesign(t, 128, 1_000_000)
-	rep, err := Synthesize(p, nl, lib, Options{})
+	rep, err := Synthesize(p, nl, lib)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestSkewBounded(t *testing.T) {
 
 func TestSmallDesignNoBuffers(t *testing.T) {
 	p, lib, nl := clockedDesign(t, 4, 100_000)
-	rep, err := Synthesize(p, nl, lib, Options{MaxLeafFanout: 16})
+	rep, err := Synthesize(p, nl, lib)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestErrors(t *testing.T) {
 	}
 	// No clock net.
 	nl := netlist.New("x")
-	if _, err := Synthesize(p, nl, lib, Options{}); err == nil {
+	if _, err := Synthesize(p, nl, lib); err == nil {
 		t.Error("missing clock should fail")
 	}
 	// Clock without sinks.
@@ -126,45 +126,48 @@ func TestErrors(t *testing.T) {
 	clk := nl2.AddNet("clk", 2)
 	clk.Clock = true
 	nl2.MustPin(drv, "Y", true, 0, clk)
-	if _, err := Synthesize(p, nl2, lib, Options{}); err == nil {
+	if _, err := Synthesize(p, nl2, lib); err == nil {
 		t.Error("sinkless clock should fail")
 	}
 	// Invalid PDK.
 	bad := tech.Default130()
 	bad.VDD = 0
 	_, _, nl3 := clockedDesign(t, 8, 1000)
-	if _, err := Synthesize(bad, nl3, lib, Options{}); err == nil {
+	if _, err := Synthesize(bad, nl3, lib); err == nil {
 		t.Error("invalid PDK should fail")
 	}
 }
 
 func TestBufferAreaAccounted(t *testing.T) {
 	p, lib, nl := clockedDesign(t, 300, 3_000_000)
-	rep, err := Synthesize(p, nl, lib, Options{MaxLeafFanout: 4})
+	rep, err := Synthesize(p, nl, lib)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := int64(rep.Buffers) * lib.MustPick(cell.ClkBuf, 4).AreaNM2
+	want := int64(rep.Buffers) * lib.MustPick(cell.ClkBuf, bufferDrive).AreaNM2
 	if rep.BufferAreaNM2 != want {
 		t.Errorf("buffer area = %d, want %d", rep.BufferAreaNM2, want)
 	}
 }
 
-func TestDeeperTreeWithTighterFanout(t *testing.T) {
-	mk := func(fanout int) *Report {
-		p, lib, nl := clockedDesign(t, 256, 2_000_000)
-		rep, err := Synthesize(p, nl, lib, Options{MaxLeafFanout: fanout})
+// TestDeeperTreeWithMoreSinks: at the fixed leaf fanout, a clock with
+// more sinks needs a deeper tree and more buffers.
+func TestDeeperTreeWithMoreSinks(t *testing.T) {
+	mk := func(flops int) *Report {
+		p, lib, nl := clockedDesign(t, flops, 2_000_000)
+		rep, err := Synthesize(p, nl, lib)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rep
 	}
-	loose := mk(64)
-	tight := mk(4)
-	if tight.Levels <= loose.Levels {
-		t.Errorf("fanout 4 (%d levels) should be deeper than fanout 64 (%d)", tight.Levels, loose.Levels)
+	few := mk(32)
+	many := mk(512)
+	if many.Levels <= few.Levels {
+		t.Errorf("%d sinks (%d levels) should be deeper than %d sinks (%d levels)",
+			many.Sinks, many.Levels, few.Sinks, few.Levels)
 	}
-	if tight.Buffers <= loose.Buffers {
-		t.Error("tighter fanout needs more buffers")
+	if many.Buffers <= few.Buffers {
+		t.Errorf("%d sinks need more buffers than %d: %d vs %d", many.Sinks, few.Sinks, many.Buffers, few.Buffers)
 	}
 }

@@ -30,10 +30,10 @@ func placedRouted(t *testing.T) (*floorplan.Floorplan, *netlist.Netlist, *route.
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := place.Global(fp, b.NL, tech.TierSiCMOS, place.Options{Seed: 1}); err != nil {
+	if _, err := place.Global(fp, b.NL, tech.TierSiCMOS, 1); err != nil {
 		t.Fatal(err)
 	}
-	routes, err := route.Route(fp, b.NL, route.Options{MaxRipupRounds: 10})
+	routes, err := route.Route(fp, b.NL, route.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,12 +12,10 @@
 // analytic.SweepBandwidthCS, the core experiments) accepts the same
 // Option type, so pool width (WithWorkers), cancellation (WithContext),
 // tracing (WithTracer) and metrics (WithMetrics) thread uniformly through
-// the whole stack; layered packages attach their own settings with
-// Settings.SetValue (flow's thermal sign-off). When a tracer or registry
-// is attached, Map emits one span per task, maintains pool-width and
-// queue-depth gauges, and counts tasks and errors; the memo cache counts
-// hits and misses. With neither attached the instrumentation is skipped
-// entirely (nil checks only).
+// the whole stack. When a tracer or registry is attached, Map emits one
+// span per task, maintains pool-width and queue-depth gauges, and counts
+// tasks and errors; the memo cache counts hits and misses. With neither
+// attached the instrumentation is skipped entirely (nil checks only).
 //
 // Determinism contract: for a fixed input slice and a pure evaluation
 // function, Map returns bit-identical results at every pool width — each
@@ -58,10 +56,9 @@ func DefaultWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Settings is the resolved configuration of one run: pool width, context,
-// observability sinks, and caller-defined values (see SetValue). Build
-// one with Resolve; packages layered on exec (flow, analytic, core) use
-// it to share a single option surface.
+// Settings is the resolved configuration of one run: pool width, context
+// and observability sinks. Build one with Resolve; packages layered on
+// exec (flow, analytic, core) use it to share a single option surface.
 type Settings struct {
 	// Workers is the pool width (≥ 1 after Resolve).
 	Workers int
@@ -74,24 +71,11 @@ type Settings struct {
 	// Label names Map's per-task spans ("exec.task" when empty).
 	Label string
 
-	vals map[any]any
-}
-
-// SetValue attaches a caller-defined key/value (keys follow the
-// context.Value convention: unexported struct types).
-func (s *Settings) SetValue(key, val any) {
-	if s.vals == nil {
-		s.vals = make(map[any]any)
-	}
-	s.vals[key] = val
-}
-
-// Value returns the value attached under key, or nil.
-func (s *Settings) Value(key any) any {
-	if s == nil {
-		return nil
-	}
-	return s.vals[key]
+	// The zero-size field keeps Settings non-comparable: an equality
+	// function for it would be dead code that moves everything linked
+	// after it, the yield kernel included (EXPERIMENTS.md, "Stage
+	// constants").
+	_ [0]func()
 }
 
 // Option configures one run (a Map call, a flow run, a sweep, an
@@ -158,8 +142,8 @@ func Map[T, R any](items []T, fn func(ctx context.Context, idx int, item T) (R, 
 }
 
 // MapWith is Map with pre-resolved settings; layered packages that need
-// the settings themselves (memo counters, caller-defined values) resolve
-// once and share.
+// the settings themselves (memo counters, the flow's stage tracing)
+// resolve once and share.
 func MapWith[T, R any](st *Settings, items []T, fn func(ctx context.Context, idx int, item T) (R, error)) ([]R, error) {
 	n := len(items)
 	results := make([]R, n)

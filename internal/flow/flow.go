@@ -6,13 +6,13 @@
 // banks (Si access FETs) and once with M3D-style banks on the same die —
 // reproduces the paper's Sec. II physical-design case study.
 //
-// API shape: Run, RunMany and CaseStudy are configured only through the
-// shared exec.Option surface (m3d.Option): WithWorkers, WithContext,
-// WithTracer, WithMetrics, plus this package's WithThermalCheck.
-// Baseline2D and IsoFootprintM3D build the case study's two specs. A run
-// returns a Result that retains the design database; the interchange
-// exports (GDS, Verilog, DEF) are written from it with
-// Result.WriteGDS/WriteVerilog/WriteDEF.
+// API shape: a SoCSpec is the whole design run, the optional thermal
+// sign-off included; Run, RunMany and CaseStudy take only run plumbing
+// through the shared exec.Option surface (m3d.Option): WithWorkers,
+// WithContext, WithTracer, WithMetrics. Baseline2D and IsoFootprintM3D
+// build the case study's two specs. A run returns a Result that retains
+// the design database; the interchange exports (GDS, Verilog, DEF) are
+// written from it with Result.WriteGDS/WriteVerilog/WriteDEF.
 // When a tracer is attached, every run emits one "flow.<stage>" span per
 // stage — synth, floorplan, place, cts, route, sta, power, signoff
 // (skipped stages carry skipped="true") — under a "flow.run" root span;
@@ -21,8 +21,8 @@
 //
 // Error contract: invalid specs fail with an error matching
 // errs.ErrBadSpec; cancellation surfaces as errs.ErrCanceled (also
-// matching the context sentinel); the optional WithThermalCheck sign-off
-// fails with errs.ErrThermalLimit.
+// matching the context sentinel); the optional SoCSpec.ThermalCheck
+// sign-off fails with errs.ErrThermalLimit.
 package flow
 
 import (
@@ -86,6 +86,14 @@ type SoCSpec struct {
 	// treating the clock as an ideal net; the tree is legalized and its
 	// nets are routed.
 	RunCTS bool
+	// ThermalCheck adds an Eq. 17 thermal sign-off after power analysis:
+	// the run fails with an error matching errs.ErrThermalLimit when the
+	// stack's temperature rise exceeds MaxTempRiseK.
+	ThermalCheck bool
+	// MaxTempRiseK is the thermal sign-off's budget in kelvin (≤ 0
+	// selects the PDK's MaxTempRiseK). A nonzero budget needs
+	// ThermalCheck.
+	MaxTempRiseK float64
 }
 
 func (s SoCSpec) withDefaults() SoCSpec {
@@ -149,18 +157,13 @@ func (s SoCSpec) Validate() error {
 		return bad("GlobalSRAMBits %d must be ≥ 0", s.GlobalSRAMBits)
 	case s.TargetClockHz <= 0:
 		return bad("TargetClockHz %g must be positive", s.TargetClockHz)
+	case !s.ThermalCheck && s.MaxTempRiseK != 0:
+		return bad("MaxTempRiseK %g needs ThermalCheck", s.MaxTempRiseK)
+	case math.IsNaN(s.MaxTempRiseK):
+		// rise > NaN is false: a NaN budget would pass every stack.
+		return bad("MaxTempRiseK is NaN")
 	}
 	return nil
-}
-
-type thermalKey struct{}
-
-// WithThermalCheck adds an Eq. 17 thermal sign-off after power analysis:
-// the run fails with an error matching errs.ErrThermalLimit when the
-// stack's temperature rise exceeds maxRiseK (≤ 0 selects the PDK's
-// MaxTempRiseK budget).
-func WithThermalCheck(maxRiseK float64) exec.Option {
-	return func(st *exec.Settings) { st.SetValue(thermalKey{}, maxRiseK) }
 }
 
 // AreaReport carries the measured area decomposition (feeds Eq. 2).
@@ -429,7 +432,7 @@ func runWith(ctx context.Context, st *exec.Settings, p *tech.PDK, spec SoCSpec) 
 		}
 		if err = fp.PackMacros3D(nl.MacroInstances()); err == nil {
 			for _, tier := range tiers {
-				if _, err = place.Global(fp, nl, tier, place.Options{Seed: spec.Seed}); err != nil {
+				if _, err = place.Global(fp, nl, tier, spec.Seed); err != nil {
 					break
 				}
 			}
@@ -449,7 +452,7 @@ func runWith(ctx context.Context, st *exec.Settings, p *tech.PDK, spec SoCSpec) 
 	// and legality sign-off.
 	endPlace := tr.start("place")
 	for _, tier := range tiers {
-		if _, err := place.Refine(fp, nl, tier, place.RefineOptions{Seed: spec.Seed}); err != nil {
+		if _, err := place.Refine(fp, nl, tier, spec.Seed); err != nil {
 			endPlace()
 			return nil, fmt.Errorf("flow: refine: %w", err)
 		}
@@ -470,7 +473,7 @@ func runWith(ctx context.Context, st *exec.Settings, p *tech.PDK, spec SoCSpec) 
 	var ctsRep *cts.Report
 	if spec.RunCTS {
 		endCTS := tr.start("cts")
-		ctsRep, err = cts.Synthesize(p, nl, siLib, cts.Options{})
+		ctsRep, err = cts.Synthesize(p, nl, siLib)
 		if err != nil {
 			endCTS()
 			return nil, fmt.Errorf("flow: cts: %w", err)
@@ -524,7 +527,7 @@ func runWith(ctx context.Context, st *exec.Settings, p *tech.PDK, spec SoCSpec) 
 	if !opt.Final.Met() && opt.Final.FmaxHz > 0 {
 		clock = opt.Final.FmaxHz
 	}
-	pw, err := power.Analyze(p, nl, wm, die, power.Options{ClockHz: clock})
+	pw, err := power.Analyze(p, nl, wm, die, clock)
 	endPower()
 	if err != nil {
 		return nil, fmt.Errorf("flow: power: %w", err)
@@ -532,8 +535,8 @@ func runWith(ctx context.Context, st *exec.Settings, p *tech.PDK, spec SoCSpec) 
 
 	// 6b. Optional Eq. 17 thermal sign-off: lower tier is the Si CMOS
 	// logic, the BEOL memory/CNFET tiers stack above it.
-	if v, ok := st.Value(thermalKey{}).(float64); ok {
-		budget := v
+	if spec.ThermalCheck {
+		budget := spec.MaxTempRiseK
 		if budget <= 0 {
 			budget = p.MaxTempRiseK
 		}
@@ -588,7 +591,7 @@ func runWith(ctx context.Context, st *exec.Settings, p *tech.PDK, spec SoCSpec) 
 
 	// 7b. Power-grid IR drop and full-chip DRC sign-off.
 	endSignoff := tr.start("signoff")
-	ir, err := irdrop.Analyze(p, die, pw.Density, irdrop.Options{})
+	ir, err := irdrop.Analyze(p, die, pw.Density)
 	if err != nil {
 		endSignoff()
 		return nil, fmt.Errorf("flow: irdrop: %w", err)

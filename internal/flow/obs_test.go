@@ -3,6 +3,7 @@ package flow
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -134,17 +135,29 @@ func TestRunBadSpec(t *testing.T) {
 	}
 }
 
-// TestWithThermalCheck: the opt-in Eq. 17 sign-off fails a run whose
-// stack exceeds the budget (and passes an unbounded one).
-func TestWithThermalCheck(t *testing.T) {
+// TestThermalCheck: the opt-in Eq. 17 sign-off fails a run whose stack
+// exceeds the budget (and passes an unbounded one), and a NaN budget or
+// a budget without the check is a bad spec.
+func TestThermalCheck(t *testing.T) {
 	p := tech.Default130()
 	spec := runManySpecs()[0]
-	_, err := Run(p, spec, WithThermalCheck(1e-9))
+	spec.ThermalCheck = true
+	spec.MaxTempRiseK = 1e-9
+	_, err := Run(p, spec)
 	if !errors.Is(err, errs.ErrThermalLimit) {
 		t.Fatalf("error %v does not match errs.ErrThermalLimit", err)
 	}
-	if _, err := Run(p, spec, WithThermalCheck(1e9)); err != nil {
+	spec.MaxTempRiseK = 1e9
+	if _, err := Run(p, spec); err != nil {
 		t.Fatalf("generous budget failed: %v", err)
+	}
+	spec.MaxTempRiseK = math.NaN()
+	if _, err := Run(p, spec); !errors.Is(err, errs.ErrBadSpec) {
+		t.Errorf("NaN MaxTempRiseK: error %v does not match errs.ErrBadSpec", err)
+	}
+	spec.ThermalCheck, spec.MaxTempRiseK = false, 1e9
+	if _, err := Run(p, spec); !errors.Is(err, errs.ErrBadSpec) {
+		t.Errorf("MaxTempRiseK without ThermalCheck: error %v does not match errs.ErrBadSpec", err)
 	}
 }
 

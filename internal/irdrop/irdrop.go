@@ -15,42 +15,24 @@ import (
 	"m3d/internal/tech"
 )
 
-// Options configures the analysis.
-type Options struct {
-	// MeshPitch is the power-strap pitch in DBU (default: die/32).
-	MeshPitch int64
-	// StrapResOhm is the resistance of one mesh segment between adjacent
-	// nodes (default 0.4 Ω — wide upper-metal straps).
-	StrapResOhm float64
-	// MaxIterations bounds the solver (default 10000).
-	MaxIterations int
-	// Tolerance is the convergence threshold in volts (default 1 nV).
-	Tolerance float64
-	// DropBudgetFrac is the allowed drop as a fraction of VDD (default 5%).
-	DropBudgetFrac float64
-}
-
-func (o Options) withDefaults(die geom.Rect) Options {
-	if o.MeshPitch <= 0 {
-		o.MeshPitch = die.W() / 32
-		if o.MeshPitch < 1 {
-			o.MeshPitch = 1
-		}
-	}
-	if o.StrapResOhm <= 0 {
-		o.StrapResOhm = 0.4
-	}
-	if o.MaxIterations <= 0 {
-		o.MaxIterations = 10000
-	}
-	if o.Tolerance <= 0 {
-		o.Tolerance = 1e-9
-	}
-	if o.DropBudgetFrac <= 0 {
-		o.DropBudgetFrac = 0.05
-	}
-	return o
-}
+// The analysis's fixed model of the power grid and its sign-off.
+const (
+	// meshSpan is the number of power-strap pitches across the die: the
+	// mesh scales with the die, so a square die solves 32 × 32 nodes
+	// whatever its size.
+	meshSpan = 32
+	// strapResOhm is the resistance of one mesh segment between adjacent
+	// nodes: wide upper-metal straps.
+	strapResOhm = 0.4
+	// maxIterations bounds the Gauss–Seidel solve.
+	maxIterations = 10000
+	// toleranceV is the convergence threshold in volts: a sweep that moves
+	// no node by 1 nV or more ends the solve.
+	toleranceV = 1e-9
+	// dropBudgetFrac is the allowed drop as a fraction of VDD, the usual
+	// 5% static IR-drop sign-off limit.
+	dropBudgetFrac = 0.05
+)
 
 // Report is the IR-drop result.
 type Report struct {
@@ -71,7 +53,7 @@ type Report struct {
 
 // Analyze solves the mesh for the given power-density map (total watts
 // distributed over the die, as produced by the power package).
-func Analyze(p *tech.PDK, die geom.Rect, density *geom.Grid, opt Options) (*Report, error) {
+func Analyze(p *tech.PDK, die geom.Rect, density *geom.Grid) (*Report, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("irdrop: invalid PDK: %w", err)
 	}
@@ -81,9 +63,11 @@ func Analyze(p *tech.PDK, die geom.Rect, density *geom.Grid, opt Options) (*Repo
 	if density == nil {
 		return nil, fmt.Errorf("irdrop: nil power density map")
 	}
-	opt = opt.withDefaults(die)
-
-	mesh := geom.NewGrid(die, opt.MeshPitch)
+	pitch := die.W() / meshSpan
+	if pitch < 1 {
+		pitch = 1
+	}
+	mesh := geom.NewGrid(die, pitch)
 	nx, ny := mesh.NX, mesh.NY
 	if nx < 2 || ny < 2 {
 		return nil, fmt.Errorf("irdrop: mesh %dx%d too coarse", nx, ny)
@@ -108,14 +92,14 @@ func Analyze(p *tech.PDK, die geom.Rect, density *geom.Grid, opt Options) (*Repo
 		return ix == 0 || iy == 0 || ix == nx-1 || iy == ny-1
 	}
 
-	g := 1 / opt.StrapResOhm
+	g := 1 / strapResOhm
 	v := make([]float64, nx*ny)
 	for i := range v {
 		v[i] = p.VDD
 	}
 
 	iter := 0
-	for ; iter < opt.MaxIterations; iter++ {
+	for ; iter < maxIterations; iter++ {
 		var worstDelta float64
 		for iy := 0; iy < ny; iy++ {
 			for ix := 0; ix < nx; ix++ {
@@ -147,13 +131,13 @@ func Analyze(p *tech.PDK, die geom.Rect, density *geom.Grid, opt Options) (*Repo
 				v[i] = nv
 			}
 		}
-		if worstDelta < opt.Tolerance {
+		if worstDelta < toleranceV {
 			break
 		}
 	}
 
 	rep := &Report{
-		BudgetV:    p.VDD * opt.DropBudgetFrac,
+		BudgetV:    p.VDD * dropBudgetFrac,
 		Iterations: iter,
 		VoltageMap: mesh,
 	}

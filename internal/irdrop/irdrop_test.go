@@ -1,6 +1,7 @@
 package irdrop
 
 import (
+	"strings"
 	"testing"
 
 	"m3d/internal/geom"
@@ -18,7 +19,7 @@ func uniformDensity(die geom.Rect, totalW float64) *geom.Grid {
 func TestZeroPowerZeroDrop(t *testing.T) {
 	p := tech.Default130()
 	die := geom.R(0, 0, 2*mm, 2*mm)
-	rep, err := Analyze(p, die, uniformDensity(die, 0), Options{})
+	rep, err := Analyze(p, die, uniformDensity(die, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,11 +34,11 @@ func TestZeroPowerZeroDrop(t *testing.T) {
 func TestDropScalesWithPower(t *testing.T) {
 	p := tech.Default130()
 	die := geom.R(0, 0, 2*mm, 2*mm)
-	r1, err := Analyze(p, die, uniformDensity(die, 0.1), Options{})
+	r1, err := Analyze(p, die, uniformDensity(die, 0.1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Analyze(p, die, uniformDensity(die, 0.2), Options{})
+	r2, err := Analyze(p, die, uniformDensity(die, 0.2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestWorstDropAwayFromPads(t *testing.T) {
 	// the die center.
 	p := tech.Default130()
 	die := geom.R(0, 0, 4*mm, 4*mm)
-	rep, err := Analyze(p, die, uniformDensity(die, 0.5), Options{})
+	rep, err := Analyze(p, die, uniformDensity(die, 0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestHotspotRaisesLocalDrop(t *testing.T) {
 	g := uniformDensity(die, 0.2)
 	hot := geom.R(mm, mm, mm+mm/2, mm+mm/2)
 	g.AddRect(hot, 0.3)
-	rep, err := Analyze(p, die, g, Options{})
+	rep, err := Analyze(p, die, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestBudgetCheck(t *testing.T) {
 	p := tech.Default130()
 	die := geom.R(0, 0, 4*mm, 4*mm)
 	// Enormous power: must fail the 5% budget.
-	rep, err := Analyze(p, die, uniformDensity(die, 100), Options{})
+	rep, err := Analyze(p, die, uniformDensity(die, 100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,30 +103,32 @@ func TestBudgetCheck(t *testing.T) {
 func TestValidation(t *testing.T) {
 	p := tech.Default130()
 	die := geom.R(0, 0, mm, mm)
-	if _, err := Analyze(p, geom.Rect{}, uniformDensity(die, 1), Options{}); err == nil {
+	if _, err := Analyze(p, geom.Rect{}, uniformDensity(die, 1)); err == nil {
 		t.Error("empty die should fail")
 	}
-	if _, err := Analyze(p, die, nil, Options{}); err == nil {
+	if _, err := Analyze(p, die, nil); err == nil {
 		t.Error("nil density should fail")
 	}
 	bad := tech.Default130()
 	bad.VDD = 0
-	if _, err := Analyze(bad, die, uniformDensity(die, 1), Options{}); err == nil {
+	if _, err := Analyze(bad, die, uniformDensity(die, 1)); err == nil {
 		t.Error("invalid PDK should fail")
 	}
-	if _, err := Analyze(p, die, uniformDensity(die, 1), Options{MeshPitch: 10 * mm}); err == nil {
-		t.Error("too-coarse mesh should fail")
+	// A die 32 mm wide and 1 mm tall gets a 1 mm mesh pitch: one node row.
+	strip := geom.R(0, 0, 32*mm, mm)
+	if _, err := Analyze(p, strip, uniformDensity(strip, 1)); err == nil || !strings.Contains(err.Error(), "too coarse") {
+		t.Errorf("too-coarse mesh: error %v, want a too-coarse failure", err)
 	}
 }
 
 func TestSolverConverges(t *testing.T) {
 	p := tech.Default130()
 	die := geom.R(0, 0, 2*mm, 2*mm)
-	rep, err := Analyze(p, die, uniformDensity(die, 0.3), Options{})
+	rep, err := Analyze(p, die, uniformDensity(die, 0.3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Iterations >= 10000 {
+	if rep.Iterations >= maxIterations {
 		t.Errorf("solver hit the iteration cap (%d)", rep.Iterations)
 	}
 	// All node voltages within [VDD - worst, VDD].

@@ -63,10 +63,10 @@ func outside(fx *fixture, g int) (out, total int) {
 
 func TestGlobalAndRefineKeepGroupsInRegions(t *testing.T) {
 	fx := fencedFixture(t)
-	if _, err := Global(fx.fp, fx.nl, tech.TierSiCMOS, Options{Seed: 1}); err != nil {
+	if _, err := Global(fx.fp, fx.nl, tech.TierSiCMOS, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Refine(fx.fp, fx.nl, tech.TierSiCMOS, RefineOptions{Seed: 1}); err != nil {
+	if _, err := Refine(fx.fp, fx.nl, tech.TierSiCMOS, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := CheckLegal(fx.fp, fx.nl, tech.TierSiCMOS); err != nil {
@@ -86,7 +86,7 @@ func TestLegalizeFallsBackWhenRegionIsFull(t *testing.T) {
 	fx := fencedFixture(t)
 	r := fx.fp.Region(1)
 	fx.fp.AddBlockage(tech.TierSiCMOS, geom.R(r.Lo.X, r.Lo.Y+r.H()*2/5, r.Hi.X, r.Hi.Y))
-	if _, err := Global(fx.fp, fx.nl, tech.TierSiCMOS, Options{Seed: 1}); err != nil {
+	if _, err := Global(fx.fp, fx.nl, tech.TierSiCMOS, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := CheckLegal(fx.fp, fx.nl, tech.TierSiCMOS); err != nil {

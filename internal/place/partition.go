@@ -15,9 +15,11 @@ type PartitionOptions struct {
 	CapNM2 map[tech.Tier]int64
 	// Seed makes partitioning deterministic.
 	Seed int64
-	// Passes is the number of improvement sweeps (default 8).
-	Passes int
 }
+
+// partitionPasses bounds the improvement sweeps; the search also stops at
+// the first sweep that moves no cell.
+const partitionPasses = 8
 
 // PartitionResult reports the tier assignment quality.
 type PartitionResult struct {
@@ -39,9 +41,6 @@ type PartitionResult struct {
 // "full CMOS on upper layers" extension the paper's conclusion points to,
 // and the folding-style M3D baselines of refs [3-4].
 func AssignTiers(nl *netlist.Netlist, p *tech.PDK, opt PartitionOptions) (PartitionResult, error) {
-	if opt.Passes <= 0 {
-		opt.Passes = 8
-	}
 	capSi, okSi := opt.CapNM2[tech.TierSiCMOS]
 	capCn, okCn := opt.CapNM2[tech.TierCNFET]
 	if !okSi || !okCn {
@@ -110,7 +109,7 @@ func AssignTiers(nl *netlist.Netlist, p *tech.PDK, opt PartitionOptions) (Partit
 		return g
 	}
 
-	for pass := 0; pass < opt.Passes; pass++ {
+	for pass := 0; pass < partitionPasses; pass++ {
 		improved := false
 		for _, i := range rng.Perm(len(cells)) {
 			c := cells[i]

@@ -21,25 +21,15 @@ import (
 	"m3d/internal/tech"
 )
 
-// Options tunes the global placer.
-type Options struct {
-	// Iterations is the number of attraction/spreading rounds (default 24).
-	Iterations int
-	// Seed makes placement deterministic.
-	Seed int64
-	// TargetDensity is the bin utilization ceiling (default 0.75).
-	TargetDensity float64
-}
-
-func (o Options) withDefaults() Options {
-	if o.Iterations <= 0 {
-		o.Iterations = 24
-	}
-	if o.TargetDensity <= 0 {
-		o.TargetDensity = 0.75
-	}
-	return o
-}
+// The global placer's fixed recipe.
+const (
+	// iterations is the number of attraction/spreading rounds; the
+	// attraction step cools linearly to zero over them.
+	iterations = 24
+	// targetDensity is the bin utilization ceiling spreading enforces; the
+	// slack leaves room for legalization and clock buffers.
+	targetDensity = 0.75
+)
 
 // Result reports placement quality.
 type Result struct {
@@ -55,15 +45,15 @@ const maxFanoutForForces = 32
 // Global places the movable cells of the given tier inside the floorplan
 // using iterative net attraction plus density spreading, then legalizes
 // them onto rows. Fixed instances and macros are respected as blockages,
-// and every cell stays inside its group's region.
-func Global(f *floorplan.Floorplan, nl *netlist.Netlist, tier tech.Tier, opt Options) (Result, error) {
-	opt = opt.withDefaults()
+// and every cell stays inside its group's region. The seed makes
+// placement deterministic.
+func Global(f *floorplan.Floorplan, nl *netlist.Netlist, tier tech.Tier, seed int64) (Result, error) {
 	cells := movableOn(nl, tier)
 	if len(cells) == 0 {
 		return Result{}, nil
 	}
 	p := f.PDK
-	rng := rand.New(rand.NewSource(opt.Seed))
+	rng := rand.New(rand.NewSource(seed))
 
 	// Initial spread: jitter around the centre of each cell's region.
 	die := f.Die
@@ -82,11 +72,11 @@ func Global(f *floorplan.Floorplan, nl *netlist.Netlist, tier tech.Tier, opt Opt
 	}
 	blocked := f.DensityGrid(tier)
 
-	for it := 0; it < opt.Iterations; it++ {
+	for it := 0; it < iterations; it++ {
 		// Attraction: move every cell toward the centroid of its connected
 		// pins, with a cooling factor. The sweep is Gauss-Seidel: each move
 		// reads the live positions of the cells moved before it.
-		alpha := 0.8 * (1 - float64(it)/float64(opt.Iterations+1))
+		alpha := 0.8 * (1 - float64(it)/float64(iterations+1))
 		for _, c := range cells {
 			sx, sy, n := int64(0), int64(0), 0
 			accum := func(other *netlist.Pin) {
@@ -122,7 +112,7 @@ func Global(f *floorplan.Floorplan, nl *netlist.Netlist, tier tech.Tier, opt Opt
 		// Serial on purpose: its RNG draws are consumed in sorted-bin
 		// order and gated on bin occupancy, a sequential stream that any
 		// reordering would change (and the goldens with it).
-		spread(cells, f, tier, binPitch, blocked, opt.TargetDensity, rng)
+		spread(cells, f, tier, binPitch, blocked, rng)
 	}
 
 	if err := Legalize(f, nl, tier); err != nil {
@@ -169,7 +159,7 @@ type neighbour struct {
 // lands inside both the bin and its region. Density counts every cell,
 // whatever its group.
 func spread(cells []*netlist.Instance, f *floorplan.Floorplan, tier tech.Tier,
-	binPitch int64, blocked *geom.Grid, target float64, rng *rand.Rand) {
+	binPitch int64, blocked *geom.Grid, rng *rand.Rand) {
 
 	p := f.PDK
 	g := geom.NewGrid(f.Die, binPitch)
@@ -206,7 +196,7 @@ func spread(cells []*netlist.Instance, f *floorplan.Floorplan, tier tech.Tier,
 		capArea := float64(cellRect.Area())
 		// Subtract blocked fraction (sampled from the floorplan grid).
 		bx, by := blocked.CellOf(cellRect.Center())
-		avail := capArea * (1 - blocked.At(bx, by)) * target
+		avail := capArea * (1 - blocked.At(bx, by)) * targetDensity
 		used := g.At(ix, iy)
 		if used <= avail || avail <= 0 && used == 0 {
 			continue
@@ -225,7 +215,7 @@ func spread(cells []*netlist.Instance, f *floorplan.Floorplan, tier tech.Tier,
 				}
 				nr := g.CellRect(jx, jy)
 				nbx, nby := blocked.CellOf(nr.Center())
-				navail := float64(nr.Area()) * (1 - blocked.At(nbx, nby)) * target
+				navail := float64(nr.Area()) * (1 - blocked.At(nbx, nby)) * targetDensity
 				if navail <= 0 {
 					continue
 				}

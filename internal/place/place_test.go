@@ -1,6 +1,7 @@
 package place
 
 import (
+	"math/rand"
 	"testing"
 
 	"m3d/internal/cell"
@@ -48,7 +49,7 @@ func newFixture(t testing.TB, rows, cols int) *fixture {
 
 func TestGlobalPlacementLegal(t *testing.T) {
 	fx := newFixture(t, 2, 2)
-	res, err := Global(fx.fp, fx.nl, tech.TierSiCMOS, Options{Seed: 1})
+	res, err := Global(fx.fp, fx.nl, tech.TierSiCMOS, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,32 +64,39 @@ func TestGlobalPlacementLegal(t *testing.T) {
 	}
 }
 
+// TestPlacementBeatsRandom: global placement must beat a random legal
+// placement of the same design, a seeded uniform scatter over the die
+// followed by Legalize.
 func TestPlacementBeatsRandom(t *testing.T) {
-	fx := newFixture(t, 2, 2)
-	// Random-legal baseline: legalize from the initial jitter only.
-	fx2 := newFixture(t, 2, 2)
-	if _, err := Global(fx2.fp, fx2.nl, tech.TierSiCMOS, Options{Seed: 1, Iterations: 1}); err != nil {
+	rnd := newFixture(t, 2, 2)
+	rng := rand.New(rand.NewSource(1))
+	die := rnd.fp.Die
+	for _, c := range rnd.nl.MovableCells() {
+		c.Pos = geom.Pt(die.Lo.X+rng.Int63n(die.W()), die.Lo.Y+rng.Int63n(die.H()))
+	}
+	if err := Legalize(rnd.fp, rnd.nl, tech.TierSiCMOS); err != nil {
 		t.Fatal(err)
 	}
-	quick := fx2.nl.TotalHPWL()
+	random := rnd.nl.TotalHPWL()
 
-	res, err := Global(fx.fp, fx.nl, tech.TierSiCMOS, Options{Seed: 1, Iterations: 30})
+	fx := newFixture(t, 2, 2)
+	res, err := Global(fx.fp, fx.nl, tech.TierSiCMOS, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.HPWL >= quick {
-		t.Errorf("30-iteration placement (%d) should beat 1-iteration (%d)", res.HPWL, quick)
+	if res.HPWL >= random {
+		t.Errorf("global placement HPWL %d should beat a random legal placement's %d", res.HPWL, random)
 	}
 }
 
 func TestPlacementDeterministic(t *testing.T) {
 	a := newFixture(t, 1, 2)
 	b := newFixture(t, 1, 2)
-	ra, err := Global(a.fp, a.nl, tech.TierSiCMOS, Options{Seed: 7})
+	ra, err := Global(a.fp, a.nl, tech.TierSiCMOS, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := Global(b.fp, b.nl, tech.TierSiCMOS, Options{Seed: 7})
+	rb, err := Global(b.fp, b.nl, tech.TierSiCMOS, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +110,7 @@ func TestPlacementAvoidsBlockages(t *testing.T) {
 	// Block the left half of the die on Si.
 	die := fx.fp.Die
 	fx.fp.AddBlockage(tech.TierSiCMOS, geom.R(die.Lo.X, die.Lo.Y, die.Center().X, die.Hi.Y))
-	if _, err := Global(fx.fp, fx.nl, tech.TierSiCMOS, Options{Seed: 3}); err != nil {
+	if _, err := Global(fx.fp, fx.nl, tech.TierSiCMOS, 3); err != nil {
 		// Half the die may genuinely be too small at 60% target util; grow it.
 		bigger := geom.R(0, 0, die.W()*2, die.H())
 		fp2, ferr := floorplan.New(fx.p, bigger)
@@ -110,7 +118,7 @@ func TestPlacementAvoidsBlockages(t *testing.T) {
 			t.Fatal(ferr)
 		}
 		fp2.AddBlockage(tech.TierSiCMOS, geom.R(0, 0, die.W(), die.H()))
-		if _, err := Global(fp2, fx.nl, tech.TierSiCMOS, Options{Seed: 3}); err != nil {
+		if _, err := Global(fp2, fx.nl, tech.TierSiCMOS, 3); err != nil {
 			t.Fatal(err)
 		}
 		fx.fp = fp2
@@ -134,7 +142,7 @@ func TestLegalizeOverflowFails(t *testing.T) {
 
 func TestCheckLegalCatchesViolations(t *testing.T) {
 	fx := newFixture(t, 1, 1)
-	if _, err := Global(fx.fp, fx.nl, tech.TierSiCMOS, Options{Seed: 1}); err != nil {
+	if _, err := Global(fx.fp, fx.nl, tech.TierSiCMOS, 1); err != nil {
 		t.Fatal(err)
 	}
 	cells := fx.nl.MovableCells()
@@ -178,15 +186,27 @@ func TestAssignTiersBalancesAndReducesCut(t *testing.T) {
 	if res.CutNets != CutNets(fx.nl) {
 		t.Error("reported cut differs from recount")
 	}
-	// Local search should do much better than a random split: verify
-	// against a fresh random assignment's cut.
+	// Local search should do much better than a seeded random split of
+	// the same cells under the same caps.
 	fx2 := newFixture(t, 2, 2)
-	_, err = AssignTiers(fx2.nl, fx2.p, PartitionOptions{CapNM2: caps, Seed: 1, Passes: 1})
-	if err != nil {
-		t.Fatal(err)
+	rng := rand.New(rand.NewSource(1))
+	area := map[tech.Tier]int64{}
+	for _, c := range fx2.nl.MovableCells() {
+		tier, other := tech.TierSiCMOS, tech.TierCNFET
+		if rng.Intn(2) == 1 {
+			tier, other = other, tier
+		}
+		if a := c.AreaNM2(fx2.p); area[tier]+a > caps[tier] {
+			tier = other
+		}
+		c.Tier = tier
+		area[tier] += c.AreaNM2(fx2.p)
 	}
-	if res.CutNets > CutNets(fx2.nl) {
-		t.Errorf("8-pass cut %d worse than 1-pass cut %d", res.CutNets, CutNets(fx2.nl))
+	if area[tech.TierSiCMOS] > caps[tech.TierSiCMOS] || area[tech.TierCNFET] > caps[tech.TierCNFET] {
+		t.Fatalf("random split broke the caps: %v over %v", area, caps)
+	}
+	if random := CutNets(fx2.nl); res.CutNets >= random {
+		t.Errorf("local-search cut %d not below a random split's cut %d", res.CutNets, random)
 	}
 }
 
@@ -230,7 +250,7 @@ func TestTwoTierPlacementLegalBothTiers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tier := range []tech.Tier{tech.TierSiCMOS, tech.TierCNFET} {
-		if _, err := Global(fx.fp, fx.nl, tier, Options{Seed: 2}); err != nil {
+		if _, err := Global(fx.fp, fx.nl, tier, 2); err != nil {
 			t.Fatalf("tier %v: %v", tier, err)
 		}
 		if err := CheckLegal(fx.fp, fx.nl, tier); err != nil {
@@ -247,7 +267,7 @@ func BenchmarkPlaceGlobal(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Global(fx.fp, fx.nl, tech.TierSiCMOS, Options{Seed: 1}); err != nil {
+		if _, err := Global(fx.fp, fx.nl, tech.TierSiCMOS, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,17 +10,9 @@ import (
 	"m3d/internal/tech"
 )
 
-// RefineOptions tunes the detailed-placement refinement.
-type RefineOptions struct {
-	// Moves is the number of annealing moves to attempt (default
-	// 50 × cells).
-	Moves int
-	// Seed makes refinement deterministic.
-	Seed int64
-	// StartTemp is the initial temperature in DBU of wirelength (default:
-	// one row height).
-	StartTemp float64
-}
+// refineMovesPerCell is the annealing budget per movable cell: the
+// schedule cools to 1% of its start temperature over 50 × cells moves.
+const refineMovesPerCell = 50
 
 // RefineResult reports the refinement.
 type RefineResult struct {
@@ -34,21 +26,17 @@ type RefineResult struct {
 // same-row adjacent-pair swaps and same-width cross-row swaps, preserving
 // legality by construction. It polishes the Tetris legalizer's output (the
 // flow's equivalent of a detailed-placement ECO pass). A swap that would
-// carry either cell out of its group's region is skipped.
-func Refine(f *floorplan.Floorplan, nl *netlist.Netlist, tier tech.Tier, opt RefineOptions) (RefineResult, error) {
+// carry either cell out of its group's region is skipped. The seed makes
+// refinement deterministic.
+func Refine(f *floorplan.Floorplan, nl *netlist.Netlist, tier tech.Tier, seed int64) (RefineResult, error) {
 	cells := movableOn(nl, tier)
 	res := RefineResult{HPWLBefore: nl.TotalHPWL()}
 	if len(cells) < 2 {
 		res.HPWLAfter = res.HPWLBefore
 		return res, nil
 	}
-	if opt.Moves <= 0 {
-		opt.Moves = 50 * len(cells)
-	}
-	if opt.StartTemp <= 0 {
-		opt.StartTemp = float64(f.PDK.RowHeight)
-	}
-	rng := rand.New(rand.NewSource(opt.Seed))
+	moves := refineMovesPerCell * len(cells)
+	rng := rand.New(rand.NewSource(seed))
 	p := f.PDK
 
 	// netCost: HPWL of all nets touching the given instances. The
@@ -72,9 +60,12 @@ func Refine(f *floorplan.Floorplan, nl *netlist.Netlist, tier tech.Tier, opt Ref
 		return c
 	}
 
-	temp := opt.StartTemp
-	cool := math.Pow(0.01, 1/float64(opt.Moves)) // end at 1% of start temp
-	for m := 0; m < opt.Moves; m++ {
+	// The start temperature is one row height of wirelength: at first, a
+	// swap that adds one row height of HPWL is accepted with probability
+	// 1/e.
+	temp := float64(p.RowHeight)
+	cool := math.Pow(0.01, 1/float64(moves)) // end at 1% of start temp
+	for m := 0; m < moves; m++ {
 		a := cells[rng.Intn(len(cells))]
 		b := cells[rng.Intn(len(cells))]
 		if a == b {

@@ -8,11 +8,10 @@ import (
 
 func TestRefineImprovesHPWL(t *testing.T) {
 	fx := newFixture(t, 2, 2)
-	// A deliberately rough placement: few iterations.
-	if _, err := Global(fx.fp, fx.nl, tech.TierSiCMOS, Options{Seed: 5, Iterations: 3}); err != nil {
+	if _, err := Global(fx.fp, fx.nl, tech.TierSiCMOS, 5); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Refine(fx.fp, fx.nl, tech.TierSiCMOS, RefineOptions{Seed: 5})
+	res, err := Refine(fx.fp, fx.nl, tech.TierSiCMOS, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,10 +30,10 @@ func TestRefineImprovesHPWL(t *testing.T) {
 func TestRefineDeterministic(t *testing.T) {
 	run := func() int64 {
 		fx := newFixture(t, 1, 2)
-		if _, err := Global(fx.fp, fx.nl, tech.TierSiCMOS, Options{Seed: 3, Iterations: 3}); err != nil {
+		if _, err := Global(fx.fp, fx.nl, tech.TierSiCMOS, 3); err != nil {
 			t.Fatal(err)
 		}
-		res, err := Refine(fx.fp, fx.nl, tech.TierSiCMOS, RefineOptions{Seed: 9})
+		res, err := Refine(fx.fp, fx.nl, tech.TierSiCMOS, 9)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +48,7 @@ func TestRefineTrivialCases(t *testing.T) {
 	fx := newFixture(t, 1, 1)
 	// No placement yet: cells all at origin — still runs and keeps counts
 	// consistent.
-	res, err := Refine(fx.fp, fx.nl, tech.TierCNFET, RefineOptions{Seed: 1}) // empty tier
+	res, err := Refine(fx.fp, fx.nl, tech.TierCNFET, 1) // empty tier
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,14 +16,9 @@ import (
 	"m3d/internal/tech"
 )
 
-// Options configures the analysis.
-type Options struct {
-	// ClockHz is the operating frequency.
-	ClockHz float64
-	// MacroAccessRate is the average accesses per cycle per macro port
-	// (default 0.25).
-	MacroAccessRate float64
-}
+// macroAccessRate is the average accesses per cycle per macro port, one
+// rate for every design so that macro power compares across designs.
+const macroAccessRate = 0.25
 
 // Fraction of an RRAM bank's access energy dissipated in the BEOL layers
 // (the cell switching itself plus the CNFET access transistors); the rest
@@ -65,17 +60,11 @@ func (b *Breakdown) UpperTierFraction() float64 {
 }
 
 // Analyze computes the power breakdown of a (placed, ideally routed)
-// netlist. wm may be nil for a pre-route HPWL estimate; die bounds the
-// density map.
-func Analyze(p *tech.PDK, nl *netlist.Netlist, wm *sta.WireModel, die geom.Rect, opt Options) (*Breakdown, error) {
-	if opt.ClockHz <= 0 {
-		return nil, fmt.Errorf("power: clock frequency must be positive, got %g", opt.ClockHz)
-	}
-	if opt.MacroAccessRate == 0 {
-		opt.MacroAccessRate = 0.25
-	}
-	if opt.MacroAccessRate < 0 || opt.MacroAccessRate > 1 {
-		return nil, fmt.Errorf("power: macro access rate %g out of [0,1]", opt.MacroAccessRate)
+// netlist at the operating frequency clockHz. wm may be nil for a
+// pre-route HPWL estimate; die bounds the density map.
+func Analyze(p *tech.PDK, nl *netlist.Netlist, wm *sta.WireModel, die geom.Rect, clockHz float64) (*Breakdown, error) {
+	if clockHz <= 0 {
+		return nil, fmt.Errorf("power: clock frequency must be positive, got %g", clockHz)
 	}
 	if wm == nil {
 		wm = sta.NewWireModel(p, nil)
@@ -90,7 +79,7 @@ func Analyze(p *tech.PDK, nl *netlist.Netlist, wm *sta.WireModel, die geom.Rect,
 		Density:  geom.NewGrid(die, maxI64(die.W()/32, p.RowHeight)),
 	}
 	v2 := p.VDD * p.VDD
-	f := opt.ClockHz
+	f := clockHz
 
 	addInst := func(inst *netlist.Instance, w float64) {
 		bd.ByTier[inst.Tier] += w
@@ -134,7 +123,7 @@ func Analyze(p *tech.PDK, nl *netlist.Netlist, wm *sta.WireModel, die geom.Rect,
 			leak := inst.Macro.LeakageW
 			bd.LeakageW += leak
 			// Peripheral (Si) share vs BEOL share of access power.
-			acc := opt.MacroAccessRate * f * inst.Macro.AccessEnergyJ
+			acc := macroAccessRate * f * inst.Macro.AccessEnergyJ
 			bd.MacroW += acc
 			si := leak + acc*(1-beolAccessFrac)
 			beol := acc * beolAccessFrac

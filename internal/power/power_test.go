@@ -28,7 +28,7 @@ func buildDesign(t *testing.T, rows, cols int) (*tech.PDK, *netlist.Netlist) {
 
 func TestAnalyzeBasics(t *testing.T) {
 	p, nl := buildDesign(t, 2, 2)
-	bd, err := Analyze(p, nl, nil, geom.Rect{}, Options{ClockHz: 20e6})
+	bd, err := Analyze(p, nl, nil, geom.Rect{}, 20e6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +50,11 @@ func TestAnalyzeBasics(t *testing.T) {
 
 func TestPowerScalesWithFrequency(t *testing.T) {
 	p, nl := buildDesign(t, 1, 2)
-	lo, err := Analyze(p, nl, nil, geom.Rect{}, Options{ClockHz: 10e6})
+	lo, err := Analyze(p, nl, nil, geom.Rect{}, 10e6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hi, err := Analyze(p, nl, nil, geom.Rect{}, Options{ClockHz: 40e6})
+	hi, err := Analyze(p, nl, nil, geom.Rect{}, 40e6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +69,8 @@ func TestPowerScalesWithFrequency(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	p, nl := buildDesign(t, 1, 1)
-	if _, err := Analyze(p, nl, nil, geom.Rect{}, Options{}); err == nil {
+	if _, err := Analyze(p, nl, nil, geom.Rect{}, 0); err == nil {
 		t.Error("zero clock should fail")
-	}
-	if _, err := Analyze(p, nl, nil, geom.Rect{}, Options{ClockHz: 1e6, MacroAccessRate: 2}); err == nil {
-		t.Error("access rate > 1 should fail")
 	}
 }
 
@@ -96,7 +93,7 @@ func TestMacroPowerSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	die := geom.R(0, 0, 2*bank.Ref.Width, 2*bank.Ref.Height)
-	bd, err := Analyze(p, nl, nil, die, Options{ClockHz: 20e6, MacroAccessRate: 0.5})
+	bd, err := Analyze(p, nl, nil, die, 20e6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +119,7 @@ func TestDensityMapPositive(t *testing.T) {
 		inst.Pos = geom.Pt(x%die.W(), (x/die.W())*p.RowHeight)
 		x += 50_000
 	}
-	bd, err := Analyze(p, nl, nil, die, Options{ClockHz: 20e6})
+	bd, err := Analyze(p, nl, nil, die, 20e6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +145,7 @@ func TestTieCellsConsumeNothing(t *testing.T) {
 	n := nl.AddNet("n", 0.5)
 	nl.MustPin(tie, "Y", true, 0, n)
 	nl.MustPin(inv, "A", false, inv.Cell.InputCapF, n)
-	bd, err := Analyze(p, nl, nil, geom.Rect{}, Options{ClockHz: 20e6})
+	bd, err := Analyze(p, nl, nil, geom.Rect{}, 20e6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +169,7 @@ func TestByModuleBreakdown(t *testing.T) {
 	if err := b.NL.Check(); err != nil {
 		t.Fatal(err)
 	}
-	bd, err := Analyze(p, b.NL, nil, geom.Rect{}, Options{ClockHz: 20e6})
+	bd, err := Analyze(p, b.NL, nil, geom.Rect{}, 20e6)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,33 +15,27 @@ import (
 	"m3d/internal/tech"
 )
 
-// Options tunes the router.
+// Options carries what a run varies in the router.
 type Options struct {
-	// GCellsX is the target number of grid cells across the die (default 48).
-	GCellsX int
-	// MaxRipupRounds is the number of negotiated reroute rounds (default 3).
-	MaxRipupRounds int
-	// MaxFanout skips nets with more sinks than this (they are treated as
-	// ideal networks, e.g. resets); clock nets are skipped unless
-	// IncludeClock is set. Default 64.
-	MaxFanout int
 	// IncludeClock routes clock nets too — set after clock tree synthesis,
 	// when the clock is a real buffered network rather than an ideal net.
 	IncludeClock bool
 }
 
-func (o Options) withDefaults() Options {
-	if o.GCellsX <= 0 {
-		o.GCellsX = 48
-	}
-	if o.MaxRipupRounds <= 0 {
-		o.MaxRipupRounds = 3
-	}
-	if o.MaxFanout <= 0 {
-		o.MaxFanout = 64
-	}
-	return o
-}
+// The router's fixed recipe: every flow run routes with these.
+const (
+	// gcellsX is the target grid width in GCells; 48 matches the placer's
+	// density bins (die/48), so congestion and density maps align.
+	gcellsX = 48
+	// maxRipupRounds bounds negotiated rerouting: past the first round,
+	// each round removes only a few percent of the overflow at Fig. 2
+	// scale (Result.RipupHistory records every round).
+	maxRipupRounds = 3
+	// maxFanout is the largest routed net, in pins (driver included):
+	// larger nets are resets and unbuffered clocks, treated as ideal
+	// networks.
+	maxFanout = 64
+)
 
 // Seg is one routed segment on a layer between two GCell centers (absolute
 // coordinates). Vertical segments (layer changes) have A == B.
@@ -75,7 +69,7 @@ type Result struct {
 	FailedNets int
 	// RipupHistory records the over-capacity edge count observed at the
 	// start of each negotiation round; the final entry is 0 when the
-	// router converged before exhausting MaxRipupRounds.
+	// router converged before exhausting its rip-up rounds.
 	RipupHistory []int
 	// WLByLayer is wirelength per routing layer.
 	WLByLayer []int64
@@ -112,11 +106,11 @@ func (g *grid) idx(l, x, y int) int { return (l*g.ny+y)*g.nx + x }
 
 func (g *grid) nNodes() int { return len(g.layers) * g.nx * g.ny }
 
-func newGrid(f *floorplan.Floorplan, opt Options) *grid {
+func newGrid(f *floorplan.Floorplan) *grid {
 	p := f.PDK
 	layers := p.RoutingLayers()
 	die := f.Die
-	nx := opt.GCellsX
+	nx := gcellsX
 	pitch := die.W() / int64(nx)
 	if pitch < 4*p.RowHeight {
 		pitch = 4 * p.RowHeight

@@ -1,6 +1,7 @@
 package route
 
 import (
+	"fmt"
 	"testing"
 
 	"m3d/internal/cell"
@@ -38,7 +39,7 @@ func placedFixture(t testing.TB, rows, cols int) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := place.Global(fp, b.NL, tech.TierSiCMOS, place.Options{Seed: 1}); err != nil {
+	if _, err := place.Global(fp, b.NL, tech.TierSiCMOS, 1); err != nil {
 		t.Fatal(err)
 	}
 	return &fixture{p: p, nl: b.NL, fp: fp}
@@ -81,6 +82,84 @@ func TestRouteSkipsClockAndHugeFanout(t *testing.T) {
 	}
 }
 
+// TestRouteIncludeClock routes the clock net once IncludeClock is set.
+// The fixture's clock is under the fanout cap, so only the option
+// decides whether it is routed.
+func TestRouteIncludeClock(t *testing.T) {
+	fx := placedFixture(t, 1, 1)
+	var clk *netlist.Net
+	for _, n := range fx.nl.Nets {
+		if n.Clock {
+			clk = n
+		}
+	}
+	if clk == nil || len(clk.Sinks)+1 > maxFanout {
+		t.Fatalf("fixture needs a clock net of at most %d pins, got %v", maxFanout, clk)
+	}
+	ideal, err := Route(fx.fp, fx.nl, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Route(fx.fp, fx.nl, Options{IncludeClock: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nr := res.Routes[clk]
+	if nr == nil || nr.Failed || nr.WLdbu <= 0 {
+		t.Fatalf("clock net not routed with IncludeClock: %+v", nr)
+	}
+	if res.SkippedNets != ideal.SkippedNets-1 {
+		t.Errorf("skipped nets %d with the clock routed, want %d", res.SkippedNets, ideal.SkippedNets-1)
+	}
+}
+
+// TestRouteFanoutCap routes a net of maxFanout pins and skips, and
+// counts, one with a pin more.
+func TestRouteFanoutCap(t *testing.T) {
+	p := tech.Default130()
+	lib, err := cell.NewLibrary(p, tech.TierSiCMOS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nl := netlist.New("fanout")
+	inv := lib.MustPick(cell.Inv, 1)
+	at := func(i int) geom.Point { return geom.Pt(int64(i%16)*mm/16, int64(i/16)*mm/16) }
+	placed := 0
+	fanoutNet := func(name string, sinks int) *netlist.Net {
+		n := nl.AddNet(name, 0.1)
+		drv := nl.AddCell(name+"_drv", inv)
+		drv.Pos, drv.Fixed = at(placed), true
+		placed++
+		nl.MustPin(drv, "Y", true, 0, n)
+		for i := 0; i < sinks; i++ {
+			sk := nl.AddCell(fmt.Sprintf("%s_sink%d", name, i), inv)
+			sk.Pos, sk.Fixed = at(placed), true
+			placed++
+			nl.MustPin(sk, "A", false, sk.Cell.InputCapF, n)
+		}
+		return n
+	}
+	atCap := fanoutNet("at_cap", maxFanout-1)
+	overCap := fanoutNet("over_cap", maxFanout)
+	fp, err := floorplan.New(p, geom.R(0, 0, mm, mm))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Route(fp, nl, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nr := res.Routes[atCap]; nr == nil || nr.Failed {
+		t.Errorf("net of %d sinks not routed: %+v", maxFanout-1, nr)
+	}
+	if nr := res.Routes[overCap]; nr != nil {
+		t.Errorf("net of %d sinks routed, want it skipped", maxFanout)
+	}
+	if res.SkippedNets != 1 {
+		t.Errorf("skipped nets = %d, want 1", res.SkippedNets)
+	}
+}
+
 func TestRouteOverflowBoundedOnReasonableDesign(t *testing.T) {
 	fx := placedFixture(t, 2, 2)
 	res, err := Route(fx.fp, fx.nl, Options{})
@@ -89,7 +168,7 @@ func TestRouteOverflowBoundedOnReasonableDesign(t *testing.T) {
 	}
 	// Count the edges of the grid Route built for this floorplan: the
 	// planar track and via edges that have any capacity.
-	g := newGrid(fx.fp, Options{}.withDefaults())
+	g := newGrid(fx.fp)
 	totalEdges := 0
 	for i := range g.capH {
 		for _, c := range []int32{g.capH[i], g.capV[i], g.capUp[i]} {
@@ -224,17 +303,6 @@ func TestRouteDeterministic(t *testing.T) {
 	if ra.TotalWLdbu != rb.TotalWLdbu || ra.TotalVias != rb.TotalVias {
 		t.Errorf("routing not deterministic: WL %d/%d vias %d/%d",
 			ra.TotalWLdbu, rb.TotalWLdbu, ra.TotalVias, rb.TotalVias)
-	}
-}
-
-func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
-	if o.GCellsX != 48 || o.MaxRipupRounds != 3 || o.MaxFanout != 64 {
-		t.Errorf("defaults wrong: %+v", o)
-	}
-	o2 := Options{GCellsX: 10, MaxRipupRounds: 1, MaxFanout: 5}.withDefaults()
-	if o2.GCellsX != 10 || o2.MaxRipupRounds != 1 || o2.MaxFanout != 5 {
-		t.Errorf("explicit options clobbered: %+v", o2)
 	}
 }
 

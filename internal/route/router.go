@@ -28,9 +28,10 @@ type sinkRef struct {
 }
 
 // Route globally routes all signal nets of the placed netlist. Clock nets
-// and nets above the fanout threshold are idealized (skipped). The router
-// runs an initial pass plus negotiated rip-up-and-reroute rounds on
-// overflowing nets, routing one net at a time in work-list order.
+// (unless opt.IncludeClock) and nets of more than maxFanout pins are
+// idealized (skipped). The router runs an initial pass plus negotiated
+// rip-up-and-reroute rounds on overflowing nets, routing one net at a
+// time in work-list order.
 func Route(f *floorplan.Floorplan, nl *netlist.Netlist, opt Options) (*Result, error) {
 	res, _, err := routeWork(f, nl, opt)
 	return res, err
@@ -38,8 +39,7 @@ func Route(f *floorplan.Floorplan, nl *netlist.Netlist, opt Options) (*Result, e
 
 // routeWork is Route, also returning the routed work list.
 func routeWork(f *floorplan.Floorplan, nl *netlist.Netlist, opt Options) (*Result, []*routedNet, error) {
-	opt = opt.withDefaults()
-	g := newGrid(f, opt)
+	g := newGrid(f)
 	if g.boundary < 0 {
 		return nil, nil, fmt.Errorf("route: stack has no lower-metal boundary")
 	}
@@ -51,7 +51,7 @@ func routeWork(f *floorplan.Floorplan, nl *netlist.Netlist, opt Options) (*Resul
 
 	var work []*routedNet
 	for _, n := range nl.Nets {
-		if (n.Clock && !opt.IncludeClock) || len(n.Sinks)+1 > opt.MaxFanout ||
+		if (n.Clock && !opt.IncludeClock) || len(n.Sinks)+1 > maxFanout ||
 			n.Driver == nil || len(n.Sinks) == 0 {
 			res.SkippedNets++
 			continue
@@ -70,7 +70,7 @@ func routeWork(f *floorplan.Floorplan, nl *netlist.Netlist, opt Options) (*Resul
 	}
 
 	// Negotiated rip-up and reroute.
-	for round := 0; round < opt.MaxRipupRounds; round++ {
+	for round := 0; round < maxRipupRounds; round++ {
 		ov := g.overflowCount(true)
 		res.RipupHistory = append(res.RipupHistory, ov)
 		if ov == 0 {

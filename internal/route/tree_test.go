@@ -199,7 +199,7 @@ func TestRoutedNetsAreTrees(t *testing.T) {
 		if res.FailedNets != 0 {
 			t.Fatalf("%v: %d failed nets", size, res.FailedNets)
 		}
-		g := newGrid(fx.fp, Options{}.withDefaults())
+		g := newGrid(fx.fp)
 		for _, rn := range work {
 			n := rn.net
 			dx, dy := g.cellOf(n.Driver.Loc())

@@ -32,7 +32,8 @@ type FlowRequest struct {
 	RunCTS         bool    `json:"run_cts,omitempty"`
 	// ThermalCheck enables the Eq. 17 sign-off stage; violations fail
 	// with 422 (errs.ErrThermalLimit). MaxTempRiseK ≤ 0 uses the PDK
-	// budget.
+	// budget, and a nonzero one needs ThermalCheck (flow.SoCSpec carries
+	// both).
 	ThermalCheck bool    `json:"thermal_check,omitempty"`
 	MaxTempRiseK float64 `json:"max_temp_rise_k,omitempty"`
 }
@@ -67,6 +68,8 @@ func (q *FlowRequest) spec() (flow.SoCSpec, error) {
 		Seed:           q.Seed,
 		FoldLogic:      q.FoldLogic,
 		RunCTS:         q.RunCTS,
+		ThermalCheck:   q.ThermalCheck,
+		MaxTempRiseK:   q.MaxTempRiseK,
 	}
 	switch q.Style {
 	case "", macro.Style2D.String():
@@ -79,9 +82,6 @@ func (q *FlowRequest) spec() (flow.SoCSpec, error) {
 	}
 	if q.RRAMCapMB < 0 {
 		return spec, badSpec("rram_cap_mb %d must be ≥ 0", q.RRAMCapMB)
-	}
-	if !q.ThermalCheck && q.MaxTempRiseK != 0 {
-		return spec, badSpec("max_temp_rise_k needs thermal_check")
 	}
 	return spec, nil
 }
@@ -164,11 +164,7 @@ func (s *Server) design(ctx context.Context, req *FlowRequest) (*retained, error
 				s.evalBlock(ctx)
 			}
 			s.reg.Counter("serve.flow.evals").Add(1)
-			opts := s.evalOptions(ctx)
-			if req.ThermalCheck {
-				opts = append(opts, flow.WithThermalCheck(req.MaxTempRiseK))
-			}
-			res, err := flow.Run(s.pdk, spec, opts...)
+			res, err := flow.Run(s.pdk, spec, s.evalOptions(ctx)...)
 			if err != nil {
 				return nil, err
 			}

@@ -169,10 +169,6 @@ type jobTier struct {
 
 	mu   sync.Mutex
 	jobs map[string]*job
-
-	// noPersist simulates a hard kill in tests: once set, nothing is
-	// written to the store anymore, as if the process had died.
-	noPersist bool
 }
 
 func newJobTier(s *Server, store JobStore, maxJobs, maxQueue int) *jobTier {
@@ -204,12 +200,6 @@ func newJobTier(s *Server, store JobStore, maxJobs, maxQueue int) *jobTier {
 // persistLocked writes j's record to the store (j.mu held). Persistence
 // failures leave the in-memory state authoritative.
 func (t *jobTier) persistLocked(j *job) error {
-	t.mu.Lock()
-	suppressed := t.noPersist
-	t.mu.Unlock()
-	if suppressed {
-		return nil
-	}
 	b, err := json.Marshal(j.rec)
 	if err != nil {
 		return err
@@ -604,15 +594,8 @@ func (t *jobTier) cancelJob(j *job) {
 // artifactStage maps an artifact name to its store blob name.
 func artifactStage(name string) string { return "artifact." + name }
 
-// storeArtifact persists one artifact blob (skipped under the test kill
-// switch, like every other write).
+// storeArtifact persists one artifact blob.
 func (t *jobTier) storeArtifact(id, name string, blob []byte) error {
-	t.mu.Lock()
-	suppressed := t.noPersist
-	t.mu.Unlock()
-	if suppressed {
-		return nil
-	}
 	return t.store.PutStage(id, artifactStage(name), blob)
 }
 

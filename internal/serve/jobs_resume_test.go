@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -47,15 +48,47 @@ func (m *midFlowTracer) StartSpan(name string, attrs ...obs.Attr) obs.Span {
 	return obs.Nop().StartSpan(name, attrs...)
 }
 
+// killableStore is a JobStore whose writes become no-ops once kill is
+// called, as if the process that owns it had died; reads still pass
+// through.
+type killableStore struct {
+	JobStore
+	dead atomic.Bool
+}
+
+func (k *killableStore) kill() { k.dead.Store(true) }
+
+func (k *killableStore) PutJob(id string, record []byte) error {
+	if k.dead.Load() {
+		return nil
+	}
+	return k.JobStore.PutJob(id, record)
+}
+
+func (k *killableStore) PutStage(id, stage string, payload []byte) error {
+	if k.dead.Load() {
+		return nil
+	}
+	return k.JobStore.PutStage(id, stage, payload)
+}
+
+func (k *killableStore) DeleteJob(id string) error {
+	if k.dead.Load() {
+		return nil
+	}
+	return k.JobStore.DeleteJob(id)
+}
+
 // killMidFlow submits body to a server over a fresh DirJobStore in dir
 // and hard-kills that server while the job's flow is placing: the store
 // is left exactly as a kill -9 would leave it.
 func killMidFlow(t *testing.T, dir string, width int, body string) *DirJobStore {
 	t.Helper()
-	store, err := NewDirJobStore(dir)
+	dirStore, err := NewDirJobStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	store := &killableStore{JobStore: dirStore}
 	tr := newMidFlowTracer()
 	s, ts := newTestServer(t, Config{Workers: width, JobStore: store, Tracer: tr})
 	st := submitJob(t, ts.URL, body)
@@ -64,8 +97,8 @@ func killMidFlow(t *testing.T, dir string, width int, body string) *DirJobStore 
 	case <-time.After(60 * time.Second):
 		t.Fatalf("the job's flow never reached placement\n%s", jobDiagnostics(t, ts.URL, getJob(t, ts.URL, st.ID)))
 	}
-	hardKillUnblock(s, tr.killed)
-	return store
+	hardKillUnblock(s, store, tr.killed)
+	return dirStore
 }
 
 // TestJobCrashResumeByteIdentical is the crash/resume end-to-end gate:
@@ -260,13 +293,11 @@ func TestDirJobStoreIgnoresTornTemps(t *testing.T) {
 	}
 }
 
-// hardKillUnblock simulates a hard process death: it suppresses every
-// further store write and cancels all work before unblock releases the
-// runner parked on it, then waits for the runners to exit.
-func hardKillUnblock(s *Server, unblock chan struct{}) {
-	s.jobs.mu.Lock()
-	s.jobs.noPersist = true
-	s.jobs.mu.Unlock()
+// hardKillUnblock simulates a hard process death: it kills the server's
+// store, so no further write lands, and cancels all work before unblock
+// releases the runner parked on it, then waits for the runners to exit.
+func hardKillUnblock(s *Server, store *killableStore, unblock chan struct{}) {
+	store.kill()
 	s.jobs.baseCancel()
 	close(unblock)
 	s.jobs.queue.Wait()

@@ -165,6 +165,7 @@ func TestStatusMapping(t *testing.T) {
 		{"thermal violation", "POST", "/v1/sweep", `{"kind":"tier_pairs","tier_pairs":[8],"per_tier_power_w":50,"require_thermal":true}`, http.StatusUnprocessableEntity},
 		{"flow bad style", "POST", "/v1/flow", `{"style":"4D"}`, http.StatusBadRequest},
 		{"flow bad spec", "POST", "/v1/flow", `{"num_cs":-1}`, http.StatusBadRequest},
+		{"flow budget without check", "POST", "/v1/flow", `{"max_temp_rise_k":5}`, http.StatusBadRequest},
 		{"flow thermal violation", "POST", "/v1/flow", hotDesignBody, http.StatusUnprocessableEntity},
 		{"yield thermal violation", "POST", "/v1/yield", `{"flow":` + hotDesignBody + `,"samples":16}`, http.StatusUnprocessableEntity},
 		{"method not allowed", "GET", "/v1/sweep", ``, http.StatusMethodNotAllowed},

@@ -41,7 +41,7 @@ func routedFixtureRoutes(tb testing.TB, rows, cols int) (*tech.PDK, *netlist.Net
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if _, err := place.Global(fp, b.NL, tech.TierSiCMOS, place.Options{Seed: 1}); err != nil {
+	if _, err := place.Global(fp, b.NL, tech.TierSiCMOS, 1); err != nil {
 		tb.Fatal(err)
 	}
 	routes, err := route.Route(fp, b.NL, route.Options{})

@@ -237,7 +237,7 @@ func TestRoutedWireModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := place.Global(fp, b.NL, tech.TierSiCMOS, place.Options{Seed: 1}); err != nil {
+	if _, err := place.Global(fp, b.NL, tech.TierSiCMOS, 1); err != nil {
 		t.Fatal(err)
 	}
 	routes, err := route.Route(fp, b.NL, route.Options{})

@@ -39,7 +39,7 @@ import (
 //   - ErrCanceled: the run was stopped by its context. The error also
 //     matches the underlying context error (context.Canceled or
 //     context.DeadlineExceeded).
-//   - ErrThermalLimit: an opt-in WithThermalCheck sign-off found the
+//   - ErrThermalLimit: an opt-in SoCSpec.ThermalCheck sign-off found the
 //     Eq. 17 stack temperature rise above budget.
 //
 // Anything else is an internal stage failure (synthesis, routing, DRC,
@@ -198,13 +198,14 @@ const (
 	Style3D = macro.Style3D
 )
 
-// RunFlow executes the RTL-to-GDS flow for one SoC spec. Options control
-// pool width, cancellation, observability and the thermal sign-off
-// (WithWorkers, WithContext, WithTracer, WithMetrics, WithThermalCheck);
-// a context given with WithContext stops the run between stages (error
-// matches ErrCanceled). The returned result retains the design database:
-// write the GDS, Verilog and DEF from it with its WriteGDS, WriteVerilog
-// and WriteDEF methods.
+// RunFlow executes the RTL-to-GDS flow for one SoC spec; the spec is the
+// whole design run, including the optional Eq. 17 thermal sign-off
+// (SoCSpec.ThermalCheck, SoCSpec.MaxTempRiseK). Options control pool
+// width, cancellation and observability (WithWorkers, WithContext,
+// WithTracer, WithMetrics); a context given with WithContext stops the
+// run between stages (error matches ErrCanceled). The returned result
+// retains the design database: write the GDS, Verilog and DEF from it
+// with its WriteGDS, WriteVerilog and WriteDEF methods.
 func RunFlow(p *PDK, spec SoCSpec, opts ...Option) (*FlowResult, error) {
 	return flow.Run(p, spec, opts...)
 }
@@ -214,7 +215,7 @@ func RunFlow(p *PDK, spec SoCSpec, opts ...Option) (*FlowResult, error) {
 // experiment functions — accepts the same Option set.
 type (
 	// Option configures one run: pool width, cancellation, tracing,
-	// metrics, the thermal sign-off.
+	// metrics.
 	Option = exec.Option
 )
 
@@ -231,10 +232,6 @@ var (
 	// M3D_WORKERS environment override).
 	DefaultWorkers = exec.DefaultWorkers
 )
-
-// WithThermalCheck enables the Eq. 17 thermal sign-off stage (maxRiseK ≤
-// 0 uses the PDK budget); failures match ErrThermalLimit.
-var WithThermalCheck = flow.WithThermalCheck
 
 // Observability (spans + metrics; see DESIGN.md §8 for the taxonomy).
 type (

@@ -22,6 +22,8 @@
 # regression gate"). Schema:
 #   "host": {"nproc": <n>, "gomaxprocs": <n>, "cpu": "<model>", "go": "<version>"}
 #   "BenchmarkName": {"ns_per_op": <float>, "allocs_per_op": <float>}
+# A benchmark entry without both fields, in the baseline or in the run,
+# fails the gate.
 set -eu
 
 THRESHOLD_PCT="${THRESHOLD_PCT:-25}"
@@ -152,22 +154,22 @@ fi
 # baseline) are reported but do not fail.
 awk -v threshold="$THRESHOLD_PCT" -v allocThreshold="$ALLOC_THRESHOLD_PCT" \
     -v base="$BASE" -v out="$OUT" '
+    # parse reads every benchmark line of file; a line without both
+    # ns_per_op and allocs_per_op fails the gate.
     function parse(file, ns, al,    line, name, rest, v) {
         while ((getline line < file) > 0) {
             if (line !~ /"Benchmark/) continue
             name = line; sub(/^[^"]*"/, "", name); sub(/".*$/, "", name)
             rest = line; sub(/^[^:]*:[ \t]*/, "", rest)
-            if (rest ~ /"ns_per_op"/) {
-                v = rest; sub(/^.*"ns_per_op"[ \t]*:[ \t]*/, "", v); sub(/[,}].*$/, "", v)
-                ns[name] = v + 0
-                v = rest; sub(/^.*"allocs_per_op"[ \t]*:[ \t]*/, "", v); sub(/[,}].*$/, "", v)
-                al[name] = v + 0
-            } else {
-                # legacy flat schema: "Name": <ns>
-                sub(/,.*$/, "", rest)
-                ns[name] = rest + 0
-                al[name] = -1
+            if (rest !~ /"ns_per_op"/ || rest !~ /"allocs_per_op"/) {
+                printf "benchdiff: FAIL: %s: %s lacks ns_per_op or allocs_per_op\n", file, name
+                malformed = 1
+                continue
             }
+            v = rest; sub(/^.*"ns_per_op"[ \t]*:[ \t]*/, "", v); sub(/[,}].*$/, "", v)
+            ns[name] = v + 0
+            v = rest; sub(/^.*"allocs_per_op"[ \t]*:[ \t]*/, "", v); sub(/[,}].*$/, "", v)
+            al[name] = v + 0
         }
         close(file)
     }
@@ -175,6 +177,7 @@ awk -v threshold="$THRESHOLD_PCT" -v allocThreshold="$ALLOC_THRESHOLD_PCT" \
     BEGIN {
         parse(base, oldNs, oldAl)
         parse(out, newNs, newAl)
+        if (malformed) exit 1
         fail = 0
         for (name in oldNs) {
             if (!(name in newNs)) {
@@ -187,13 +190,11 @@ awk -v threshold="$THRESHOLD_PCT" -v allocThreshold="$ALLOC_THRESHOLD_PCT" \
             if (p > threshold) { status = "REGRESSED"; fail = 1 }
             printf "%-9s %-40s %10.1f -> %10.1f ns/op      (%+6.1f%%)\n", \
                 status, name, oldNs[name], newNs[name], p
-            if (oldAl[name] >= 0 && newAl[name] >= 0) {
-                pa = pct(oldAl[name], newAl[name])
-                status = "ok"
-                if (pa > allocThreshold) { status = "REGRESSED"; fail = 1 }
-                printf "%-9s %-40s %10.0f -> %10.0f allocs/op  (%+6.1f%%)\n", \
-                    status, name, oldAl[name], newAl[name], pa
-            }
+            pa = pct(oldAl[name], newAl[name])
+            status = "ok"
+            if (pa > allocThreshold) { status = "REGRESSED"; fail = 1 }
+            printf "%-9s %-40s %10.0f -> %10.0f allocs/op  (%+6.1f%%)\n", \
+                status, name, oldAl[name], newAl[name], pa
         }
         for (name in newNs) {
             if (!(name in oldNs)) {
