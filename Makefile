@@ -1,13 +1,28 @@
 # Developer entry points. `make check` is the pre-merge gate the CI-less
-# workflow relies on; the individual targets are for quick iteration.
+# workflow relies on: it runs the gate's targets in order and stops at
+# the first that fails (scripts/check.sh runs it from any directory).
+# The other targets are for quick iteration.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check vet build test race race-equiv fuzz bench obsbench benchdiff invariants report serve serve-smoke dse-smoke jobs-smoke yield-smoke profile profile-yield profilecheck
+.PHONY: check fmt vet build test race bench-harness race-equiv fuzz bench obsbench benchdiff invariants report serve smoke profile profile-yield profilecheck
 
 check:
-	FUZZTIME=$(FUZZTIME) ./scripts/check.sh
+	@for t in fmt vet build race bench-harness race-equiv smoke fuzz profilecheck benchdiff; do \
+		echo "== make $$t =="; \
+		$(MAKE) --no-print-directory $$t || exit 1; \
+	done; \
+	echo "OK: all checks passed"
+
+# Fails when gofmt would reformat any file, and names the files.
+fmt:
+	@unformatted="$$(gofmt -l .)"; \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt: these files need formatting:" >&2; \
+		echo "$$unformatted" >&2; \
+		exit 1; \
+	fi
 
 vet:
 	$(GO) vet ./...
@@ -22,6 +37,11 @@ test:
 # close enough to go test's 10m default to flake on slow machines.
 race:
 	$(GO) test -race -timeout 30m ./...
+
+# The benchmark harness is its own module (replace m3d => ../), so
+# ./... does not reach it.
+bench-harness:
+	cd m3dbench && $(GO) vet ./... && $(GO) test ./...
 
 # The concurrency equivalence suite: differential oracles for the
 # corner-batched STA, RunMany and the Monte-Carlo engine, shuffled and
@@ -52,8 +72,11 @@ invariants:
 	$(GO) test -run 'TestHeadline' -count=1 ./internal/core/
 	$(GO) test -run 'TestInvariant' -count=1 -v ./internal/vary/
 
-# Benchmark regression gate: fails on >25% ns/op or >25% allocs/op
-# regression vs the committed bench/BENCH_0.json baseline (see
+# Benchmark regression gate against the base commit (HEAD when a
+# tracked file differs from it, else HEAD~1, so a committed change
+# compares against its parent): 10 interleaved pairs on this host; fails
+# when a tracked benchmark is slower in 9 of 10 pairs by more than 25%
+# in the median, or allocates more than 25% more per op (see
 # EXPERIMENTS.md).
 benchdiff:
 	./scripts/benchdiff.sh
@@ -103,24 +126,13 @@ profilecheck:
 serve:
 	$(GO) run ./cmd/m3dserve
 
-serve-smoke:
-	$(GO) run ./scripts/servesmoke
-
-# End-to-end /v1/dse streaming gate (part of `make check`).
-dse-smoke:
-	$(GO) run ./scripts/dsesmoke
-
-# End-to-end async job tier gate: submit, poll, SIGTERM mid-job, re-run
-# from the on-disk job store byte-identically (part of `make check`).
-jobs-smoke:
-	$(GO) run ./scripts/jobsmoke
-
-# End-to-end /v1/yield streaming gate: one pinned Monte-Carlo timing
-# yield run over real HTTP with refinement invariants checked, then a
-# 4096-corner run under a wall-clock budget (part of `make check`).
-yield-smoke:
-	$(GO) run ./scripts/yieldsmoke
-	$(GO) run ./scripts/yieldsmoke -samples 4096 -batch 1024 -budget 30s
+# End-to-end gate over the compiled binaries: m3dflow's trace and
+# exports, then two m3dserve boots on one job store (healthz, the
+# sweep, DSE and yield goldens, a 4096-corner yield under a wall-clock
+# budget, /metrics, and a flow job interrupted by SIGTERM and resumed
+# byte-identically by the second boot); see scripts/smoke/main.go.
+smoke:
+	$(GO) run ./scripts/smoke
 
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSweep' -benchtime 2s ./internal/analytic/

@@ -3,8 +3,9 @@
 //
 //	m3ddse sweep   exhaustive single-axis sweeps: BEOL FET width
 //	               relaxation (Case 1), ILV pitch (Case 2), interleaved
-//	               tiers (Case 3), RRAM capacity (Fig. 9), bandwidth/CS
-//	               grids (Fig. 8), and a physical-flow CS-count sweep.
+//	               tiers (Case 3), RRAM capacity (Fig. 9) and
+//	               bandwidth/CS grids (Fig. 8). The physical-flow CS-count
+//	               sweep is m3dflow's -cs list.
 //	m3ddse pareto  adaptive multi-objective exploration (internal/dse)
 //	               over the combined δ × tier-pair × bandwidth space,
 //	               printing the Pareto frontier over speedup, EDP
@@ -51,7 +52,8 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  m3ddse sweep  -sweep delta|beta|tiers|capacity|grid|flowcs [-points ...] [-tierpower W] [-side N]
+  m3ddse sweep  -sweep delta|beta|tiers|capacity|grid [-points ...] [-tierpower W]
+                (the flow CS-count sweep is m3dflow -side N -rram 4 -cs 2,4,8)
   m3ddse pareto [-deltas min:max:steps] [-tiers min:max] [-bw min:max:steps] [-power W]
                 [-maxevals N] [-seed N] [-explore N] [-thermal] [-promote N] [-brute]
 variation mode (sweep -sweep delta, pareto): -variation [-samples N] [-vseed N]
@@ -354,11 +356,10 @@ func parseIntAxis(s string) (dse.IntAxis, error) {
 // m3ddse behavior, flag for flag).
 func runSweep(args []string) {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
-	sweep := fs.String("sweep", "delta", "sweep kind: delta | beta | tiers | capacity | grid | flowcs")
+	sweep := fs.String("sweep", "delta", "sweep kind: delta | beta | tiers | capacity | grid")
 	points := fs.String("points", "", "comma-separated sweep points (defaults per sweep)")
 	tierPower := fs.Float64("tierpower", 2.0, "per-tier-pair power (W) for the tiers sweep")
 	workers := fs.Int("workers", 0, "worker pool width (0 = GOMAXPROCS, or M3D_WORKERS)")
-	side := fs.Int("side", 3, "systolic array side per CS for the flowcs sweep")
 	vf := registerVariationFlags(fs)
 	obsFlags := cliutil.RegisterOn(fs)
 	parseFlags(fs, args, vf)
@@ -432,45 +433,8 @@ func runSweep(args []string) {
 		for _, pt := range mb {
 			fmt.Printf("  %2d  %5.1f  %.2fx\n", pt.NumCS, pt.BWScale, pt.EDPBenefit)
 		}
-	case "flowcs":
-		// Physical-flow DSE: the 2D baseline sizes the die, then every
-		// M3D CS-count variant runs the full RTL-to-GDS flow on that die
-		// in parallel through flow.RunMany.
-		csCounts := parseInts(*points)
-		if len(csCounts) == 0 {
-			csCounts = []int{2, 4, 8}
-		}
-		base := flow.SoCSpec{
-			ArrayRows: *side, ArrayCols: *side,
-			RRAMCapBits:    4 << 23,
-			GlobalSRAMBits: 64 << 10,
-			Seed:           1,
-		}
-		log.Printf("running 2D baseline flow (%dx%d PEs/CS)...", *side, *side)
-		twoD, err := flow.Run(p, flow.Baseline2D(base), pool...)
-		if err != nil {
-			log.Fatal(err)
-		}
-		specs := make([]flow.SoCSpec, len(csCounts))
-		for i, n := range csCounts {
-			specs[i] = flow.IsoFootprintM3D(base, n, twoD.Die)
-		}
-		log.Printf("running %d iso-footprint M3D variants...", len(specs))
-		results, err := flow.RunMany(p, specs, pool...)
-		if err != nil {
-			log.Fatal(err)
-		}
-		tb := report.New("Flow CS-count sweep (iso-footprint vs 2D baseline)",
-			"CS", "Std cells", "Routed WL (mm)", "Fmax", "Timing @20MHz", "Power", "Free Si")
-		tb.Add(1, twoD.Cells, float64(twoD.RoutedWL)/1e6, report.MHz(twoD.FmaxHz),
-			twoD.TimingMet, report.MW(twoD.Power.TotalW), report.MM2(twoD.Area.FreeSiNM2))
-		for i, r := range results {
-			tb.Add(csCounts[i], r.Cells, float64(r.RoutedWL)/1e6, report.MHz(r.FmaxHz),
-				r.TimingMet, report.MW(r.Power.TotalW), report.MM2(r.Area.FreeSiNM2))
-		}
-		render(tb)
 	default:
-		log.Fatalf("unknown sweep %q (want delta|beta|tiers|capacity|grid|flowcs)", *sweep)
+		log.Fatalf("unknown sweep %q (want delta|beta|tiers|capacity|grid)", *sweep)
 	}
 }
 

@@ -4,7 +4,7 @@
 // (2xx responses per second), the latency of the 2xx responses
 // (p50/p90/p99/max) and an error budget.
 // It is the source of the HTTP p50/p99 in EXPERIMENTS.md and of the
-// committed baseline bench/LOADGEN_0.json: cached sweeps must sustain
+// recorded reference bench/LOADGEN_0.json: cached sweeps must sustain
 // thousands of requests per second with a bounded p99 and zero hard
 // errors.
 //
@@ -26,8 +26,9 @@
 // -deadline (at most 1% of all requests shed, failed or slower than the
 // deadline: a refused request misses any latency limit), -errbudget
 // (fraction of hard errors over all requests). -json writes the
-// machine-readable summary, stamped with the host it ran on, that
-// scripts diff against a checked-in baseline.
+// machine-readable summary, stamped with the host it ran on; no script
+// reads it, and bench/LOADGEN_0.json is one such summary kept for
+// reference.
 package main
 
 import (
@@ -227,8 +228,8 @@ func prime(client *http.Client, base string, items []workItem) error {
 	return nil
 }
 
-// host is the machine a run measured, in bench/BENCH_0.json's form:
-// numbers taken on different hosts do not compare.
+// host is the machine a run measured: numbers taken on different hosts
+// do not compare.
 type host struct {
 	NProc      int    `json:"nproc"`
 	GOMAXPROCS int    `json:"gomaxprocs"`

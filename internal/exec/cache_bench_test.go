@@ -9,7 +9,7 @@ import (
 // service runs in: unbounded hit (the PR 2 baseline), bounded hit (LRU
 // bookkeeping on the hot path), and bounded churn (every call interns a
 // fresh key and evicts the tail). scripts/benchdiff.sh tracks them
-// against bench/BENCH_0.json.
+// against the base commit.
 
 func BenchmarkCacheHitUnbounded(b *testing.B) {
 	var c Cache[int, int]

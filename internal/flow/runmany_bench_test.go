@@ -28,7 +28,8 @@ func benchSpecs() []SoCSpec {
 
 // BenchmarkRunFlowReduced runs one reduced spec through the full
 // synthesize→place→route→sign-off pipeline — the perf pass's headline
-// number. Tracked by scripts/benchdiff.sh for both ns/op and allocs/op.
+// number. scripts/benchdiff.sh tracks its ns/op and allocs/op against
+// the base commit.
 func BenchmarkRunFlowReduced(b *testing.B) {
 	p := tech.Default130()
 	spec := benchSpecs()[0]

@@ -260,8 +260,8 @@ func TestTwoTierPlacementLegalBothTiers(t *testing.T) {
 }
 
 // BenchmarkPlaceGlobal is the global-placement baseline on the 8×8
-// systolic fixture (≈6.3k movable cells). Tracked by
-// scripts/benchdiff.sh.
+// systolic fixture (≈6.3k movable cells). scripts/benchdiff.sh tracks
+// it against the base commit.
 func BenchmarkPlaceGlobal(b *testing.B) {
 	fx := newFixture(b, 8, 8)
 	b.ReportAllocs()

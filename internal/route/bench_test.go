@@ -3,8 +3,8 @@ package route
 import "testing"
 
 // BenchmarkRouteNets measures the negotiated-congestion router — A*
-// search dominates — on a placed 2x2 systolic block. Tracked by
-// scripts/benchdiff.sh for both ns/op and allocs/op.
+// search dominates — on a placed 2x2 systolic block. scripts/benchdiff.sh
+// tracks its ns/op and allocs/op against the base commit.
 func BenchmarkRouteNets(b *testing.B) {
 	fx := placedFixture(b, 2, 2)
 	b.ReportAllocs()

@@ -7,10 +7,12 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"m3d/internal/dse"
 )
 
 // dseStreamBody is the request the golden stream test (and the
-// scripts/dsesmoke gate) replays: a small pinned space explored to
+// scripts/smoke gate) replays: a small pinned space explored to
 // convergence with a pinned seed.
 const dseStreamBody = `{"deltas":{"min":1,"max":2.5,"steps":8},"tier_pairs":{"min":1,"max":3},"bw_scales":{"min":1,"max":4,"steps":4},"seed":7,"max_evals":96}`
 
@@ -40,9 +42,12 @@ func TestDSEGolden(t *testing.T) {
 }
 
 // TestDSEFinalFrontierDeterministic decodes the stream and checks the
-// final Pareto set is deep-equal across widths, the evaluation counter
-// is monotone across rounds, and every snapshot is mutually
-// non-dominated.
+// final Pareto set is deep-equal across widths, the stream holds at
+// least one round snapshot before the final element, no element carries
+// an in-band error, the evaluation counter is monotone across rounds,
+// every snapshot is mutually non-dominated and drops a point only for
+// one that dominates it, and the final element covers the whole 8×3×4
+// grid with a non-empty frontier.
 func TestDSEFinalFrontierDeterministic(t *testing.T) {
 	var firstFinal *DSEUpdate
 	for _, w := range widths {
@@ -55,11 +60,15 @@ func TestDSEFinalFrontierDeterministic(t *testing.T) {
 		if err := json.Unmarshal(body, &updates); err != nil {
 			t.Fatalf("width %d: stream is not a JSON array: %v", w, err)
 		}
-		if len(updates) == 0 {
-			t.Fatalf("width %d: empty stream", w)
+		if len(updates) < 2 {
+			t.Fatalf("width %d: %d elements, want at least one round plus the final", w, len(updates))
 		}
 		prevEvals := 0
+		var prev []dse.Point
 		for i, u := range updates {
+			if u.Error != "" {
+				t.Fatalf("width %d: element %d carries an in-band error: %s", w, i, u.Error)
+			}
 			if u.Evaluations < prevEvals {
 				t.Fatalf("width %d: evaluations fell at element %d: %d < %d",
 					w, i, u.Evaluations, prevEvals)
@@ -72,13 +81,21 @@ func TestDSEFinalFrontierDeterministic(t *testing.T) {
 					}
 				}
 			}
+			ar := &dse.Archive{}
+			for _, q := range u.Frontier {
+				ar.Add(q)
+			}
+			if missing, ok := ar.Uncovered(prev); !ok {
+				t.Fatalf("width %d: element %d dropped frontier point %+v without dominating it", w, i, missing)
+			}
+			prev = u.Frontier
 			if u.Done != (i == len(updates)-1) {
 				t.Fatalf("width %d: done flag misplaced at element %d", w, i)
 			}
 		}
 		final := updates[len(updates)-1]
-		if final.GridSize == 0 || len(final.Frontier) == 0 {
-			t.Fatalf("width %d: final element missing totals: %+v", w, final)
+		if final.GridSize != 8*3*4 || len(final.Frontier) == 0 {
+			t.Fatalf("width %d: final element wants the 8×3×4 grid and a non-empty frontier: %+v", w, final)
 		}
 		if firstFinal == nil {
 			firstFinal = &final

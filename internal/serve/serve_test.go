@@ -93,7 +93,7 @@ func TestHealthzGolden(t *testing.T) {
 // sweepRequests pairs each sweep kind with a small request body; the
 // golden files lock the full response JSON per kind. sweep_default is
 // the empty bandwidth_cs request (the Fig. 8 grid) and is also the
-// request/golden pair the scripts/servesmoke gate replays over HTTP.
+// request/golden pair the scripts/smoke gate replays over HTTP.
 var sweepRequests = []struct{ name, body string }{
 	{"sweep_default", `{"kind":"bandwidth_cs"}`},
 	{"sweep_bandwidth_cs", `{"kind":"bandwidth_cs","cs_counts":[1,2,4,8],"bw_scales":[1,2,4],"load":{"f0":16e6,"d0":1e6,"n_part":64}}`},

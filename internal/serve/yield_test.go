@@ -16,7 +16,7 @@ import (
 )
 
 // yieldStreamBody is the pinned request the stream tests (and the
-// scripts/yieldsmoke gate) replay: a small M3D design, a modest corner
+// scripts/smoke gate) replay: a small M3D design, a modest corner
 // budget and a batch that forces several refinement elements.
 const yieldStreamBody = `{"flow":{"style":"M3D","num_cs":1,"array_rows":2,"array_cols":2,"rram_cap_mb":1,"banks":1,"global_sram_bits":65536,"seed":1},"samples":96,"batch":32,"seed":7}`
 
@@ -129,7 +129,7 @@ func yieldBody(seed int64) string {
 // yield stream byte-identically and compiles its timing once. Each
 // corner seed's reference stream comes from a fresh width-1 server;
 // seed 7's is also pinned absolutely by yield_stream.golden.json
-// (replayed over real HTTP by scripts/yieldsmoke), so a changed corner
+// (replayed over real HTTP by scripts/smoke), so a changed corner
 // draw sequence fails here even though every server would still agree
 // with every other. At every pool width one server then takes each seed
 // twice, first all at once (so the compile itself is contended) and

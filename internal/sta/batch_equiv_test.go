@@ -296,9 +296,10 @@ func TestBatchValidation(t *testing.T) {
 	}
 }
 
-// BenchmarkBatchCornerSTA is the benchdiff-tracked cost of pricing a
-// 32-corner batch over the routed fixture's compiled graph — the inner
-// kernel the Monte-Carlo yield engine runs per slab. The graph is
+// BenchmarkBatchCornerSTA is the cost of pricing a 32-corner batch over
+// the routed fixture's compiled graph — the inner kernel the Monte-Carlo
+// yield engine runs per slab; scripts/benchdiff.sh tracks it against the
+// base commit. The graph is
 // compiled once outside the timed region, as the engine does. The serial
 // equivalent is 32 full Analyze passes (≈32× BenchmarkSTAFullTiming's
 // setup half).

@@ -122,7 +122,8 @@ func BenchmarkSTAFullTiming(b *testing.B) {
 // BenchmarkOptimizeDrives measures the full OptimizeDrives loop — one
 // full analysis per upsizing round — under a target tight enough to
 // force a second round. Cell choices are restored between iterations so
-// each run re-does the same sizing work. Tracked by scripts/benchdiff.sh.
+// each run re-does the same sizing work. scripts/benchdiff.sh tracks it
+// against the base commit.
 func BenchmarkOptimizeDrives(b *testing.B) {
 	p, nl, wm, lib := routedFixture(b, 2, 2)
 	lm := map[tech.Tier]*cell.Library{tech.TierSiCMOS: lib}

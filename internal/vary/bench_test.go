@@ -17,8 +17,9 @@ import (
 // batched kernel alone, not 32 corner draws per op (the Yield4096
 // benchmark below gates the draws). The warm-up call outside the timed
 // region fills the scratch free list, so the loop pins the
-// zero-steady-state-alloc contract (allocs/op must stay 0 — benchdiff
-// fails on any alloc regression).
+// zero-steady-state-alloc contract (allocs/op must stay 0 —
+// scripts/benchdiff.sh fails on any allocation the base commit did not
+// make).
 func BenchmarkMonteCarloSTA(b *testing.B) {
 	p, nl := chainNetlist(b, 16)
 	e, err := vary.NewEngine(p, nl, nil, tech.DefaultVariation(), 1)
