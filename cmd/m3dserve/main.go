@@ -95,8 +95,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Announce the bound address on stdout: scripts (the serve-smoke
-	// check) parse this line to find an ephemeral port.
+	// Announce the bound address on stdout: scripts/smoke and the
+	// benchmark harness parse this line to find an ephemeral port.
 	fmt.Printf("listening on %s\n", ln.Addr())
 
 	hs := &http.Server{Handler: srv}

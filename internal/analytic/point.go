@@ -62,8 +62,8 @@ type PointResult struct {
 // gains CSs from the grown die but keeps its single Si memory system.
 //
 // CasePoint is a pure function of (p, a, loads, d): the adaptive
-// explorer memoizes it through exec.Cache and fans it out on the worker
-// pool with deterministic results at any width.
+// explorer fans it out on the worker pool, unmemoized (points are cheap),
+// with deterministic results at any width.
 func CasePoint(p Params, a AreaModel, loads []Load, d DesignPoint) (PointResult, error) {
 	if err := p.Validate(); err != nil {
 		return PointResult{}, err

@@ -67,9 +67,8 @@ func (s *Server) handleBatch(ctx context.Context, w http.ResponseWriter, r *http
 	n := len(raws)
 	s.reg.Counter("serve.batch.requests").Add(1)
 	s.reg.Counter("serve.batch.items").Add(int64(n))
-	var sp obs.Span
 	if s.tracer != nil {
-		sp = s.tracer.StartSpan("serve.batch.run", obs.Int("items", n))
+		defer s.tracer.StartSpan("serve.batch.run", obs.Int("items", n)).End()
 	}
 
 	// Fan out: one goroutine per item, at most the pool width evaluating
@@ -114,9 +113,6 @@ func (s *Server) handleBatch(ctx context.Context, w http.ResponseWriter, r *http
 		}
 	}
 	st.close()
-	if sp != nil {
-		sp.End()
-	}
 	return nil
 }
 

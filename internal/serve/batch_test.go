@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"m3d/internal/obs"
 )
 
 // batchMixedBody is the acceptance batch: a good sweep, a bad spec, a
@@ -236,6 +239,26 @@ func TestBatchStreamsPartialResults(t *testing.T) {
 	}
 	if !strings.HasSuffix(strings.TrimSpace(rest), "]") {
 		t.Fatalf("stream not closed: %q", rest)
+	}
+}
+
+// goneWriter is the ResponseWriter of a client that has gone away:
+// every write fails.
+type goneWriter struct{ h http.Header }
+
+func (w *goneWriter) Header() http.Header       { return w.h }
+func (w *goneWriter) WriteHeader(int)           {}
+func (w *goneWriter) Write([]byte) (int, error) { return 0, errors.New("client gone") }
+
+// TestBatchSpanEndsWhenClientGone pins that a batch whose reply stream
+// breaks at open still ends its serve.batch.run span.
+func TestBatchSpanEndsWhenClientGone(t *testing.T) {
+	rec := obs.NewRecorder()
+	s := New(Config{Workers: 1, Tracer: rec})
+	r := httptest.NewRequest(http.MethodPost, "/v1/batch", strings.NewReader(`[{"sweep":{"kind":"warp"}}]`))
+	s.ServeHTTP(&goneWriter{h: http.Header{}}, r)
+	if got := len(rec.Find("serve.batch.run")); got != 1 {
+		t.Fatalf("serve.batch.run spans = %d, want 1 (recorded %v)", got, rec.Names())
 	}
 }
 

@@ -150,7 +150,6 @@ type jobRecord struct {
 type job struct {
 	mu       sync.Mutex
 	rec      jobRecord
-	req      *JobRequest
 	tracker  *obs.ActiveTracker // live while running
 	cancel   context.CancelFunc
 	byClient bool // canceled via DELETE
@@ -329,7 +328,6 @@ func (t *jobTier) submit(req *JobRequest) (*job, error) {
 	}
 
 	j := &job{
-		req: req,
 		rec: jobRecord{
 			ID:      id,
 			Kind:    req.kind(),
@@ -386,8 +384,8 @@ func (t *jobTier) enqueue(j *job) error {
 	active := t.s.reg.Gauge("serve.jobs.active")
 	active.Add(1)
 	err := t.queue.Submit(ctx,
-		func(ctx context.Context) { t.run(ctx, j) },
-		func(err error) { t.queuedCanceled(j, err) })
+		func(ctx context.Context) { t.run(ctx, j); active.Add(-1) },
+		func(err error) { t.settle(j, err); active.Add(-1) })
 	if err != nil {
 		active.Add(-1)
 		cancel()
@@ -395,50 +393,25 @@ func (t *jobTier) enqueue(j *job) error {
 	return err
 }
 
-// queuedCanceled settles a job whose context ended while it waited for
-// a slot: a drain parks it queued (resumable after restart), a client
-// cancellation finishes it canceled — in both cases without running.
-func (t *jobTier) queuedCanceled(j *job, err error) {
-	defer t.s.reg.Gauge("serve.jobs.active").Add(-1)
-	j.mu.Lock()
-	byClient := j.byClient
-	j.mu.Unlock()
-	if byClient {
-		t.s.reg.Counter("serve.jobs.canceled").Add(1)
-		t.setState(j, JobStateCanceled, func(r *jobRecord) { r.Error = err.Error() })
-		return
-	}
-	// Interrupted by drain: stays queued in the store for the next
-	// incarnation to resume.
-	t.s.reg.Counter("serve.jobs.interrupted").Add(1)
-	t.setState(j, JobStateQueued, nil)
-}
-
-// run evaluates j once and records the outcome; a job resumed from a
-// persisted record re-decodes its request first.
+// run decodes j's stored request, evaluates it once and records the
+// outcome. A fresh job and one resumed from the store take this path.
 func (t *jobTier) run(ctx context.Context, j *job) {
-	defer t.s.reg.Gauge("serve.jobs.active").Add(-1)
 	tracker := obs.NewActiveTracker(t.s.tracer)
 	j.mu.Lock()
 	j.tracker = tracker
-	req, raw := j.req, j.rec.Request
+	raw := j.rec.Request
 	j.mu.Unlock()
 
-	if req == nil {
-		// The lenient decode drops fields a stored request may carry that
-		// the strict POST decode refuses, such as an older "chunks" count.
-		req = new(JobRequest)
-		if err := json.Unmarshal(raw, req); err != nil {
-			t.fail(j, badSpec("persisted job request corrupt: %v", err))
-			return
-		}
-		if err := req.validate(); err != nil {
-			t.fail(j, err)
-			return
-		}
-		j.mu.Lock()
-		j.req = req
-		j.mu.Unlock()
+	// The lenient decode drops fields a stored request may carry that
+	// the strict POST decode refuses, such as an older "chunks" count.
+	req := new(JobRequest)
+	if err := json.Unmarshal(raw, req); err != nil {
+		t.settle(j, badSpec("persisted job request corrupt: %v", err))
+		return
+	}
+	if err := req.validate(); err != nil {
+		t.settle(j, err)
+		return
 	}
 
 	t.s.reg.Gauge("serve.jobs.running").Add(1)
@@ -447,7 +420,7 @@ func (t *jobTier) run(ctx context.Context, j *job) {
 
 	result, artifacts, err := t.evaluate(withJobTracker(ctx, tracker), j.rec.ID, req)
 	if err != nil {
-		t.settleError(j, err)
+		t.settle(j, err)
 		return
 	}
 	t.s.reg.Counter("serve.jobs.done").Add(1)
@@ -505,31 +478,27 @@ func (t *jobTier) evaluate(ctx context.Context, id string, req *JobRequest) (jso
 	}
 }
 
-// settleError routes an evaluation failure: cancellation by drain parks
-// the job queued (resumable), cancellation by the client finishes it
-// canceled, anything else fails it.
-func (t *jobTier) settleError(j *job, err error) {
-	if errors.Is(err, errs.ErrCanceled) || errors.Is(err, context.Canceled) ||
-		errors.Is(err, context.DeadlineExceeded) {
-		j.mu.Lock()
-		byClient := j.byClient
-		j.mu.Unlock()
-		if byClient {
-			t.s.reg.Counter("serve.jobs.canceled").Add(1)
-			t.setState(j, JobStateCanceled, func(r *jobRecord) { r.Error = err.Error() })
-			return
-		}
+// settle records a job that ended without a result, whether it was
+// queued or running: a client DELETE finishes it canceled, a drain parks
+// it queued for the next incarnation to resume, and any other error
+// fails it.
+func (t *jobTier) settle(j *job, err error) {
+	j.mu.Lock()
+	byClient := j.byClient
+	j.mu.Unlock()
+	canceled := errors.Is(err, errs.ErrCanceled) || errors.Is(err, context.Canceled) ||
+		errors.Is(err, context.DeadlineExceeded)
+	switch {
+	case canceled && byClient:
+		t.s.reg.Counter("serve.jobs.canceled").Add(1)
+		t.setState(j, JobStateCanceled, func(r *jobRecord) { r.Error = err.Error() })
+	case canceled:
 		t.s.reg.Counter("serve.jobs.interrupted").Add(1)
 		t.setState(j, JobStateQueued, func(r *jobRecord) { r.Error = "" })
-		return
+	default:
+		t.s.reg.Counter("serve.jobs.failed").Add(1)
+		t.setState(j, JobStateFailed, func(r *jobRecord) { r.Error = err.Error() })
 	}
-	t.fail(j, err)
-}
-
-// fail finishes a job failed.
-func (t *jobTier) fail(j *job, err error) {
-	t.s.reg.Counter("serve.jobs.failed").Add(1)
-	t.setState(j, JobStateFailed, func(r *jobRecord) { r.Error = err.Error() })
 }
 
 // resume loads every stored job: terminal records become queryable,
@@ -551,7 +520,7 @@ func (t *jobTier) resume() {
 			continue
 		}
 		if err := t.enqueue(j); err != nil {
-			t.fail(j, fmt.Errorf("serve: resume: %w", err))
+			t.settle(j, fmt.Errorf("serve: resume: %w", err))
 			continue
 		}
 		t.s.reg.Counter("serve.jobs.resumed").Add(1)

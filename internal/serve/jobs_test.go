@@ -67,7 +67,7 @@ func waitJob(t *testing.T, baseURL, id, want string) JobStatus {
 }
 
 // jobDiagnostics renders what a stuck wait needs to tell a job that
-// never started from one an interrupted evaluation parked (settleError
+// never started from one an interrupted evaluation parked (settle
 // re-queues an interrupted job and clears its error): the job status and
 // the server's serve.jobs.* series from /metrics.
 func jobDiagnostics(t *testing.T, baseURL string, st JobStatus) string {
