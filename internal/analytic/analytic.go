@@ -15,27 +15,30 @@ import (
 	"m3d/internal/errs"
 )
 
-// Params carries the abstract machine quantities of Sec. III.
+// Params carries the abstract machine quantities of Sec. III. The JSON
+// names are the /v1/sweep wire form.
 type Params struct {
 	// PPeak is ops/cycle of one computing sub-system (the paper's P_peak).
-	PPeak float64
+	PPeak float64 `json:"p_peak"`
 	// B2D is the baseline total memory bandwidth in bits/cycle.
-	B2D float64
+	B2D float64 `json:"b_2d"`
 	// B3D is the M3D total memory bandwidth in bits/cycle (8×B2D in the
 	// case study: 8× banks).
-	B3D float64
+	B3D float64 `json:"b_3d"`
 	// N is the number of parallel CSs in the M3D chip (Eq. 2).
-	N int
+	N int `json:"n"`
 
 	// Alpha2D / Alpha3D are memory access energies, J/bit (α_2D, α_3D).
-	Alpha2D, Alpha3D float64
+	Alpha2D float64 `json:"alpha_2d"`
+	Alpha3D float64 `json:"alpha_3d"`
 	// EC is compute energy per op (E_C); identical for 2D and M3D since
 	// both implement CSs in Si CMOS.
-	EC float64
+	EC float64 `json:"e_c"`
 	// ECIdle is CS idle energy per cycle (E_C^idle).
-	ECIdle float64
+	ECIdle float64 `json:"e_c_idle"`
 	// EMIdle2D / EMIdle3D are memory idle energies per cycle (E_M^idle).
-	EMIdle2D, EMIdle3D float64
+	EMIdle2D float64 `json:"e_m_idle_2d"`
+	EMIdle3D float64 `json:"e_m_idle_3d"`
 }
 
 // Validate checks the parameters. Violations match errs.ErrBadSpec.
@@ -50,11 +53,15 @@ func (p Params) Validate() error {
 }
 
 // Load is one workload: F₀ compute ops over D₀ bits of on-chip data, with
-// at most N# parallel partitions.
+// at most N# parallel partitions. The JSON names are the /v1/sweep wire
+// form.
 type Load struct {
-	F0    float64 // ops
-	D0    float64 // bits
-	NPart int     // N#
+	F0 float64 `json:"f0"` // ops
+	D0 float64 `json:"d0"` // bits
+	// NPart is N#, the most CSs the load can use: it runs on
+	// min(N#, n) of n CSs. A value below 1 (unknown) runs it on one CS,
+	// in every model of this package.
+	NPart int `json:"n_part"`
 }
 
 // T2D is Eq. 1: baseline execution time in cycles.

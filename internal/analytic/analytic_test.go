@@ -64,6 +64,37 @@ func TestPartitionLimit(t *testing.T) {
 	}
 }
 
+// TestPartitionRuleOneForm: a load with N# < 1 runs on one CS in every
+// model, so Eq. 8 and the generalized forms behind the Fig. 8 sweep give
+// one answer at one machine point, and BalanceBandwidth balances memory
+// time against the compute time Eq. 4 charges.
+func TestPartitionRuleOneForm(t *testing.T) {
+	p := caseParams() // N 8, B3D = 8·B2D
+	for _, nPart := range []int{-2, 0, 1, 3, 8, 64} {
+		w := Load{F0: 16e6, D0: 1e6, NPart: nPart}
+		r, err := Evaluate(p, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts, err := SweepBandwidthCS(p, w, []int{p.N}, []float64{p.B3D / p.B2D})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := pts[0].EDPBenefit; math.Abs(got-r.EDPBenefit) > 1e-12*r.EDPBenefit {
+			t.Errorf("N#=%d: sweep EDP benefit %.15g, Eq. 8 gives %.15g", nPart, got, r.EDPBenefit)
+		}
+		b, err := BalanceBandwidth(p, w, p.N)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mem := w.D0 * float64(p.N) / b
+		cmp := w.F0 / (float64(Nmax(p, w)) * p.PPeak)
+		if math.Abs(mem-cmp) > 1e-12*cmp {
+			t.Errorf("N#=%d: at balance bandwidth %g memory time %g != compute time %g", nPart, b, mem, cmp)
+		}
+	}
+}
+
 func TestEnergyRatioNearOneForComputeBound(t *testing.T) {
 	p := caseParams()
 	w := Load{F0: 256_000_000, D0: 256_000, NPart: 64}

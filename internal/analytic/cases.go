@@ -11,10 +11,11 @@ import (
 )
 
 // tLike is the generalized Eq. 4 time: n parallel CSs sharing total
-// bandwidth b.
+// bandwidth b. The load runs on min(N#, n) of them, one when N# < 1, as
+// in Nmax.
 func tLike(p Params, w Load, n int, b float64) float64 {
 	nm := n
-	if w.NPart >= 1 && w.NPart < nm {
+	if w.NPart < nm {
 		nm = w.NPart
 	}
 	if nm < 1 {
@@ -27,7 +28,7 @@ func tLike(p Params, w Load, n int, b float64) float64 {
 // bandwidth b, memory access energy alpha, memory idle energy emIdle.
 func eLike(p Params, w Load, n int, b, alpha, emIdle float64) float64 {
 	nm := n
-	if w.NPart >= 1 && w.NPart < nm {
+	if w.NPart < nm {
 		nm = w.NPart
 	}
 	if nm < 1 {

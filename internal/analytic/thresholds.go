@@ -54,8 +54,8 @@ func BalanceBandwidth(p Params, w Load, n int) (float64, error) {
 		return 0, fmt.Errorf("analytic: n must be ≥ 1, got %d", n)
 	}
 	nm := n
-	if w.NPart >= 1 && w.NPart < nm {
-		nm = w.NPart
+	if w.NPart < nm {
+		nm = max(w.NPart, 1)
 	}
 	return w.D0 * float64(n) * float64(nm) * p.PPeak / w.F0, nil
 }

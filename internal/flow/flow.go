@@ -66,14 +66,13 @@ type SoCSpec struct {
 	NumCS int
 	// ArrayRows/ArrayCols size each CS's systolic array. The full case
 	// study uses 16×16; reduced sizes run the identical flow faster.
-	ArrayRows, ArrayCols         int
-	ActBits, WeightBits, AccBits int
-	RRAMCapBits                  int64
-	Banks                        int
-	BankWordBits                 int
-	GlobalSRAMBits               int64
-	TargetClockHz                float64
-	Seed                         int64
+	ArrayRows, ArrayCols int
+	RRAMCapBits          int64
+	Banks                int
+	BankWordBits         int
+	GlobalSRAMBits       int64
+	TargetClockHz        float64
+	Seed                 int64
 	// Die forces the footprint (pass the 2D result's die to the M3D run
 	// for an iso-footprint comparison). Empty = size automatically.
 	Die geom.Rect
@@ -106,15 +105,6 @@ func (s SoCSpec) withDefaults() SoCSpec {
 	if s.ArrayCols == 0 {
 		s.ArrayCols = 16
 	}
-	if s.ActBits == 0 {
-		s.ActBits = 8
-	}
-	if s.WeightBits == 0 {
-		s.WeightBits = 8
-	}
-	if s.AccBits == 0 {
-		s.AccBits = 24
-	}
 	if s.RRAMCapBits == 0 {
 		s.RRAMCapBits = 64 << 23
 	}
@@ -145,8 +135,6 @@ func (s SoCSpec) Validate() error {
 		return bad("NumCS %d must be ≥ 1", s.NumCS)
 	case s.ArrayRows < 1 || s.ArrayCols < 1:
 		return bad("array %dx%d must be ≥ 1x1", s.ArrayRows, s.ArrayCols)
-	case s.ActBits < 1 || s.WeightBits < 1 || s.AccBits < 1:
-		return bad("bit widths act=%d weight=%d acc=%d must be ≥ 1", s.ActBits, s.WeightBits, s.AccBits)
 	case s.RRAMCapBits < 0:
 		return bad("RRAMCapBits %d must be ≥ 0", s.RRAMCapBits)
 	case s.Banks < 1:

@@ -10,6 +10,10 @@ import (
 	"m3d/internal/tech"
 )
 
+// Datapath precisions of every CS's systolic array: 8-bit activations
+// and weights into 24-bit accumulators.
+const actBits, weightBits, accBits = 8, 8, 24
+
 // socParts records what the SoC generator produced, for area accounting
 // and floorplanning.
 type socParts struct {
@@ -50,7 +54,7 @@ func buildSoC(p *tech.PDK, lib *cell.Library, spec SoCSpec) (*socParts, error) {
 		first := len(b.NL.Instances)
 		b.Systolic(fmt.Sprintf("cs%d", cs), synth.SystolicSpec{
 			Rows: spec.ArrayRows, Cols: spec.ArrayCols,
-			ActBits: spec.ActBits, WeightBits: spec.WeightBits, AccBits: spec.AccBits,
+			ActBits: actBits, WeightBits: weightBits, AccBits: accBits,
 			Activity: 0.25,
 		})
 		b.FSM(fmt.Sprintf("cs%d_ctl", cs), 8, 3)
@@ -61,7 +65,7 @@ func buildSoC(p *tech.PDK, lib *cell.Library, spec SoCSpec) (*socParts, error) {
 		// Per-CS activation buffer macro.
 		sram, err := macro.NewSRAM(p, macro.SRAMSpec{
 			CapacityBits: spec.GlobalSRAMBits,
-			WordBits:     spec.ActBits * spec.ArrayRows,
+			WordBits:     actBits * spec.ArrayRows,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("flow: CS %d SRAM: %w", cs, err)
@@ -69,7 +73,7 @@ func buildSoC(p *tech.PDK, lib *cell.Library, spec SoCSpec) (*socParts, error) {
 		parts.srams = append(parts.srams, sram)
 		inst := b.NL.AddMacro(fmt.Sprintf("cs%d_buf", cs), sram.Ref, tech.TierSiCMOS)
 		parts.sramInsts = append(parts.sramInsts, inst)
-		connectMacro(b, inst, spec.ActBits*spec.ArrayRows/2)
+		connectMacro(b, inst, actBits*spec.ArrayRows/2)
 		group(first, cs+1)
 	}
 	// The constant-0 tie is created inside CS 0, but every CS uses it.

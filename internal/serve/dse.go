@@ -121,47 +121,49 @@ func (s *Server) handleDSE(ctx context.Context, w http.ResponseWriter, r *http.R
 	// fails before then (bad machine, immediate cancellation) still owns
 	// the status line.
 	var st *arrayStream
-	var final dse.Update
-	_, err = dse.Explore(s.pdk, req.space(), req.options(), func(u dse.Update) {
-		if u.Done {
-			final = u // held back: promotions ride on the final element
-			return
-		}
+	out, err := s.explore(ctx, req, func(u dse.Update) {
 		if st == nil {
 			st = newArrayStream(w)
 		}
 		st.emit(DSEUpdate{Update: u})
-	}, s.evalOptions(ctx)...)
-	if err != nil {
-		if st == nil {
+	})
+	if st == nil {
+		if err != nil {
 			return err
 		}
-		st.emit(DSEUpdate{Error: err.Error()})
-		st.close()
-		return nil
-	}
-
-	out := s.promote(ctx, req, final)
-	if st == nil {
-		st = newArrayStream(w)
-		if !st.ok() {
+		if st = newArrayStream(w); !st.ok() {
 			return nil
 		}
+	}
+	if err != nil {
+		out = DSEUpdate{Error: err.Error()}
 	}
 	st.emit(out)
 	st.close()
 	return nil
 }
 
-// promote builds the final DSEUpdate: the settled exploration plus its
-// req.Promote top-EDP frontier points, each run through the physical
-// flow via the coalescing flow cache — a small M3D SoC whose CS
-// parallelism follows the point's N, clamped to the interactive range.
-// Promotion is a physical-design sanity probe of the frontier shape, not
-// a full-scale build, and must land within the request deadline; each
-// point's failure is reported in-band. POST /v1/dse and DSE jobs both
-// end here.
-func (s *Server) promote(ctx context.Context, req *DSERequest, final dse.Update) DSEUpdate {
+// explore runs one DSE request, the evaluation POST /v1/dse and DSE jobs
+// share: dse.Explore hands every round but the last to round, and the
+// settled exploration becomes the final DSEUpdate with its req.Promote
+// top-EDP frontier points, each run through the physical flow via the
+// coalescing flow cache — a small M3D SoC whose CS parallelism follows
+// the point's N, clamped to the interactive range. Promotion is a
+// physical-design sanity probe of the frontier shape, not a full-scale
+// build, and must land within the request deadline; each point's failure
+// is reported in-band.
+func (s *Server) explore(ctx context.Context, req *DSERequest, round func(dse.Update)) (DSEUpdate, error) {
+	var final dse.Update
+	_, err := dse.Explore(s.pdk, req.space(), req.options(), func(u dse.Update) {
+		if u.Done {
+			final = u // held back: promotions ride on the final element
+			return
+		}
+		round(u)
+	}, s.evalOptions(ctx)...)
+	if err != nil {
+		return DSEUpdate{}, err
+	}
 	out := DSEUpdate{Update: final}
 	for _, p := range dse.TopK(final.Frontier, req.Promote) {
 		numCS := min(max(p.N, 1), 4)
@@ -183,5 +185,5 @@ func (s *Server) promote(ctx context.Context, req *DSERequest, final dse.Update)
 		}
 		out.Promoted = append(out.Promoted, pr)
 	}
-	return out
+	return out, nil
 }

@@ -299,7 +299,7 @@ func FuzzYieldRequest(f *testing.F) {
 		}
 		v := tech.DefaultVariation()
 		if req.Variation != nil {
-			v = req.Variation.variation()
+			v = *req.Variation
 		}
 		if _, err := vary.NewSampler(v, req.Seed); err != nil {
 			t.Fatalf("accepted request's variation rejected by sampler: %v", err)

@@ -153,10 +153,12 @@ type job struct {
 	tracker  *obs.ActiveTracker // live while running
 	cancel   context.CancelFunc
 	byClient bool // canceled via DELETE
-	watchers map[chan struct{}]struct{}
+	// changed is closed at the job's next transition; watch creates it.
+	changed chan struct{}
 }
 
-// jobTier owns the queue, the store, and the job table.
+// jobTier owns the queue, the store, and the job table: every job the
+// store holds at boot (resume loads them) and every one submitted since.
 type jobTier struct {
 	s     *Server
 	store JobStore
@@ -206,38 +208,26 @@ func (t *jobTier) persistLocked(j *job) error {
 	return t.store.PutJob(j.rec.ID, b)
 }
 
-// notifyLocked wakes every events watcher (j.mu held).
-func (j *job) notifyLocked() {
-	for ch := range j.watchers {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// subscribe returns a dirty-notification channel for the events stream.
-func (j *job) subscribe() chan struct{} {
-	ch := make(chan struct{}, 1)
-	j.mu.Lock()
-	if j.watchers == nil {
-		j.watchers = make(map[chan struct{}]struct{})
-	}
-	j.watchers[ch] = struct{}{}
-	j.mu.Unlock()
-	return ch
-}
-
-func (j *job) unsubscribe(ch chan struct{}) {
-	j.mu.Lock()
-	delete(j.watchers, ch)
-	j.mu.Unlock()
-}
-
 // status snapshots the job's wire status.
 func (j *job) status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.statusLocked()
+}
+
+// watch snapshots the job's wire status together with a channel closed
+// at the job's next transition.
+func (j *job) watch() (JobStatus, <-chan struct{}) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.changed == nil {
+		j.changed = make(chan struct{})
+	}
+	return j.statusLocked(), j.changed
+}
+
+// statusLocked is status with j.mu held.
+func (j *job) statusLocked() JobStatus {
 	st := JobStatus{
 		ID:        j.rec.ID,
 		Kind:      j.rec.Kind,
@@ -252,7 +242,7 @@ func (j *job) status() JobStatus {
 	return st
 }
 
-// setState transitions the job, persists, and notifies watchers.
+// setState transitions the job, persists, and wakes its watchers.
 func (t *jobTier) setState(j *job, state string, mutate func(*jobRecord)) {
 	j.mu.Lock()
 	j.rec.State = state
@@ -260,7 +250,10 @@ func (t *jobTier) setState(j *job, state string, mutate func(*jobRecord)) {
 		mutate(&j.rec)
 	}
 	t.persistLocked(j)
-	j.notifyLocked()
+	if j.changed != nil {
+		close(j.changed)
+		j.changed = nil
+	}
 	j.mu.Unlock()
 }
 
@@ -274,37 +267,21 @@ func newJobID() string {
 	return "j" + hex.EncodeToString(b[:])
 }
 
-// lookup finds a job by id (memory first, then the store — jobs written
-// by an earlier incarnation are loaded on demand).
+// lookup finds a job in the table.
 func (t *jobTier) lookup(id string) (*job, error) {
 	t.mu.Lock()
-	j, ok := t.jobs[id]
-	t.mu.Unlock()
-	if ok {
+	defer t.mu.Unlock()
+	if j, ok := t.jobs[id]; ok {
 		return j, nil
 	}
-	b, err := t.store.GetJob(id)
-	if err != nil {
-		return nil, err
-	}
-	var rec jobRecord
-	if err := json.Unmarshal(b, &rec); err != nil {
-		return nil, fmt.Errorf("serve: job %s record corrupt: %v: %w", id, err, errs.ErrNotFound)
-	}
-	j = &job{rec: rec}
-	t.mu.Lock()
-	if exist, ok := t.jobs[id]; ok {
-		j = exist
-	} else {
-		t.jobs[id] = j
-	}
-	t.mu.Unlock()
-	return j, nil
+	return nil, storeNotFound("job", id)
 }
 
 // submit accepts one validated request: persist the accepted record,
-// queue the work, and return the (at least queued) status. ErrOverloaded
-// means the job tier's queue is full (429 upstream).
+// queue the work, and return the (at least queued) status. Resubmitting
+// an id with the same request returns the existing job; a different
+// request is refused. ErrOverloaded means the job tier's queue is full
+// (429 upstream).
 func (t *jobTier) submit(req *JobRequest) (*job, error) {
 	canon, err := json.Marshal(req)
 	if err != nil {
@@ -315,18 +292,15 @@ func (t *jobTier) submit(req *JobRequest) (*job, error) {
 		id = newJobID()
 	}
 
-	// Idempotent resubmission: the same id with the same request returns
-	// the existing job; a different request is refused.
-	if j, err := t.lookup(id); err == nil {
-		j.mu.Lock()
-		same := bytes.Equal(j.rec.Request, canon)
-		j.mu.Unlock()
-		if !same {
+	t.mu.Lock()
+	if j, ok := t.jobs[id]; ok {
+		t.mu.Unlock()
+		// A job's request never changes once it is in the table.
+		if !bytes.Equal(j.rec.Request, canon) {
 			return nil, badSpec("job %s already exists with a different request", id)
 		}
 		return j, nil
 	}
-
 	j := &job{
 		rec: jobRecord{
 			ID:      id,
@@ -334,13 +308,6 @@ func (t *jobTier) submit(req *JobRequest) (*job, error) {
 			Request: canon,
 			State:   JobStateAccepted,
 		},
-	}
-	t.mu.Lock()
-	if _, ok := t.jobs[id]; ok {
-		// Lost a submission race on the same id; treat as idempotent.
-		exist := t.jobs[id]
-		t.mu.Unlock()
-		return exist, nil
 	}
 	t.jobs[id] = j
 	t.mu.Unlock()
@@ -464,16 +431,11 @@ func (t *jobTier) evaluate(ctx context.Context, id string, req *JobRequest) (jso
 		b, err := json.Marshal(resp)
 		return b, nil, err
 	default:
-		var final dse.Update
-		_, err := dse.Explore(s.pdk, req.DSE.space(), req.DSE.options(), func(u dse.Update) {
-			if u.Done {
-				final = u
-			}
-		}, s.evalOptions(ctx)...)
+		out, err := s.explore(ctx, req.DSE, func(dse.Update) {})
 		if err != nil {
 			return nil, nil, err
 		}
-		b, err := json.Marshal(s.promote(ctx, req.DSE, final))
+		b, err := json.Marshal(out)
 		return b, nil, err
 	}
 }
@@ -501,22 +463,27 @@ func (t *jobTier) settle(j *job, err error) {
 	}
 }
 
-// resume loads every stored job: terminal records become queryable,
-// unfinished ones are re-queued to run again from the start.
+// resume loads every stored job into the table: terminal records become
+// queryable, unfinished ones are re-queued to run again from the start.
+// A record that does not decode is skipped.
 func (t *jobTier) resume() {
 	ids, err := t.store.ListJobs()
 	if err != nil {
 		return
 	}
 	for _, id := range ids {
-		j, err := t.lookup(id)
+		b, err := t.store.GetJob(id)
 		if err != nil {
 			continue
 		}
-		j.mu.Lock()
-		unfinished := !jobTerminal(j.rec.State)
-		j.mu.Unlock()
-		if !unfinished {
+		j := new(job)
+		if err := json.Unmarshal(b, &j.rec); err != nil {
+			continue
+		}
+		t.mu.Lock()
+		t.jobs[id] = j
+		t.mu.Unlock()
+		if jobTerminal(j.rec.State) {
 			continue
 		}
 		if err := t.enqueue(j); err != nil {
@@ -667,19 +634,17 @@ func (s *Server) handleJobCancel(_ context.Context, w http.ResponseWriter, r *ht
 
 // handleJobEvents is GET /v1/jobs/{id}/events: a chunked JSON array of
 // status snapshots over the shared arrayStream framing — one element at
-// subscription, one per transition (coalesced under load), the last
-// carrying the terminal state. The stream also ends when the client
+// open, one per transition (transitions between two reads coalesce),
+// the last carrying the terminal state. The stream also ends when the client
 // goes away, the request deadline passes, or the server drains.
 func (s *Server) handleJobEvents(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 	j, err := s.jobs.lookup(r.PathValue("id"))
 	if err != nil {
 		return err
 	}
-	ch := j.subscribe()
-	defer j.unsubscribe(ch)
 	st := newArrayStream(w)
 	for {
-		status := j.status()
+		status, changed := j.watch()
 		if !st.emit(status) {
 			return nil
 		}
@@ -687,7 +652,7 @@ func (s *Server) handleJobEvents(ctx context.Context, w http.ResponseWriter, r *
 			break
 		}
 		select {
-		case <-ch:
+		case <-changed:
 		case <-ctx.Done():
 			st.close()
 			return nil

@@ -34,40 +34,18 @@ const maxSweepPoints = 65536
 // per-tier power state; far above the thermally feasible range).
 const maxTierPairs = 4096
 
-// SweepParams mirrors analytic.Params on the wire (Sec. III machine
-// quantities). Omitted → the paper's case-study parameters.
-type SweepParams struct {
-	PPeak    float64 `json:"p_peak"`
-	B2D      float64 `json:"b_2d"`
-	B3D      float64 `json:"b_3d"`
-	N        int     `json:"n"`
-	Alpha2D  float64 `json:"alpha_2d"`
-	Alpha3D  float64 `json:"alpha_3d"`
-	EC       float64 `json:"e_c"`
-	ECIdle   float64 `json:"e_c_idle"`
-	EMIdle2D float64 `json:"e_m_idle_2d"`
-	EMIdle3D float64 `json:"e_m_idle_3d"`
-}
-
-// SweepLoad mirrors analytic.Load on the wire. Omitted → the Fig. 8
-// compute-bound reference load.
-type SweepLoad struct {
-	F0    float64 `json:"f0"`
-	D0    float64 `json:"d0"`
-	NPart int     `json:"n_part"`
-}
-
 // SweepRequest is the POST /v1/sweep body. Kind selects the axis; the
 // axis fields not belonging to the kind must be left empty. Every axis
 // has a paper default when omitted.
 type SweepRequest struct {
 	Kind string `json:"kind"`
 
-	// bandwidth_cs
-	Params   *SweepParams `json:"params,omitempty"`
-	Load     *SweepLoad   `json:"load,omitempty"`
-	CSCounts []int        `json:"cs_counts,omitempty"`
-	BWScales []float64    `json:"bw_scales,omitempty"`
+	// bandwidth_cs: Params omitted → the paper's case-study machine,
+	// Load omitted → the Fig. 8 compute-bound reference load.
+	Params   *analytic.Params `json:"params,omitempty"`
+	Load     *analytic.Load   `json:"load,omitempty"`
+	CSCounts []int            `json:"cs_counts,omitempty"`
+	BWScales []float64        `json:"bw_scales,omitempty"`
 
 	// rram_capacity
 	CapacitiesMB []int `json:"capacities_mb,omitempty"`
@@ -209,16 +187,11 @@ func (s *Server) evalSweep(ctx context.Context, q *SweepRequest) (*SweepResponse
 	case KindBandwidthCS:
 		params := core.Fig8Machine()
 		if q.Params != nil {
-			params = analytic.Params{
-				PPeak: q.Params.PPeak, B2D: q.Params.B2D, B3D: q.Params.B3D, N: q.Params.N,
-				Alpha2D: q.Params.Alpha2D, Alpha3D: q.Params.Alpha3D,
-				EC: q.Params.EC, ECIdle: q.Params.ECIdle,
-				EMIdle2D: q.Params.EMIdle2D, EMIdle3D: q.Params.EMIdle3D,
-			}
+			params = *q.Params
 		}
 		load := core.Fig8ComputeBound
 		if q.Load != nil {
-			load = analytic.Load{F0: q.Load.F0, D0: q.Load.D0, NPart: q.Load.NPart}
+			load = *q.Load
 		}
 		cs, bw := q.CSCounts, q.BWScales
 		if len(cs) == 0 {

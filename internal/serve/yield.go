@@ -4,9 +4,7 @@ import (
 	"context"
 	"math"
 	"net/http"
-	"sort"
 
-	"m3d/internal/exec"
 	"m3d/internal/tech"
 	"m3d/internal/vary"
 )
@@ -27,27 +25,6 @@ const (
 	defaultYieldBatch   = 256
 )
 
-// VariationSpec is the wire form of tech.Variation (see its field docs
-// for the physical meaning and valid ranges).
-type VariationSpec struct {
-	SiDriveSigma    float64 `json:"si_drive_sigma,omitempty"`
-	CNFETDriveSigma float64 `json:"cnfet_drive_sigma,omitempty"`
-	CNFETVtShift    float64 `json:"cnfet_vt_shift,omitempty"`
-	ILVRSpread      float64 `json:"ilv_r_spread,omitempty"`
-	TierCorr        float64 `json:"tier_corr,omitempty"`
-}
-
-// variation converts the wire form.
-func (v *VariationSpec) variation() tech.Variation {
-	return tech.Variation{
-		SiDriveSigma:    v.SiDriveSigma,
-		CNFETDriveSigma: v.CNFETDriveSigma,
-		CNFETVtShift:    v.CNFETVtShift,
-		ILVRSpread:      v.ILVRSpread,
-		TierCorr:        v.TierCorr,
-	}
-}
-
 // YieldRequest is the POST /v1/yield body: one physical design (the
 // embedded flow request, built or recalled through the design cache)
 // timed under sampled inter-tier process corners. The reply is a
@@ -61,7 +38,7 @@ type YieldRequest struct {
 	Flow FlowRequest `json:"flow"`
 	// Variation sets the per-tier corner model; nil selects the stock
 	// tech.DefaultVariation parameters.
-	Variation *VariationSpec `json:"variation,omitempty"`
+	Variation *tech.Variation `json:"variation,omitempty"`
 	// Samples is the Monte-Carlo size (0 → 1024, max 65536).
 	Samples int `json:"samples,omitempty"`
 	// Batch is the per-update refinement step (0 → 256, capped at
@@ -95,7 +72,7 @@ func (q *YieldRequest) validate() error {
 		}
 	}
 	if q.Variation != nil {
-		if err := q.Variation.variation().Validate(); err != nil {
+		if err := q.Variation.Validate(); err != nil {
 			return badSpec("%v", err)
 		}
 	}
@@ -138,10 +115,11 @@ type YieldUpdate struct {
 }
 
 // handleYield is POST /v1/yield: Monte-Carlo timing yield over one
-// design, streamed as a chunked JSON array of per-batch refinements
-// (shared arrayStream framing with /v1/dse). The flow runs (or is
-// recalled) first; anything failing before the first batch settles
-// still owns the status line.
+// design, streamed as a chunked JSON array of the refinements
+// vary.(*Engine).Refine emits, one per batch (shared arrayStream framing
+// with /v1/dse). The flow runs (or is recalled) first; anything failing
+// before the first batch settles still owns the status line, and a
+// broken stream stops the refinement.
 func (s *Server) handleYield(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 	req, err := decodeRequest[YieldRequest](r.Body)
 	if err != nil {
@@ -159,69 +137,43 @@ func (s *Server) handleYield(ctx context.Context, w http.ResponseWriter, r *http
 	}
 	v := tech.DefaultVariation()
 	if req.Variation != nil {
-		v = req.Variation.variation()
+		v = *req.Variation
 	}
 	eng, err := timing.Engine(v, req.Seed)
 	if err != nil {
 		return err
 	}
-	periods := req.Periods
-	if len(periods) == 0 {
-		periods = vary.DefaultPeriods(eng.Nominal().CriticalPathS)
-	}
 
-	est := exec.Resolve(s.evalOptions(ctx)...)
-	est.Label = "vary.sample"
-	total, batch := req.samples(), req.batch()
-	// sorted holds every critical path timed so far in ascending order:
-	// each batch is sorted and merged in, so an element's curve and band
-	// cost a merge plus binary searches, not a sort of the whole prefix.
-	sorted := make([]float64, 0, total)
 	var st *arrayStream
-	for lo := 0; lo < total; lo += batch {
-		hi := lo + batch
-		if hi > total {
-			hi = total
-		}
-		part, err := eng.CriticalPaths(est, lo, hi)
-		if err != nil {
+	var last *vary.Result
+	err = eng.Refine(vary.Options{Samples: req.samples(), Periods: req.Periods}, req.batch(),
+		func(res *vary.Result) bool {
 			if st == nil {
-				return err
+				st = newArrayStream(w)
 			}
-			st.emit(YieldUpdate{Error: err.Error()})
-			st.close()
-			return nil
-		}
-		sort.Float64s(part)
-		sorted = vary.MergeSorted(sorted, part)
-		if st == nil {
-			st = newArrayStream(w)
-			if !st.ok() {
-				return nil
-			}
-		}
-		st.emit(s.yieldUpdate(eng, sorted, periods, false))
+			last = res
+			return st.emit(yieldUpdate(res, false))
+		}, s.evalOptions(ctx)...)
+	switch {
+	case st == nil:
+		return err
+	case err != nil:
+		st.emit(YieldUpdate{Error: err.Error()})
+	default:
+		st.emit(yieldUpdate(last, true))
 	}
-	if st == nil {
-		st = newArrayStream(w)
-		if !st.ok() {
-			return nil
-		}
-	}
-	st.emit(s.yieldUpdate(eng, sorted, periods, true))
 	st.close()
 	return nil
 }
 
-// yieldUpdate assembles one refinement element over the samples so far,
-// given in ascending order.
-func (s *Server) yieldUpdate(eng *vary.Engine, sorted []float64, periods []float64, done bool) YieldUpdate {
+// yieldUpdate is one stream element over a refinement.
+func yieldUpdate(res *vary.Result, done bool) YieldUpdate {
 	return YieldUpdate{
-		Samples:          len(sorted),
-		NominalCritPathS: eng.Nominal().CriticalPathS,
-		NominalFmaxHz:    eng.Nominal().FmaxHz,
-		Curve:            vary.CurveSorted(sorted, periods),
-		CritQuantiles:    vary.QuantilesSorted(sorted),
+		Samples:          len(res.CritPathS),
+		NominalCritPathS: res.Nominal.CriticalPathS,
+		NominalFmaxHz:    res.Nominal.FmaxHz,
+		Curve:            res.Curve,
+		CritQuantiles:    res.CritQuantiles,
 		Done:             done,
 	}
 }

@@ -8,11 +8,16 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"m3d/internal/errs"
+	"m3d/internal/exec"
+	"m3d/internal/flow"
+	"m3d/internal/tech"
+	"m3d/internal/vary"
 )
 
 // yieldStreamBody is the pinned request the stream tests (and the
@@ -203,6 +208,63 @@ func TestYieldByteIdentical(t *testing.T) {
 		if got := s.Metrics().Counter("serve.flow.evals").Value(); got != 3 {
 			t.Fatalf("width %d: serve.flow.evals = %d, want 3 (design, other design, rebuild)", w, got)
 		}
+	}
+}
+
+// TestYieldMatchesLibrary: the service and the library give one yield
+// answer. For one design, variation, corner seed, sample count and
+// period list, the final /v1/yield element must carry the curve and band
+// that vary.(*Engine).Analyze computes on an independent flow run of the
+// same spec, and the request's variation travels as a tech.Variation.
+func TestYieldMatchesLibrary(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2})
+	res, err := flow.Run(s.pdk, designSpec(t), exec.WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	timing, err := vary.Compile(res.Design())
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := tech.Variation{SiDriveSigma: 0.03, CNFETDriveSigma: 0.08, CNFETVtShift: 0.04, ILVRSpread: 0.1, TierCorr: 0.25}
+	const seed, samples = 5, 200
+	eng, err := timing.Engine(v, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nom := eng.Nominal().CriticalPathS
+	periods := []float64{0.95 * nom, nom, 1.05 * nom, 1.2 * nom, 1.4 * nom}
+	want, err := eng.Analyze(vary.Options{Samples: samples, Periods: periods}, exec.WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	req := YieldRequest{Variation: &v, Samples: samples, Batch: 64, Seed: seed, Periods: periods}
+	if err := json.Unmarshal([]byte(designBody), &req.Flow); err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, _, raw := post(t, ts.URL+"/v1/yield", string(body))
+	if status != http.StatusOK {
+		t.Fatalf("status = %d, body %s", status, raw)
+	}
+	var updates []YieldUpdate
+	if err := json.Unmarshal(raw, &updates); err != nil {
+		t.Fatal(err)
+	}
+	final := updates[len(updates)-1]
+	if !final.Done || final.Samples != samples || final.NominalCritPathS != nom {
+		t.Fatalf("final element: done %v, samples %d, nominal %g; want true, %d, %g",
+			final.Done, final.Samples, final.NominalCritPathS, samples, nom)
+	}
+	if !reflect.DeepEqual(final.Curve, want.Curve) {
+		t.Errorf("service curve %v, library %v", final.Curve, want.Curve)
+	}
+	if final.CritQuantiles != want.CritQuantiles {
+		t.Errorf("service band %+v, library %+v", final.CritQuantiles, want.CritQuantiles)
 	}
 }
 

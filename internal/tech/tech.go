@@ -151,26 +151,27 @@ type RRAMCell struct {
 // systematic threshold-voltage shift (Musavvir et al., "Inter-Tier
 // Process Variation-Aware Monolithic 3D NoC Architectures"). All sigma
 // fields are relative 1σ fractions of the nominal quantity; the zero
-// value is the nominal, variation-free process.
+// value is the nominal, variation-free process. The JSON names are the
+// /v1/yield wire form.
 type Variation struct {
 	// SiDriveSigma is the FEOL Si CMOS drive-current spread (relative 1σ
 	// of delay on Si-tier cells).
-	SiDriveSigma float64
+	SiDriveSigma float64 `json:"si_drive_sigma,omitempty"`
 	// CNFETDriveSigma is the BEOL CNFET drive-current spread (relative 1σ
 	// of delay on CNFET-tier cells); BEOL devices sit above several
 	// deposition steps and vary more than the FEOL.
-	CNFETDriveSigma float64
+	CNFETDriveSigma float64 `json:"cnfet_drive_sigma,omitempty"`
 	// CNFETVtShift is the systematic upper-tier Vt shift, expressed as a
 	// mean relative delay penalty on CNFET-tier cells (0.05 = 5% slower
 	// on average, before the random component).
-	CNFETVtShift float64
+	CNFETVtShift float64 `json:"cnfet_vt_shift,omitempty"`
 	// ILVRSpread is the inter-layer-via resistance spread (relative 1σ);
 	// it loads the ILV-rich memory-interface (RRAM-tier) arcs.
-	ILVRSpread float64
+	ILVRSpread float64 `json:"ilv_r_spread,omitempty"`
 	// TierCorr is the correlation ρ ∈ [0, 1] between the tiers' random
 	// components: 0 draws every tier independently, 1 collapses the stack
 	// to one fully-correlated process corner.
-	TierCorr float64
+	TierCorr float64 `json:"tier_corr,omitempty"`
 }
 
 // maxVariationSigma bounds the relative spreads: beyond 50% the linear

@@ -50,8 +50,8 @@ func TestEngineMatchesPerCornerTimer(t *testing.T) {
 			e.Sampler().Prime(primed)
 			st := exec.Resolve(exec.WithWorkers(width))
 			for _, n := range []int{1, 7, 100} {
-				got, err := e.CriticalPaths(st, 0, n)
-				if err != nil {
+				got := make([]float64, n)
+				if err := e.CriticalPathsInto(st, 0, n, got); err != nil {
 					t.Fatal(err)
 				}
 				for i := range got {
@@ -107,7 +107,7 @@ func TestCriticalPathsIntoValidation(t *testing.T) {
 	if err := e.CriticalPathsInto(st, vary.MaxSamples, vary.MaxSamples+1, make([]float64, 1)); !errors.Is(err, errs.ErrBadSpec) {
 		t.Fatalf("window past MaxSamples: got %v", err)
 	}
-	if _, err := e.CriticalPaths(st, 0, math.MaxInt); !errors.Is(err, errs.ErrBadSpec) {
+	if err := e.CriticalPathsInto(st, 0, math.MaxInt, nil); !errors.Is(err, errs.ErrBadSpec) {
 		t.Fatalf("huge window: got %v", err)
 	}
 	if err := e.CriticalPathsInto(st, 3, 3, nil); err != nil {

@@ -40,30 +40,52 @@ func TestYieldWidthDeterminism(t *testing.T) {
 	}
 }
 
-// TestYieldBatchSplitDeterminism pins the property the /v1/yield
-// streaming handler rests on: timing [0, N) in one window equals any
-// concatenation of sub-windows, because samples are index-addressed.
+// TestYieldBatchSplitDeterminism pins the property the /v1/yield stream
+// rests on: Refine in any window size refines one prefix of the samples
+// per window and ends deep-equal to Analyze, because samples are
+// index-addressed. An emit that returns false stops it after one window.
 func TestYieldBatchSplitDeterminism(t *testing.T) {
 	p, nl := chainNetlist(t, 10)
 	e, err := vary.NewEngine(p, nl, nil, tech.DefaultVariation(), 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := exec.Resolve(exec.WithWorkers(4))
-	whole, err := e.CriticalPaths(st, 0, 300)
+	o := vary.Options{Samples: 300}
+	whole, err := e.Analyze(o, exec.WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var split []float64
-	for _, w := range [][2]int{{0, 7}, {7, 128}, {128, 300}} {
-		part, err := e.CriticalPaths(st, w[0], w[1])
-		if err != nil {
+	for _, batch := range []int{0, 1, 7, 128, 299, 300, 1000} {
+		var got []*vary.Result
+		if err := e.Refine(o, batch, func(r *vary.Result) bool {
+			got = append(got, r)
+			return true
+		}, exec.WithWorkers(4)); err != nil {
 			t.Fatal(err)
 		}
-		split = append(split, part...)
+		window := batch
+		if window < 1 || window > o.Samples {
+			window = o.Samples
+		}
+		if want := (o.Samples + window - 1) / window; len(got) != want {
+			t.Fatalf("batch %d: %d refinements, want %d", batch, len(got), want)
+		}
+		for i, r := range got {
+			n := min((i+1)*window, o.Samples)
+			if !reflect.DeepEqual(r.CritPathS, whole.CritPathS[:n]) {
+				t.Fatalf("batch %d refinement %d: samples are not the first %d of Analyze's", batch, i, n)
+			}
+			if want := vary.QuantilesOf(whole.CritPathS[:n]); r.CritQuantiles != want {
+				t.Fatalf("batch %d refinement %d: band %+v, want %+v", batch, i, r.CritQuantiles, want)
+			}
+		}
+		if last := got[len(got)-1]; !reflect.DeepEqual(last, whole) {
+			t.Fatalf("batch %d: final refinement differs from Analyze", batch)
+		}
 	}
-	if !reflect.DeepEqual(whole, split) {
-		t.Fatal("batch-split samples differ from single-window samples")
+	calls := 0
+	if err := e.Refine(o, 7, func(*vary.Result) bool { calls++; return false }); err != nil || calls != 1 {
+		t.Fatalf("stopped refinement: %d emits, err %v; want 1, nil", calls, err)
 	}
 }
 

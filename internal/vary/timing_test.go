@@ -11,7 +11,7 @@ import (
 	"m3d/internal/tech"
 )
 
-// TestTimingFreeListBounded fires many concurrent CriticalPaths calls at
+// TestTimingFreeListBounded fires many concurrent CriticalPathsInto calls at
 // pool width w through two engines bound to one Timing, then requires
 // the Timing's free list to hold at most w scratches: a retained design
 // keeps no more slab scratch than one call at its width uses, however
@@ -40,7 +40,8 @@ func TestTimingFreeListBounded(t *testing.T) {
 			if engines[i], err = tm.Engine(tech.DefaultVariation(), int64(i+1)); err != nil {
 				t.Fatal(err)
 			}
-			if want[i], err = engines[i].CriticalPaths(exec.Resolve(exec.WithWorkers(1)), 0, samples); err != nil {
+			want[i] = make([]float64, samples)
+			if err := engines[i].CriticalPathsInto(exec.Resolve(exec.WithWorkers(1)), 0, samples, want[i]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -49,8 +50,8 @@ func TestTimingFreeListBounded(t *testing.T) {
 			wg.Add(1)
 			go func(e *Engine, want []float64) {
 				defer wg.Done()
-				got, err := e.CriticalPaths(exec.Resolve(exec.WithWorkers(w)), 0, samples)
-				if err != nil {
+				got := make([]float64, samples)
+				if err := e.CriticalPathsInto(exec.Resolve(exec.WithWorkers(w)), 0, samples, got); err != nil {
 					t.Error(err)
 					return
 				}

@@ -28,10 +28,9 @@ var critPathBounds = []float64{1e-10, 3e-10, 1e-9, 3e-9, 1e-8, 3e-8, 1e-7}
 // Options configures one Monte-Carlo yield run.
 type Options struct {
 	// Samples is the number of process corners to time (1..MaxSamples).
+	// The engine's seed selects the corner stream, so one engine
+	// reproduces a run exactly at any worker width.
 	Samples int
-	// Seed selects the corner stream; the same (Variation, Seed, Samples)
-	// triple reproduces the run exactly at any worker width.
-	Seed int64
 	// Periods are the clock periods (seconds) the yield curve is
 	// evaluated at; empty selects DefaultPeriods around the nominal
 	// critical path.
@@ -238,31 +237,16 @@ func checkWindow(lo, hi int) error {
 	return nil
 }
 
-// CriticalPaths times the sample window [lo, hi): each sample index i
-// draws Corner(i) inside its slab and prices it through the corner-batched STA kernel,
-// returning the per-sample critical paths in index order. Because
-// corners are index-addressed, slab cuts are index-aligned, and results
-// land at their input index, the returned slice is deep-equal at any
-// worker width — callers may split [0, N) into any batch sequence (the
-// serve streaming handler refines quantiles per batch) without changing
-// a single value.
-func (e *Engine) CriticalPaths(st *exec.Settings, lo, hi int) ([]float64, error) {
-	if err := checkWindow(lo, hi); err != nil {
-		return nil, err
-	}
-	out := make([]float64, hi-lo)
-	if err := e.CriticalPathsInto(st, lo, hi, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// CriticalPathsInto is CriticalPaths writing into caller-owned storage:
-// dst must have length hi-lo and receives dst[i-lo] = critical path of
-// corner i. With st.Workers == 1 the steady-state path allocates
-// nothing — no fan-out machinery, one reused scratch whose generator
-// draws every uncached corner — which is what
-// TestCriticalPathsZeroSteadyStateAllocs pins.
+// CriticalPathsInto times the sample window [lo, hi) into caller-owned
+// storage: dst must have length hi-lo and receives dst[i-lo] = critical
+// path of corner i, drawn inside its slab and priced through the
+// corner-batched STA kernel. Because corners are index-addressed, slab
+// cuts are index-aligned and results land at their input index, dst is
+// deep-equal at any worker width, and a caller may split [0, N) into any
+// window sequence (Refine does) without changing a single value. With
+// st.Workers == 1 the steady-state path allocates nothing — no fan-out
+// machinery, one reused scratch whose generator draws every uncached
+// corner — which is what TestCriticalPathsZeroSteadyStateAllocs pins.
 func (e *Engine) CriticalPathsInto(st *exec.Settings, lo, hi int, dst []float64) error {
 	if err := checkWindow(lo, hi); err != nil {
 		return err
@@ -375,28 +359,62 @@ func DefaultPeriods(nominalS float64) []float64 {
 
 // Analyze runs a full Monte-Carlo yield analysis: o.Samples corners
 // through per-corner STA, the yield curve over o.Periods (DefaultPeriods
-// around nominal when empty), and the critical-path quantile band. The
-// result is deep-equal at any worker width for a fixed seed.
+// around nominal when empty), and the critical-path quantile band. It is
+// Refine in one window, so the result is deep-equal at any worker width
+// for a fixed seed.
 func (e *Engine) Analyze(o Options, opts ...exec.Option) (*Result, error) {
-	if err := o.Validate(); err != nil {
+	var res *Result
+	if err := e.Refine(o, o.Samples, func(r *Result) bool { res = r; return true }, opts...); err != nil {
 		return nil, err
+	}
+	return res, nil
+}
+
+// Refine runs the analysis Analyze does in windows of batch samples
+// (batch < 1 or > o.Samples: one window) and calls emit after each
+// window with the analysis over every sample timed so far: CritPathS is
+// that prefix in sample-index order, and Curve and CritQuantiles are
+// computed over it. Corner values do not depend on the window split, so
+// the last Result equals Analyze's at any batch and worker width. Refine
+// stops, without error, as soon as emit returns false. An emitted Result
+// stays valid after emit returns.
+func (e *Engine) Refine(o Options, batch int, emit func(*Result) bool, opts ...exec.Option) error {
+	if err := o.Validate(); err != nil {
+		return err
 	}
 	st := exec.Resolve(opts...)
 	if st.Label == "" {
 		st.Label = "vary.sample"
 	}
-	crit, err := e.CriticalPaths(st, 0, o.Samples)
-	if err != nil {
-		return nil, err
-	}
 	periods := o.Periods
 	if len(periods) == 0 {
 		periods = DefaultPeriods(e.timing.nominal.CriticalPathS)
 	}
-	return &Result{
-		Nominal:       e.timing.nominal,
-		CritPathS:     crit,
-		Curve:         Curve(crit, periods),
-		CritQuantiles: QuantilesOf(crit),
-	}, nil
+	if batch < 1 || batch > o.Samples {
+		batch = o.Samples
+	}
+	// sorted holds the same prefix as crit in ascending order: each
+	// window is sorted and merged in, so a refinement costs a merge plus
+	// binary searches, not a sort of the whole prefix.
+	crit := make([]float64, o.Samples)
+	sorted := make([]float64, 0, o.Samples)
+	part := make([]float64, 0, batch)
+	for lo := 0; lo < o.Samples; lo += batch {
+		hi := min(lo+batch, o.Samples)
+		if err := e.CriticalPathsInto(st, lo, hi, crit[lo:hi]); err != nil {
+			return err
+		}
+		part = append(part[:0], crit[lo:hi]...)
+		sort.Float64s(part)
+		sorted = MergeSorted(sorted, part)
+		if !emit(&Result{
+			Nominal:       e.timing.nominal,
+			CritPathS:     crit[:hi:hi],
+			Curve:         CurveSorted(sorted, periods),
+			CritQuantiles: QuantilesSorted(sorted),
+		}) {
+			return nil
+		}
+	}
+	return nil
 }

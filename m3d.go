@@ -294,7 +294,7 @@ type (
 	// capacity, per-request deadline, observability sinks).
 	ServiceConfig = serve.Config
 	// ServiceSweepRequest / ServiceSweepResponse are the /v1/sweep body
-	// and reply shapes.
+	// (its machine and load are a Params and a Load) and reply shapes.
 	ServiceSweepRequest  = serve.SweepRequest
 	ServiceSweepResponse = serve.SweepResponse
 	// ServiceFlowRequest / ServiceFlowResponse are the /v1/flow body and
@@ -313,12 +313,11 @@ type (
 	ServiceDSEUpdate    = serve.DSEUpdate
 	ServiceDSEPromotion = serve.DSEPromotion
 	// ServiceYieldRequest / ServiceYieldUpdate are the /v1/yield body
-	// and the streamed reply-array element (a per-batch refinement of
-	// the yield curve and critical-path quantiles);
-	// ServiceVariationSpec is the request's wire-form variation model.
-	ServiceYieldRequest  = serve.YieldRequest
-	ServiceYieldUpdate   = serve.YieldUpdate
-	ServiceVariationSpec = serve.VariationSpec
+	// (its variation model is a Variation) and the streamed reply-array
+	// element (a per-batch refinement of the yield curve and
+	// critical-path quantiles).
+	ServiceYieldRequest = serve.YieldRequest
+	ServiceYieldUpdate  = serve.YieldUpdate
 )
 
 // NewService returns an evaluation HTTP handler; mount it on any
@@ -425,8 +424,8 @@ func BruteForceDesignSpace(p *PDK, space DSESpace, opts ...Option) (*DSEResult, 
 // over the per-tier Variation model, thousands of re-timed STA runs
 // through reusable timers, timing-yield curves P(slack ≥ 0) vs clock
 // period, and variation-aware EDP quantile bands. Deterministic at any
-// worker width; POST /v1/yield is the served twin with streamed
-// per-batch quantile refinement.
+// worker width; POST /v1/yield streams YieldEngine.Refine, one element
+// per batch of samples.
 type (
 	// VariationSampler draws correlated per-tier corner samples from a
 	// seeded stream; sample i is the same at any worker width.
@@ -445,7 +444,7 @@ type (
 	// models and seeds for one compile.
 	YieldTiming = vary.Timing
 	// YieldOptions tune one Monte-Carlo yield analysis (sample count,
-	// seed, clock periods).
+	// clock periods); the YieldEngine's seed selects the corners.
 	YieldOptions = vary.Options
 	// YieldResult is the full analysis: nominal report, per-sample
 	// critical paths, the yield curve and the quantile band.

@@ -25,6 +25,14 @@
 # Each of the 10 pairs runs every benchmark on both sides back to back,
 # alternating which side goes first, so host load that drifts during the
 # run hits both sides alike. Nothing is written into the tree.
+#
+# Before the pairs it builds cmd/m3dserve on each side the way
+# m3dbench/run.sh does (CGO_ENABLED=0, empty GOFLAGS) and prints where
+# the yield kernel, sta.(*BatchTimer).AnalyzeBatch, lands modulo 64
+# bytes. The kernel runs 12-25% slower 32 bytes past a 64-byte boundary,
+# and any change to code linked before internal/sta can move it, with no
+# yield code touched. A difference is a warning, not a failure: link
+# order is not a defect of the change.
 set -euf
 
 THRESHOLD_PCT="${THRESHOLD_PCT:-25}"
@@ -88,6 +96,27 @@ for entry in $TRACKED; do
             exit 1
         fi
     done
+done
+
+kernel='m3d/internal/sta.(*BatchTimer).AnalyzeBatch'
+base_mod=
+for side in base change; do
+    if ! (cd "$(tree $side)" && CGO_ENABLED=0 GOFLAGS= go build -o "$TMP/$side.m3dserve" ./cmd/m3dserve); then
+        echo "benchdiff: FAIL: cannot build the $side m3dserve" >&2
+        exit 1
+    fi
+    addr="$(go tool nm "$TMP/$side.m3dserve" | awk -v k="$kernel" '$3 == k { print $1 }')"
+    if [ -z "$addr" ]; then
+        echo "benchdiff: WARNING: the $side m3dserve has no $kernel" >&2
+        continue
+    fi
+    mod=$((0x$addr % 64))
+    echo "benchdiff: $side m3dserve: $kernel at 0x$addr ($mod mod 64)"
+    if [ "$side" = base ]; then
+        base_mod=$mod
+    elif [ "$mod" != "$base_mod" ]; then
+        echo "benchdiff: WARNING: the yield kernel moved from $base_mod to $mod mod 64; yield-4096 may move with it, with no yield code changed (check with m3dbench/ab.sh)" >&2
+    fi
 done
 
 # run <side> <package> <benchmark> <pair> appends the side's result
