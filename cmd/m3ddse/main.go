@@ -30,7 +30,6 @@ import (
 	"m3d/internal/dse"
 	"m3d/internal/exec"
 	"m3d/internal/flow"
-	"m3d/internal/macro"
 	"m3d/internal/report"
 	"m3d/internal/tech"
 	"m3d/internal/vary"
@@ -235,40 +234,25 @@ func runPareto(args []string) {
 	}
 
 	if *promote > 0 {
-		promoteFrontier(p, res.Frontier, *promote, pool)
+		promoteFrontier(p, res.Frontier, *promote, *seed, pool)
 	}
 }
 
 // promoteFrontier runs the top-EDP frontier points through the physical
-// flow as small representative M3D SoCs (the /v1/dse promotion shape).
-func promoteFrontier(p *tech.PDK, frontier []dse.Point, n int, pool []exec.Option) {
+// flow, each as its dse.Point.FlowSpec with the exploration's seed (the
+// rule /v1/dse promotions follow).
+func promoteFrontier(p *tech.PDK, frontier []dse.Point, n int, seed int64, pool []exec.Option) {
 	top := dse.TopK(frontier, n)
 	tb := report.New("Promoted frontier points (physical flow)",
 		"delta", "Y", "N", "CS", "Std cells", "Fmax", "Timing", "Power")
 	for _, pt := range top {
-		numCS := pt.N
-		if numCS < 1 {
-			numCS = 1
-		}
-		if numCS > 4 {
-			numCS = 4
-		}
-		spec := flow.SoCSpec{
-			Style:          macro.Style3D,
-			NumCS:          numCS,
-			ArrayRows:      2,
-			ArrayCols:      2,
-			RRAMCapBits:    1 << 23,
-			Banks:          numCS,
-			GlobalSRAMBits: 64 << 10,
-			Seed:           1,
-		}
-		log.Printf("promoting δ=%.2f Y=%d (flow with %d CS)...", pt.Delta, pt.TierPairs, numCS)
+		spec := pt.FlowSpec(seed)
+		log.Printf("promoting δ=%.2f Y=%d (flow with %d CS)...", pt.Delta, pt.TierPairs, spec.NumCS)
 		r, err := flow.Run(p, spec, pool...)
 		if err != nil {
 			log.Fatal(err)
 		}
-		tb.Add(fmt.Sprintf("%.2f", pt.Delta), pt.TierPairs, pt.N, numCS,
+		tb.Add(fmt.Sprintf("%.2f", pt.Delta), pt.TierPairs, pt.N, spec.NumCS,
 			r.Cells, report.MHz(r.FmaxHz), r.TimingMet, report.MW(r.Power.TotalW))
 	}
 	render(tb)

@@ -69,22 +69,10 @@ func T2D(p Params, w Load) float64 {
 	return math.Max(w.D0/p.B2D, w.F0/p.PPeak)
 }
 
-// Nmax returns min(N#, N) — the usable parallel CSs (Sec. III.A).
-func Nmax(p Params, w Load) int {
-	if w.NPart < 1 {
-		return 1
-	}
-	if w.NPart < p.N {
-		return w.NPart
-	}
-	return p.N
-}
-
 // T3D is Eq. 4: M3D execution time in cycles. The D₀·N/B₃D term models the
 // bandwidth cost of feeding N partitions from the equally-partitioned banks.
 func T3D(p Params, w Load) float64 {
-	nm := float64(Nmax(p, w))
-	return math.Max(w.D0*float64(p.N)/p.B3D, w.F0/(nm*p.PPeak))
+	return tLike(p, w, p.N, p.B3D)
 }
 
 // Speedup is Eq. 5.
@@ -103,19 +91,7 @@ func E2D(p Params, w Load) float64 {
 
 // E3D is Eq. 7: M3D energy in joules.
 func E3D(p Params, w Load) float64 {
-	t := T3D(p, w)
-	nm := float64(Nmax(p, w))
-	n := float64(p.N)
-	return p.Alpha3D*w.D0 +
-		p.EMIdle3D*(t-w.D0*n/p.B3D) +
-		(n-nm)*p.ECIdle*t +
-		nm*p.ECIdle*(t-w.F0/(nm*p.PPeak)) +
-		p.EC*w.F0
-}
-
-// EDPBenefit is Eq. 8: speedup × energy ratio.
-func EDPBenefit(p Params, w Load) float64 {
-	return Speedup(p, w) * E2D(p, w) / E3D(p, w)
+	return eLike(p, w, p.N, p.B3D, p.Alpha3D, p.EMIdle3D)
 }
 
 // Result bundles the three headline quantities for one load.
@@ -125,7 +101,8 @@ type Result struct {
 	EDPBenefit  float64
 }
 
-// Evaluate computes all three quantities.
+// Evaluate computes all three quantities; the EDP benefit is Eq. 8,
+// speedup × energy ratio.
 func Evaluate(p Params, w Load) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err

@@ -55,12 +55,14 @@ func TestPartitionLimit(t *testing.T) {
 	if got := Speedup(p, w); math.Abs(got-4) > 1e-6 {
 		t.Errorf("N#=4 speedup = %g, want 4", got)
 	}
-	if Nmax(p, w) != 4 {
-		t.Errorf("Nmax = %d, want 4", Nmax(p, w))
+	// The compute-bound load runs on min(N#, N) = 4 CSs.
+	if got, want := T3D(p, w), w.F0/(4*p.PPeak); got != want {
+		t.Errorf("N#=4 T3D = %g, want %g (4 CSs)", got, want)
 	}
 	// NPart=0 means "unknown": treated as 1.
-	if Nmax(p, Load{NPart: 0}) != 1 {
-		t.Error("NPart=0 should clamp to 1")
+	w.NPart = 0
+	if got, want := T3D(p, w), w.F0/p.PPeak; got != want {
+		t.Errorf("N#=0 T3D = %g, want %g (one CS)", got, want)
 	}
 }
 
@@ -88,7 +90,7 @@ func TestPartitionRuleOneForm(t *testing.T) {
 			t.Fatal(err)
 		}
 		mem := w.D0 * float64(p.N) / b
-		cmp := w.F0 / (float64(Nmax(p, w)) * p.PPeak)
+		cmp := w.F0 / (float64(min(max(w.NPart, 1), p.N)) * p.PPeak)
 		if math.Abs(mem-cmp) > 1e-12*cmp {
 			t.Errorf("N#=%d: at balance bandwidth %g memory time %g != compute time %g", nPart, b, mem, cmp)
 		}
@@ -139,7 +141,7 @@ func TestSpeedupBounds(t *testing.T) {
 			NPart: 1 + int(nPart)%32,
 		}
 		s := Speedup(p, w)
-		lim := float64(Nmax(p, w))
+		lim := float64(min(w.NPart, p.N))
 		return s >= 1-1e-9 && s <= lim+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -11,8 +11,8 @@ import (
 )
 
 // tLike is the generalized Eq. 4 time: n parallel CSs sharing total
-// bandwidth b. The load runs on min(N#, n) of them, one when N# < 1, as
-// in Nmax.
+// bandwidth b. The load runs on min(N#, n) of them, one when N# < 1
+// (Sec. III.A); eLike applies the same rule.
 func tLike(p Params, w Load, n int, b float64) float64 {
 	nm := n
 	if w.NPart < nm {

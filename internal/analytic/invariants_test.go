@@ -44,7 +44,7 @@ func randParams(rng *rand.Rand) Params {
 }
 
 // randLoad draws a valid workload for p: positive F0/D0 and a partition
-// count covering the NPart < N, = N and > N branches of Nmax.
+// count covering the NPart < N, = N and > N branches of the N# rule.
 func randLoad(rng *rand.Rand, p Params) Load {
 	return Load{
 		F0:    1e6 * (1 + 100*rng.Float64()),
@@ -54,14 +54,14 @@ func randLoad(rng *rand.Rand, p Params) Load {
 }
 
 // memBoundLoad draws a workload that stays memory-bound on the M3D side
-// even at bandwidth scale bMax: D0·N/(B2D·bMax) ≥ F0/(Nmax·PPeak). In
+// even at bandwidth scale bMax: D0·N/(B2D·bMax) ≥ F0/(min(N#, N)·PPeak). In
 // this regime T3D = D0·N/B3D, so more bandwidth strictly shortens
 // execution and idles nothing extra — the regime where EDP benefit is
 // provably monotone in bandwidth (outside it the memory-idle term
 // E_M^idle·(t − D0·N/B3D) grows with bandwidth and the claim is false).
 func memBoundLoad(rng *rand.Rand, p Params, bMax float64) Load {
 	w := randLoad(rng, p)
-	nm := float64(Nmax(p, w))
+	nm := float64(min(w.NPart, p.N)) // randLoad's N# is at least 1
 	// Cap F0 at a random fraction of the bound so the property is
 	// exercised strictly inside the region, not only on its boundary.
 	f0Bound := w.D0 * float64(p.N) * nm * p.PPeak / (p.B2D * bMax)

@@ -1,19 +1,19 @@
 // Package drc is the full-chip sign-off audit run at the end of the flow:
 // structural netlist checks, placement legality on every device tier
-// (die containment, row/site alignment, cell overlap, blockage keep-outs),
-// and routing-geometry checks (segment alignment to the global-routing
-// grid, via/ILV sanity, capacity overflow). It complements the in-stage
-// checks by validating the assembled design as a whole and returning a
-// violation list instead of failing on the first problem.
+// (place.Audit's rules: die containment, row/site alignment, cell
+// overlap, blockage keep-outs), and routing-geometry checks (segment
+// alignment to the global-routing grid, via/ILV sanity, capacity
+// overflow). It complements the in-stage checks by validating the
+// assembled design as a whole and returning a violation list instead of
+// failing on the first problem.
 package drc
 
 import (
 	"fmt"
-	"sort"
 
 	"m3d/internal/floorplan"
-	"m3d/internal/geom"
 	"m3d/internal/netlist"
+	"m3d/internal/place"
 	"m3d/internal/route"
 	"m3d/internal/tech"
 )
@@ -21,13 +21,14 @@ import (
 // Kind classifies a violation.
 type Kind string
 
-// Violation kinds.
+// Violation kinds. A cell breaking one of place's legality rules is
+// reported under the kind of the rule's name.
 const (
 	KindNetlist   Kind = "netlist"
-	KindOffDie    Kind = "off-die"
-	KindOffGrid   Kind = "off-grid"
-	KindOverlap   Kind = "overlap"
-	KindBlockage  Kind = "blockage"
+	KindOffDie         = Kind(place.OffDie)
+	KindOffGrid        = Kind(place.OffGrid)
+	KindOverlap        = Kind(place.Overlap)
+	KindBlockage       = Kind(place.Blocked)
 	KindRouteGeom Kind = "route-geometry"
 	KindOverflow  Kind = "route-overflow"
 	KindDangling  Kind = "dangling-route"
@@ -86,10 +87,14 @@ func Audit(fp *floorplan.Floorplan, nl *netlist.Netlist, routes *route.Result) (
 		rep.add(KindNetlist, nl.Name, "%v", err)
 	}
 
-	// 2. Placement, per tier.
+	// 2. Placement, per tier, by place's legality rules.
 	p := fp.PDK
 	for _, tier := range []tech.Tier{tech.TierSiCMOS, tech.TierCNFET} {
-		auditTierPlacement(rep, fp, nl, tier)
+		vs, checked := place.Audit(fp, nl, tier)
+		rep.CheckedInstances += checked
+		for _, v := range vs {
+			rep.Violations = append(rep.Violations, Violation{Kind: Kind(v.Rule), Object: v.Cell.Name, Detail: v.Detail})
+		}
 	}
 	// Macros: containment and pairwise overlap. Macros on *different*
 	// device tiers may legally share XY (an SRAM buffer under an M3D RRAM
@@ -117,48 +122,6 @@ func Audit(fp *floorplan.Floorplan, nl *netlist.Netlist, routes *route.Result) (
 		rep.Violations = rep.Violations[:maxViolations]
 	}
 	return rep, nil
-}
-
-func auditTierPlacement(rep *Report, fp *floorplan.Floorplan, nl *netlist.Netlist, tier tech.Tier) {
-	p := fp.PDK
-	type placed struct {
-		inst *netlist.Instance
-		r    geom.Rect
-	}
-	byRow := map[int64][]placed{}
-	for _, inst := range nl.Instances {
-		if inst.IsMacro() || inst.Tier != tier {
-			continue
-		}
-		rep.CheckedInstances++
-		b := inst.Bounds(p)
-		if !fp.Die.ContainsRect(b) {
-			rep.add(KindOffDie, inst.Name, "cell %v outside die %v", b, fp.Die)
-			continue
-		}
-		if (inst.Pos.Y-fp.Die.Lo.Y)%p.RowHeight != 0 {
-			rep.add(KindOffGrid, inst.Name, "y=%d not on a row", inst.Pos.Y)
-		}
-		if (inst.Pos.X-fp.Die.Lo.X)%p.SiteWidth != 0 {
-			rep.add(KindOffGrid, inst.Name, "x=%d not on a site", inst.Pos.X)
-		}
-		for _, blk := range fp.Blockages(tier) {
-			if blk.Overlaps(b) {
-				rep.add(KindBlockage, inst.Name, "overlaps %v keep-out at %v", tier, blk)
-				break
-			}
-		}
-		byRow[inst.Pos.Y] = append(byRow[inst.Pos.Y], placed{inst, b})
-	}
-	for _, row := range byRow {
-		sort.Slice(row, func(i, j int) bool { return row[i].r.Lo.X < row[j].r.Lo.X })
-		for i := 1; i < len(row); i++ {
-			if row[i].r.Lo.X < row[i-1].r.Hi.X {
-				rep.add(KindOverlap, row[i].inst.Name, "overlaps %s in row y=%d",
-					row[i-1].inst.Name, row[i].inst.Pos.Y)
-			}
-		}
-	}
 }
 
 func auditRoutes(rep *Report, nl *netlist.Netlist, routes *route.Result) {

@@ -1,6 +1,8 @@
 package drc
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"m3d/internal/cell"
@@ -227,5 +229,60 @@ func TestDanglingRouteReported(t *testing.T) {
 	}
 	if got := rep.ByKind()[KindDangling]; got != 1 {
 		t.Errorf("%d dangling-route violations, want 1", got)
+	}
+}
+
+// TestPlacementViolationsOrdered places one overlapping pair in each of
+// two rows, the upper row's cells first in the netlist, and requires
+// every audit and every CheckLegal to report the same violations in the
+// same order: rows bottom to top, so CheckLegal names the lower row's
+// cells whatever order the rows were met in.
+func TestPlacementViolationsOrdered(t *testing.T) {
+	p := tech.Default130()
+	lib, err := cell.NewLibrary(p, tech.TierSiCMOS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, err := floorplan.New(p, geom.R(0, 0, 100*p.RowHeight, 100*p.RowHeight))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nl := netlist.New("rows")
+	inv := lib.MustPick(cell.Inv, 1)
+	for _, c := range []struct {
+		name string
+		row  int64
+	}{{"up_a", 7}, {"up_b", 7}, {"low_a", 2}, {"low_b", 2}} {
+		nl.AddCell(c.name, inv).Pos = geom.Pt(10*p.SiteWidth, c.row*p.RowHeight)
+	}
+
+	var first []Violation
+	for run := 0; run < 20; run++ {
+		rep, err := Audit(fp, nl, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []Violation
+		for _, v := range rep.Violations {
+			if v.Kind == KindOverlap {
+				got = append(got, v)
+			}
+		}
+		if run == 0 {
+			first = got
+			if len(got) != 2 || got[0].Object != "low_b" || got[1].Object != "up_b" {
+				t.Fatalf("overlaps %v, want low_b's then up_b's", got)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(got, first) {
+			t.Fatalf("run %d reports %v, run 0 reported %v", run, got, first)
+		}
+	}
+	for run := 0; run < 20; run++ {
+		err := place.CheckLegal(fp, nl, tech.TierSiCMOS)
+		if err == nil || !strings.Contains(err.Error(), "low_b") {
+			t.Fatalf("run %d: CheckLegal = %v, want the lower row's overlap (low_b)", run, err)
+		}
 	}
 }

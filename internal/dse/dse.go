@@ -30,6 +30,8 @@ import (
 	"m3d/internal/core"
 	"m3d/internal/errs"
 	"m3d/internal/exec"
+	"m3d/internal/flow"
+	"m3d/internal/macro"
 	"m3d/internal/obs"
 	"m3d/internal/tech"
 	"m3d/internal/thermal"
@@ -606,4 +608,24 @@ func axisIndex(a Axis, v float64) int {
 
 func sortCoords(cs []coord) {
 	sort.Slice(cs, func(i, j int) bool { return coordLess(cs[i], cs[j]) })
+}
+
+// FlowSpec is the physical flow a promoted point runs, with the given flow
+// seed: a small M3D SoC whose CS count follows the point's N, clamped to
+// 1..4 so promotion stays interactive, with 2×2 arrays, 1 MB of RRAM, one
+// bank per CS and 64 Kbit of global SRAM. Promotion is a physical-design
+// sanity probe of the frontier's shape, not a full-scale build; m3ddse
+// and the service both run this spec.
+func (p Point) FlowSpec(seed int64) flow.SoCSpec {
+	numCS := min(max(p.N, 1), 4)
+	return flow.SoCSpec{
+		Style:          macro.Style3D,
+		NumCS:          numCS,
+		ArrayRows:      2,
+		ArrayCols:      2,
+		RRAMCapBits:    1 << 23,
+		Banks:          numCS,
+		GlobalSRAMBits: 64 << 10,
+		Seed:           seed,
+	}
 }

@@ -213,13 +213,3 @@ func (c *Cache[K, V]) Len() int {
 	defer c.mu.Unlock()
 	return len(c.m)
 }
-
-// Reset drops every memoized entry (in-flight computations finish but
-// are not re-interned).
-func (c *Cache[K, V]) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries.Add(-int64(len(c.m)))
-	c.m = nil
-	c.head, c.tail = nil, nil
-}

@@ -194,28 +194,3 @@ func TestLRUHammerWithForget(t *testing.T) {
 		t.Fatalf("entries gauge %d != Len %d", got, want)
 	}
 }
-
-// TestCacheResetBounded proves Reset clears the LRU bookkeeping, not just
-// the map.
-func TestCacheResetBounded(t *testing.T) {
-	c := NewLRU[int, int](4)
-	reg := obs.NewRegistry()
-	c.Instrument(reg)
-	for k := 0; k < 4; k++ {
-		c.Do(k, func() (int, error) { return k, nil })
-	}
-	c.Reset()
-	if c.Len() != 0 {
-		t.Fatalf("Reset left Len=%d", c.Len())
-	}
-	if got := reg.Gauge("cache.entries").Value(); got != 0 {
-		t.Fatalf("entries gauge %d after Reset", got)
-	}
-	// The list is gone too: refills evict in insertion order again.
-	for k := 10; k < 16; k++ {
-		c.Do(k, func() (int, error) { return k, nil })
-	}
-	if got := c.Len(); got != 4 {
-		t.Fatalf("Len = %d after refill, want 4", got)
-	}
-}

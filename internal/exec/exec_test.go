@@ -186,10 +186,6 @@ func TestCacheSingleFlight(t *testing.T) {
 	if c.Len() != 1 {
 		t.Fatalf("len %d, want 1", c.Len())
 	}
-	c.Reset()
-	if c.Len() != 0 {
-		t.Fatalf("len after reset %d", c.Len())
-	}
 }
 
 func TestCacheMemoizesError(t *testing.T) {

@@ -159,29 +159,3 @@ func maxInt64(a, b int64) int64 {
 	}
 	return b
 }
-
-// HPWL returns the half-perimeter wirelength of the bounding box of pts,
-// the standard placement wirelength estimate. It returns 0 for fewer than
-// two points.
-func HPWL(pts []Point) int64 {
-	if len(pts) < 2 {
-		return 0
-	}
-	minX, maxX := pts[0].X, pts[0].X
-	minY, maxY := pts[0].Y, pts[0].Y
-	for _, p := range pts[1:] {
-		if p.X < minX {
-			minX = p.X
-		}
-		if p.X > maxX {
-			maxX = p.X
-		}
-		if p.Y < minY {
-			minY = p.Y
-		}
-		if p.Y > maxY {
-			maxY = p.Y
-		}
-	}
-	return (maxX - minX) + (maxY - minY)
-}

@@ -107,19 +107,6 @@ func TestRectTranslate(t *testing.T) {
 	}
 }
 
-func TestHPWL(t *testing.T) {
-	if got := HPWL(nil); got != 0 {
-		t.Errorf("HPWL(nil) = %d", got)
-	}
-	if got := HPWL([]Point{Pt(3, 3)}); got != 0 {
-		t.Errorf("HPWL(single) = %d", got)
-	}
-	pts := []Point{Pt(0, 0), Pt(10, 5), Pt(3, 8)}
-	if got := HPWL(pts); got != 18 {
-		t.Errorf("HPWL = %d, want 18", got)
-	}
-}
-
 func TestIntersectionPropertySubset(t *testing.T) {
 	// The intersection of two rectangles is contained in both.
 	f := func(x0, y0, x1, y1, x2, y2, x3, y3 int16) bool {

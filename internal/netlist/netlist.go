@@ -155,10 +155,11 @@ func (n *Net) SinkCapF() float64 {
 	return c
 }
 
-// HPWL returns the half-perimeter wirelength of the net's pin locations.
-// It is the placement hot loop's cost function, so the bounding box is
-// accumulated directly over driver and sinks without building point
-// slices (equivalent to geom.HPWL over Pins()).
+// HPWL returns the half-perimeter wirelength of the bounding box of the
+// net's pin locations, 0 for fewer than two pins: the placement
+// wirelength estimate and the placer's cost function. It is the
+// placement hot loop, so the box grows over the driver and sinks without
+// building a point slice.
 func (n *Net) HPWL() int64 {
 	var lo, hi geom.Point
 	count := 0

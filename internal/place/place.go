@@ -1,7 +1,9 @@
 // Package place implements the placement stage of the flow: min-cut tier
 // assignment for M3D designs (Fiduccia–Mattheyses style bi-partitioning),
 // force-directed global placement with density spreading around macro
-// blockages, and Tetris-style row legalization.
+// blockages, and Tetris-style row legalization. It owns the
+// placement-legality rules (Audit): the flow checks them after
+// legalization (CheckLegal) and drc reports them at sign-off.
 //
 // Every stage fences each instance group (netlist.Instance.Group) inside
 // its floorplan region (floorplan.Floorplan.Region); ungrouped cells and
@@ -9,6 +11,7 @@
 package place
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -415,41 +418,83 @@ func abs64(v int64) int64 {
 	return v
 }
 
-// CheckLegal verifies the tier's placement: all cells on rows/sites inside
-// the die, no overlaps, no blockage violations.
-func CheckLegal(f *floorplan.Floorplan, nl *netlist.Netlist, tier tech.Tier) error {
+// Rule names a placement-legality rule; drc reports a broken one as the
+// violation kind of the same name.
+type Rule string
+
+// The legality rules.
+const (
+	OffDie  Rule = "off-die"  // the cell's bounds leave the die
+	OffGrid Rule = "off-grid" // the cell is not on a row or not on a site
+	Blocked Rule = "blockage" // the cell overlaps a blockage of its tier
+	Overlap Rule = "overlap"  // the cell overlaps its left neighbour in its row
+)
+
+// Violation is one broken rule: the cell and what it breaks.
+type Violation struct {
+	Rule   Rule
+	Cell   *netlist.Instance
+	Detail string
+}
+
+// Audit checks every non-macro cell on the tier against the legality
+// rules and returns every violation and the number of cells checked: each
+// cell's own rules in netlist order (a cell off the die is checked no
+// further), then overlaps row by row, bottom to top, each row left to
+// right (cells at one spot in netlist order).
+func Audit(f *floorplan.Floorplan, nl *netlist.Netlist, tier tech.Tier) ([]Violation, int) {
 	p := f.PDK
-	cells := movableOn(nl, tier)
-	type placed struct {
-		inst *netlist.Instance
-		r    geom.Rect
-	}
-	byRow := make(map[int64][]placed)
-	for _, c := range cells {
+	var out []Violation
+	var rows []*netlist.Instance
+	checked := 0
+	for _, c := range nl.Instances {
+		if c.IsMacro() || c.Tier != tier {
+			continue
+		}
+		checked++
 		b := c.Bounds(p)
 		if !f.Die.ContainsRect(b) {
-			return fmt.Errorf("place: %s outside die", c.Name)
+			out = append(out, Violation{OffDie, c, fmt.Sprintf("cell %v outside die %v", b, f.Die)})
+			continue
 		}
+		rows = append(rows, c)
 		if (c.Pos.Y-f.Die.Lo.Y)%p.RowHeight != 0 {
-			return fmt.Errorf("place: %s not on a row (y=%d)", c.Name, c.Pos.Y)
+			out = append(out, Violation{OffGrid, c, fmt.Sprintf("y=%d not on a row", c.Pos.Y)})
 		}
 		if (c.Pos.X-f.Die.Lo.X)%p.SiteWidth != 0 {
-			return fmt.Errorf("place: %s not on a site (x=%d)", c.Name, c.Pos.X)
+			out = append(out, Violation{OffGrid, c, fmt.Sprintf("x=%d not on a site", c.Pos.X)})
 		}
 		for _, blk := range f.Blockages(tier) {
 			if blk.Overlaps(b) {
-				return fmt.Errorf("place: %s overlaps a blockage at %v", c.Name, blk)
+				out = append(out, Violation{Blocked, c, fmt.Sprintf("overlaps %v keep-out at %v", tier, blk)})
+				break
 			}
 		}
-		byRow[c.Pos.Y] = append(byRow[c.Pos.Y], placed{c, b})
 	}
-	for _, row := range byRow {
-		sort.Slice(row, func(i, j int) bool { return row[i].r.Lo.X < row[j].r.Lo.X })
-		for i := 1; i < len(row); i++ {
-			if row[i].r.Lo.X < row[i-1].r.Hi.X {
-				return fmt.Errorf("place: %s overlaps %s", row[i].inst.Name, row[i-1].inst.Name)
-			}
+	slices.SortFunc(rows, func(a, b *netlist.Instance) int {
+		if a.Pos.Y != b.Pos.Y {
+			return cmp.Compare(a.Pos.Y, b.Pos.Y)
 		}
+		if a.Pos.X != b.Pos.X {
+			return cmp.Compare(a.Pos.X, b.Pos.X)
+		}
+		return cmp.Compare(a.ID, b.ID)
+	})
+	for i := 1; i < len(rows); i++ {
+		prev, c := rows[i-1], rows[i]
+		if c.Pos.Y == prev.Pos.Y && c.Pos.X < prev.Pos.X+prev.Width(p) {
+			out = append(out, Violation{Overlap, c, fmt.Sprintf("overlaps %s in row y=%d", prev.Name, c.Pos.Y)})
+		}
+	}
+	return out, checked
+}
+
+// CheckLegal verifies the tier's placement: all cells on rows/sites inside
+// the die, no overlaps, no blockage violations. The error is Audit's first
+// violation.
+func CheckLegal(f *floorplan.Floorplan, nl *netlist.Netlist, tier tech.Tier) error {
+	if vs, _ := Audit(f, nl, tier); len(vs) > 0 {
+		return fmt.Errorf("place: %s: %s", vs[0].Cell.Name, vs[0].Detail)
 	}
 	return nil
 }

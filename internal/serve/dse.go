@@ -147,11 +147,9 @@ func (s *Server) handleDSE(ctx context.Context, w http.ResponseWriter, r *http.R
 // share: dse.Explore hands every round but the last to round, and the
 // settled exploration becomes the final DSEUpdate with its req.Promote
 // top-EDP frontier points, each run through the physical flow via the
-// coalescing flow cache — a small M3D SoC whose CS parallelism follows
-// the point's N, clamped to the interactive range. Promotion is a
-// physical-design sanity probe of the frontier shape, not a full-scale
-// build, and must land within the request deadline; each point's failure
-// is reported in-band.
+// coalescing flow cache as its dse.Point.FlowSpec with the request's
+// seed. Promotions must land within the request deadline; each point's
+// failure is reported in-band.
 func (s *Server) explore(ctx context.Context, req *DSERequest, round func(dse.Update)) (DSEUpdate, error) {
 	var final dse.Update
 	_, err := dse.Explore(s.pdk, req.space(), req.options(), func(u dse.Update) {
@@ -166,19 +164,8 @@ func (s *Server) explore(ctx context.Context, req *DSERequest, round func(dse.Up
 	}
 	out := DSEUpdate{Update: final}
 	for _, p := range dse.TopK(final.Frontier, req.Promote) {
-		numCS := min(max(p.N, 1), 4)
-		fr := &FlowRequest{
-			Style:          "M3D",
-			NumCS:          numCS,
-			ArrayRows:      2,
-			ArrayCols:      2,
-			RRAMCapMB:      1,
-			Banks:          numCS,
-			GlobalSRAMBits: 64 << 10,
-			Seed:           req.Seed,
-		}
 		pr := DSEPromotion{Point: p, Status: http.StatusOK}
-		if resp, err := s.flowCached(ctx, fr); err != nil {
+		if resp, err := s.flowCached(ctx, promotionRequest(p, req.Seed)); err != nil {
 			pr.Status, pr.Error = statusOf(err), err.Error()
 		} else {
 			pr.Flow = resp
@@ -186,4 +173,21 @@ func (s *Server) explore(ctx context.Context, req *DSERequest, round func(dse.Up
 		out.Promoted = append(out.Promoted, pr)
 	}
 	return out, nil
+}
+
+// promotionRequest is the flow request of a promoted point: its
+// dse.Point.FlowSpec with the exploration's seed, in the request form
+// the flow cache keys on.
+func promotionRequest(p dse.Point, seed int64) *FlowRequest {
+	spec := p.FlowSpec(seed)
+	return &FlowRequest{
+		Style:          spec.Style.String(),
+		NumCS:          spec.NumCS,
+		ArrayRows:      spec.ArrayRows,
+		ArrayCols:      spec.ArrayCols,
+		RRAMCapMB:      int(spec.RRAMCapBits >> 23),
+		Banks:          spec.Banks,
+		GlobalSRAMBits: spec.GlobalSRAMBits,
+		Seed:           spec.Seed,
+	}
 }

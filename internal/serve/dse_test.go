@@ -179,3 +179,21 @@ func TestDSEDefaultSpace(t *testing.T) {
 		t.Fatal("default exploration returned an empty frontier")
 	}
 }
+
+// TestPromotionRequestIsFlowSpec: the flow request a promoted point
+// coalesces on derives the point's dse.Point.FlowSpec with the
+// exploration's seed, so /v1/dse and m3ddse pareto -promote run one
+// design per point, across the CS clamp's range.
+func TestPromotionRequestIsFlowSpec(t *testing.T) {
+	for _, n := range []int{0, 1, 3, 4, 9} {
+		pt := dse.Point{N: n}
+		req := promotionRequest(pt, 7)
+		got, err := req.spec()
+		if err != nil {
+			t.Fatalf("N %d: %v", n, err)
+		}
+		if want := pt.FlowSpec(7); got != want {
+			t.Errorf("N %d: request spec %+v, FlowSpec %+v", n, got, want)
+		}
+	}
+}

@@ -7,37 +7,17 @@ import (
 	"m3d/internal/tech"
 )
 
-// GridOptions tunes the 2D steady-state thermal solve.
-type GridOptions struct {
-	// LateralKPerW is the thermal resistance between adjacent grid nodes
-	// (silicon lateral spreading; default 8 K/W).
-	LateralKPerW float64
-	// VerticalKPerW is each node's resistance to the heat sink (stack +
-	// sink share; default: R0 + Y·R_tier scaled by node count).
-	VerticalKPerW float64
-	// MaxIterations / Tolerance bound the Gauss–Seidel solve.
-	MaxIterations int
-	Tolerance     float64
-}
-
-func (o GridOptions) withDefaults(p *tech.PDK, tiers int, nodes int) GridOptions {
-	if o.LateralKPerW <= 0 {
-		o.LateralKPerW = 8
-	}
-	if o.VerticalKPerW <= 0 {
-		// The whole stack resistance serves the die in parallel across
-		// nodes: per-node vertical resistance scales with node count.
-		total := p.RthetaSink + float64(tiers)*p.RthetaPerTier
-		o.VerticalKPerW = total * float64(nodes)
-	}
-	if o.MaxIterations <= 0 {
-		o.MaxIterations = 10000
-	}
-	if o.Tolerance <= 0 {
-		o.Tolerance = 1e-7
-	}
-	return o
-}
+// The grid solve's fixed settings.
+const (
+	// lateralKPerW is the thermal resistance between adjacent grid nodes
+	// (silicon lateral spreading).
+	lateralKPerW = 8.0
+	// maxIterations bounds the Gauss–Seidel solve.
+	maxIterations = 10000
+	// toleranceK is the convergence threshold in kelvin: a sweep that
+	// moves no node by 1e-7 K or more ends the solve.
+	toleranceK = 1e-7
+)
 
 // GridReport is the solved temperature field.
 type GridReport struct {
@@ -59,7 +39,7 @@ type GridReport struct {
 // stack, this resolves hot spots (the CS clusters of the M3D design).
 // tiers is the interleaved pair count Y whose vertical resistance the heat
 // crosses (1 for the case study).
-func SolveGrid(p *tech.PDK, density *geom.Grid, tiers int, opt GridOptions) (*GridReport, error) {
+func SolveGrid(p *tech.PDK, density *geom.Grid, tiers int) (*GridReport, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("thermal: invalid PDK: %w", err)
 	}
@@ -73,14 +53,16 @@ func SolveGrid(p *tech.PDK, density *geom.Grid, tiers int, opt GridOptions) (*Gr
 	if nx < 1 || ny < 1 {
 		return nil, fmt.Errorf("thermal: degenerate density map")
 	}
-	opt = opt.withDefaults(p, tiers, nx*ny)
+	// The whole stack resistance serves the die in parallel across the
+	// nodes: each node's resistance to the sink scales with their count.
+	verticalKPerW := (p.RthetaSink + float64(tiers)*p.RthetaPerTier) * float64(nx*ny)
 
-	gl := 1 / opt.LateralKPerW
-	gv := 1 / opt.VerticalKPerW
+	gl := 1 / lateralKPerW
+	gv := 1 / verticalKPerW
 	temp := make([]float64, nx*ny)
 
 	iter := 0
-	for ; iter < opt.MaxIterations; iter++ {
+	for ; iter < maxIterations; iter++ {
 		var worst float64
 		for iy := 0; iy < ny; iy++ {
 			for ix := 0; ix < nx; ix++ {
@@ -113,7 +95,7 @@ func SolveGrid(p *tech.PDK, density *geom.Grid, tiers int, opt GridOptions) (*Gr
 				temp[i] = nv
 			}
 		}
-		if worst < opt.Tolerance {
+		if worst < toleranceK {
 			break
 		}
 	}

@@ -17,7 +17,7 @@ func uniform(totalW float64) *geom.Grid {
 
 func TestSolveGridUniform(t *testing.T) {
 	p := tech.Default130()
-	rep, err := SolveGrid(p, uniform(1.0), 1, GridOptions{})
+	rep, err := SolveGrid(p, uniform(1.0), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestSolveGridHotspot(t *testing.T) {
 	g := uniform(0.5)
 	hot := geom.R(mm/2, mm/2, mm, mm)
 	g.AddRect(hot, 1.0)
-	rep, err := SolveGrid(p, g, 1, GridOptions{})
+	rep, err := SolveGrid(p, g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +62,11 @@ func TestSolveGridHotspot(t *testing.T) {
 func TestSolveGridScalesWithTiers(t *testing.T) {
 	// More interleaved tiers = taller stack = hotter at equal power.
 	p := tech.Default130()
-	r1, err := SolveGrid(p, uniform(2.0), 1, GridOptions{})
+	r1, err := SolveGrid(p, uniform(2.0), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r4, err := SolveGrid(p, uniform(2.0), 4, GridOptions{})
+	r4, err := SolveGrid(p, uniform(2.0), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +77,11 @@ func TestSolveGridScalesWithTiers(t *testing.T) {
 
 func TestSolveGridLinearity(t *testing.T) {
 	p := tech.Default130()
-	r1, err := SolveGrid(p, uniform(0.5), 1, GridOptions{})
+	r1, err := SolveGrid(p, uniform(0.5), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := SolveGrid(p, uniform(1.0), 1, GridOptions{})
+	r2, err := SolveGrid(p, uniform(1.0), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,15 +93,15 @@ func TestSolveGridLinearity(t *testing.T) {
 
 func TestSolveGridValidation(t *testing.T) {
 	p := tech.Default130()
-	if _, err := SolveGrid(p, nil, 1, GridOptions{}); err == nil {
+	if _, err := SolveGrid(p, nil, 1); err == nil {
 		t.Error("nil density should fail")
 	}
-	if _, err := SolveGrid(p, uniform(1), 0, GridOptions{}); err == nil {
+	if _, err := SolveGrid(p, uniform(1), 0); err == nil {
 		t.Error("0 tiers should fail")
 	}
 	bad := tech.Default130()
 	bad.VDD = 0
-	if _, err := SolveGrid(bad, uniform(1), 1, GridOptions{}); err == nil {
+	if _, err := SolveGrid(bad, uniform(1), 1); err == nil {
 		t.Error("invalid PDK should fail")
 	}
 }

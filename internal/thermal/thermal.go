@@ -13,7 +13,6 @@ package thermal
 import (
 	"fmt"
 
-	"m3d/internal/geom"
 	"m3d/internal/tech"
 )
 
@@ -77,33 +76,19 @@ func MaxTiers(p *tech.PDK, perTierPowerW float64) int {
 	return cap
 }
 
-// HotspotRiseK estimates the peak local temperature rise from a power
-// density map: the hottest cell's power is spread over a spreading area
-// (sprdMM2, typically a few mm²) and driven through the full stack
-// resistance. It is a coarse bound, matching the paper's use of Eq. 17
-// rather than a field solver.
-func HotspotRiseK(s Stack, density *geom.Grid, sprdMM2 float64) (float64, error) {
-	if density == nil {
-		return 0, fmt.Errorf("thermal: nil density grid")
-	}
+// HotspotRiseK estimates the peak local temperature rise from the peak
+// power density (W/mm², power.Breakdown.PeakDensityWPerMM2): the hottest
+// grid cell's power density is spread over a spreading area (sprdMM2,
+// typically a few mm²) and driven through the full stack resistance. It
+// is a coarse bound, matching the paper's use of Eq. 17 rather than a
+// field solver.
+func HotspotRiseK(s Stack, peakWPerMM2, sprdMM2 float64) (float64, error) {
 	if sprdMM2 <= 0 {
 		return 0, fmt.Errorf("thermal: spreading area must be positive, got %g", sprdMM2)
-	}
-	var peak float64 // W/mm²
-	for iy := 0; iy < density.NY; iy++ {
-		for ix := 0; ix < density.NX; ix++ {
-			areaMM2 := float64(density.CellRect(ix, iy).Area()) / 1e12
-			if areaMM2 <= 0 {
-				continue
-			}
-			if d := density.At(ix, iy) / areaMM2; d > peak {
-				peak = d
-			}
-		}
 	}
 	var rTotal float64 = s.R0KPerW
 	for _, t := range s.Tiers {
 		rTotal += t.RthetaKPerW
 	}
-	return peak * sprdMM2 * rTotal, nil
+	return peakWPerMM2 * sprdMM2 * rTotal, nil
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"m3d/internal/geom"
 	"m3d/internal/tech"
 )
 
@@ -117,10 +116,8 @@ func TestMaxTiersConsistentWithFeasible(t *testing.T) {
 
 func TestHotspotRise(t *testing.T) {
 	p := tech.Default130()
-	g := geom.NewGrid(geom.R(0, 0, 4_000_000, 4_000_000), 1_000_000)
-	g.Set(1, 1, 0.5) // 0.5 W in one 1mm² cell → 0.5 W/mm²
 	s := NewStack(p, []float64{1.0})
-	rise, err := HotspotRiseK(s, g, 2.0)
+	rise, err := HotspotRiseK(s, 0.5, 2.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,10 +125,7 @@ func TestHotspotRise(t *testing.T) {
 	if math.Abs(rise-2.6) > 1e-9 {
 		t.Errorf("hotspot rise = %g, want 2.6", rise)
 	}
-	if _, err := HotspotRiseK(s, nil, 1); err == nil {
-		t.Error("nil grid should fail")
-	}
-	if _, err := HotspotRiseK(s, g, 0); err == nil {
+	if _, err := HotspotRiseK(s, 0.5, 0); err == nil {
 		t.Error("zero spreading area should fail")
 	}
 }

@@ -31,8 +31,11 @@
 # the yield kernel, sta.(*BatchTimer).AnalyzeBatch, lands modulo 64
 # bytes. The kernel runs 12-25% slower 32 bytes past a 64-byte boundary,
 # and any change to code linked before internal/sta can move it, with no
-# yield code touched. A difference is a warning, not a failure: link
-# order is not a defect of the change.
+# yield code touched. It then compares the two builds' pre-kernel text,
+# every text symbol linked before the kernel by name and size in address
+# order, and prints "identical" or the first ten symbols that differ. A
+# difference is a warning, not a failure: link order is not a defect of
+# the change.
 set -euf
 
 THRESHOLD_PCT="${THRESHOLD_PCT:-25}"
@@ -105,6 +108,16 @@ for side in base change; do
         echo "benchdiff: FAIL: cannot build the $side m3dserve" >&2
         exit 1
     fi
+    # <size> <name> of every text symbol before the kernel, by address.
+    # Zero-size markers (runtime.text) share an address with a function,
+    # and nm orders such ties differently from build to build.
+    go tool nm -size -sort address "$TMP/$side.m3dserve" | awk -v k="$kernel" '
+        seen || $2 == 0 || ($3 != "T" && $3 != "t") { next }
+        {
+            name = $0
+            sub(/^ *[0-9a-f]+ +[0-9]+ +[Tt] /, "", name)
+            if (name == k) seen = 1; else print $2, name
+        }' > "$TMP/$side.pretext"
     addr="$(go tool nm "$TMP/$side.m3dserve" | awk -v k="$kernel" '$3 == k { print $1 }')"
     if [ -z "$addr" ]; then
         echo "benchdiff: WARNING: the $side m3dserve has no $kernel" >&2
@@ -118,6 +131,29 @@ for side in base change; do
         echo "benchdiff: WARNING: the yield kernel moved from $base_mod to $mod mod 64; yield-4096 may move with it, with no yield code changed (check with m3dbench/ab.sh)" >&2
     fi
 done
+if cmp -s "$TMP/base.pretext" "$TMP/change.pretext"; then
+    echo "benchdiff: pre-kernel text: identical ($(wc -l < "$TMP/base.pretext") symbols)"
+else
+    echo "benchdiff: WARNING: the pre-kernel text differs; the first ten symbols that differ (name, base size, change size):" >&2
+    # A symbol differs when the other side lacks it or sizes it
+    # differently; each is ordered by its position on the side that has
+    # it (the base's when both do).
+    awk '
+    { size = $1; name = $0; sub(/^[0-9]+ /, "", name) }
+    NR == FNR { if (!(name in b)) { b[name] = size; bn[++nb] = name }; next }
+    { if (!(name in c)) { c[name] = size; cpos[name] = FNR; cn[++nc] = name } }
+    END {
+        for (i = 1; i <= nb && m < 10; i++)
+            if (!(bn[i] in c) || c[bn[i]] != b[bn[i]]) { d[++m] = bn[i]; pos[m] = i }
+        for (i = 1; i <= nc && m2 < 10; i++)
+            if (!(cn[i] in b)) { e[++m2] = cn[i]; epos[m2] = i }
+        for (i = j = 1; (i <= m || j <= m2) && shown < 10; shown++) {
+            if (j > m2 || (i <= m && pos[i] <= epos[j])) name = d[i++]; else name = e[j++]
+            printf "  %s  %s  %s\n", name, (name in b) ? b[name] : "-", (name in c) ? c[name] : "-"
+        }
+        if (shown == 0) print "  the same symbols and sizes in another order"
+    }' "$TMP/base.pretext" "$TMP/change.pretext" >&2
+fi
 
 # run <side> <package> <benchmark> <pair> appends the side's result
 # line, prefixed with the pair number, to $TMP/<side>.txt.
